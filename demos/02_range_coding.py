@@ -11,7 +11,6 @@ escape through an overflow slot plus an Exp-Golomb bypass.
 import numpy as np
 
 from mfvc.coder import (
-    constant_pmf,
     decode_plane,
     discretize_laplacian,
     encode_plane,
@@ -33,13 +32,15 @@ print(f"frequencies sum to {int(pmf.freq.sum()) + pmf.overflow_freq} (2^16 = 655
 # Lossless roundtrip, including a wild outlier through the escape path.
 plane = rng.integers(-40, 41, size=2048, dtype=np.int64)
 plane[100] = 12345
-stream = encode_plane(plane, constant_pmf(pmf))
-decoded = decode_plane(stream, constant_pmf(pmf), len(plane))
+# One cumulative table (pmf.cum) serves every symbol; a (n, S+2) array of
+# tables would give each symbol its own.
+stream = encode_plane(plane, pmf.cum)
+decoded = decode_plane(stream, pmf.cum, len(plane))
 print("roundtrip exact:", bool(np.array_equal(decoded, plane)),
       f"({len(stream.data)} bytes, {stream.bypass_bit_count} bypass bits)")
 
 # The coded length hugs the table's cross entropy.
-h = plane_cross_entropy(plane, constant_pmf(pmf))
+h = plane_cross_entropy(plane, pmf.cum)
 print(f"cross entropy {h:.0f} bits vs coded {8 * len(stream.data)} bits "
       f"(+{8 * len(stream.data) - h:.0f})")
 
@@ -47,5 +48,5 @@ print(f"cross entropy {h:.0f} bits vs coded {8 * len(stream.data)} bits "
 zeros = np.zeros(2048, dtype=np.int64)
 print("all-zero plane bytes by log-scale:")
 for ls in (-6.0, -2.0, 0.0, 2.0, 6.0):
-    n = len(encode_plane(zeros, constant_pmf(discretize_laplacian(0.0, ls))).data)
+    n = len(encode_plane(zeros, discretize_laplacian(0.0, ls).cum).data)
     print(f"  log_scale {ls:+.0f}: {n:5d} bytes")

@@ -4,7 +4,8 @@ A carryless 32-bit range coder (byte-wise renormalization, 16-bit frequency
 precision) consumes integer frequency tables discretized from Laplacian
 distributions. Symbols outside a table's support are escaped through a
 reserved overflow slot followed by a bypass-coded Exp-Golomb magnitude and
-a side bit.
+a side bit. A plane is coded against one cumulative table per symbol,
+passed as a plain (n, S+2) integer array.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -12,8 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,19 +155,11 @@ class DiscretePmf:
     support_max: int
     freq: np.ndarray
     overflow_freq: int
-    _cum: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def cum(self) -> np.ndarray:
         """Cumulative table of length support+2; the final entry is 2^16."""
-        if self._cum is None:
-            s = len(self.freq)
-            cum = np.empty(s + 2, dtype=np.int64)
-            cum[0] = 0
-            np.cumsum(self.freq, out=cum[1 : s + 1])
-            cum[s + 1] = TOTAL_FREQ
-            self._cum = cum
-        return self._cum
+        return pmfs_from_rows(np.append(self.freq, self.overflow_freq)[None])[0]
 
     def validate(self) -> None:
         if not self.support_min <= 0 <= self.support_max:
@@ -272,17 +264,14 @@ def discretize_laplacian(mu: float, log_scale: float, support_min: int = DEFAULT
     return DiscretePmf(support_min, support_max, row[:-1], int(row[-1]))
 
 
-def pmfs_from_rows(rows: np.ndarray, support_min: int, support_max: int) -> list[DiscretePmf]:
-    """Wrap precomputed frequency rows (overflow in the last column) with
-    shared cumulative tables."""
+def pmfs_from_rows(rows: np.ndarray) -> np.ndarray:
+    """Cumulative tables (n, S+2) from frequency rows (n, S+1) whose last
+    column is the overflow frequency; each row starts at 0 and ends at 2^16."""
     s = rows.shape[1] - 1
     cums = np.zeros((rows.shape[0], s + 2), dtype=np.int64)
     np.cumsum(rows[:, :-1], axis=1, out=cums[:, 1 : s + 1])
     cums[:, s + 1] = TOTAL_FREQ
-    return [
-        DiscretePmf(support_min, support_max, rows[i, :-1], int(rows[i, -1]), _cum=cums[i])
-        for i in range(rows.shape[0])
-    ]
+    return cums
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +287,6 @@ class CodedStream:
     data: bytes
     symbol_count: int
     bypass_bit_count: int
-
-
-PmfProvider = Callable[[int, np.ndarray], DiscretePmf]
-
-
-def pmf_sequence(pmfs) -> PmfProvider:
-    return lambda i, prev: pmfs[i]
-
-
-def constant_pmf(pmf: DiscretePmf) -> PmfProvider:
-    return lambda i, prev: pmf
-
-
-def per_channel_pmfs(pmfs, plane_shape) -> PmfProvider:
-    """One PMF per channel of a (channels, h, w) plane flattened channel-major."""
-    _, h, w = plane_shape
-    n = h * w
-    return lambda i, prev: pmfs[i // n]
 
 
 def _encode_overflow(enc: RangeEncoder, value: int, support_min: int, support_max: int) -> int:
@@ -371,24 +342,39 @@ def decode_symbol(dec: RangeDecoder, cum: np.ndarray, support_min: int, support_
     return support_min + k
 
 
-def encode_plane(plane: np.ndarray, pmf_provider: PmfProvider) -> CodedStream:
+def _flat(plane) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(plane, dtype=np.int64)).reshape(-1)
+
+
+def _tables(cum, count: int, support_min: int) -> tuple[np.ndarray, int]:
+    """One cumulative row per symbol (a single row is broadcast) and the
+    support maximum implied by the row width."""
+    cum = np.atleast_2d(cum)
+    if cum.ndim != 2 or cum.shape[0] not in (1, count):
+        raise ValueError(f"{cum.shape} cumulative tables do not fit {count} symbols")
+    return np.broadcast_to(cum, (count, cum.shape[1])), support_min + cum.shape[1] - 3
+
+
+def encode_plane(plane: np.ndarray, cum: np.ndarray, support_min: int = DEFAULT_SUPPORT_MIN) -> CodedStream:
     """Range-code an integer plane in channel-major raster order.
 
-    The provider is called once per symbol with the index and the (already
-    coded) symbol prefix, so adaptive models see the same context the
-    decoder will reconstruct.
+    ``cum`` holds one cumulative table per symbol of the flattened plane,
+    shape (n, S+2) in the layout of :attr:`DiscretePmf.cum`, or a single
+    (S+2,) table shared by every symbol; the support is
+    [support_min, support_min + S - 1].
     """
-    symbols = np.ascontiguousarray(np.asarray(plane, dtype=np.int64)).reshape(-1)
+    symbols = _flat(plane)
+    cums, support_max = _tables(cum, symbols.size, support_min)
     enc = RangeEncoder()
     bypass = 0
     for i in range(symbols.size):
-        pmf = pmf_provider(i, symbols[:i])
-        bypass += encode_symbol(enc, int(symbols[i]), pmf.cum, pmf.support_min, pmf.support_max)
+        bypass += encode_symbol(enc, int(symbols[i]), cums[i], support_min, support_max)
     return CodedStream(enc.finish(), symbols.size, bypass)
 
 
-def decode_plane(stream: CodedStream, pmf_provider: PmfProvider, count_or_shape) -> np.ndarray:
-    """Exact inverse of :func:`encode_plane` given the identical PMF sequence.
+def decode_plane(stream: CodedStream, cum: np.ndarray, count_or_shape,
+                 support_min: int = DEFAULT_SUPPORT_MIN) -> np.ndarray:
+    """Exact inverse of :func:`encode_plane` given the identical tables.
 
     ``count_or_shape`` is the symbol count or the plane shape to restore.
     """
@@ -398,30 +384,30 @@ def decode_plane(stream: CodedStream, pmf_provider: PmfProvider, count_or_shape)
         count = int(np.prod(shape)) if shape else 0
     else:
         count = int(count_or_shape)
+    cums, support_max = _tables(cum, count, support_min)
     out = np.zeros(count, dtype=np.int64)
     dec = RangeDecoder(stream.data)
     for i in range(count):
-        pmf = pmf_provider(i, out[:i])
-        out[i] = decode_symbol(dec, pmf.cum, pmf.support_min, pmf.support_max)
+        out[i] = decode_symbol(dec, cums[i], support_min, support_max)
     plane = out.astype(np.int32)
     return plane.reshape(shape) if shape is not None else plane
 
 
-def plane_cross_entropy(plane: np.ndarray, pmf_provider: PmfProvider) -> float:
+def plane_cross_entropy(plane: np.ndarray, cum: np.ndarray, support_min: int = DEFAULT_SUPPORT_MIN) -> float:
     """Code length implied by the frequency tables, in bits.
 
     In-support symbols cost -log2(freq/2^16); overflow symbols cost the
-    escape slot plus their bypass bits.
+    escape slot plus their bypass bits. Tables are given as for
+    :func:`encode_plane`.
     """
-    symbols = np.ascontiguousarray(np.asarray(plane, dtype=np.int64)).reshape(-1)
-    bits = 0.0
-    for i in range(symbols.size):
-        v = int(symbols[i])
-        pmf = pmf_provider(i, symbols[:i])
-        if pmf.support_min <= v <= pmf.support_max:
-            bits += -np.log2(float(pmf.freq[v - pmf.support_min]) / TOTAL_FREQ)
-        else:
-            excess = (v - pmf.support_max - 1) if v > pmf.support_max else (pmf.support_min - 1 - v)
-            bits += -np.log2(float(pmf.overflow_freq) / TOTAL_FREQ)
-            bits += 2 * (excess + 1).bit_length()
+    symbols = _flat(plane)
+    cums, support_max = _tables(cum, symbols.size, support_min)
+    inside = (symbols >= support_min) & (symbols <= support_max)
+    k = np.where(inside, symbols - support_min, cums.shape[1] - 2)
+    rows = np.arange(symbols.size)
+    freq = cums[rows, k + 1] - cums[rows, k]
+    bits = float(-np.log2(freq / TOTAL_FREQ).sum())
+    for v in symbols[~inside].tolist():
+        excess = (v - support_max - 1) if v > support_max else (support_min - 1 - v)
+        bits += 2 * (excess + 1).bit_length()
     return bits

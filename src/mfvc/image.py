@@ -11,6 +11,7 @@ be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,31 +63,38 @@ class RateIndex:
     lambda_value: float
 
 
-@dataclass
-class AutoencoderWeights:
-    analysis: list[ConvLayer]
-    synthesis: list[ConvLayer]
-    lambda_table: dict[str, list[tuple[Tensor, Tensor]]]
-    hyper_enc: list[ConvLayer]
-    hyper_dec: list[ConvLayer]
+class CodecWeights:
+    """Weight plumbing shared by the auto-encoder and the entropy model: the
+    named-tensor round trip, hyper-latent extents and the channel-wise
+    Laplacian prior over the quantized hyper latent.
+
+    A subclass sets ``KIND`` and ``hyper_channels`` and declares its layer
+    groups, its ``meta.*`` tensors and its hyper-encoder layers; anything
+    else it trains goes in :meth:`extra_tensors`.
+    """
+
+    KIND: ClassVar[int]
     z_prior: tuple[Tensor, Tensor]
-    lambda_set: tuple[float, ...]
-    latent_channels: int
-    downsample_factor: int
     hyper_channels: int
 
-    def rate(self, index: int) -> RateIndex:
-        if not 0 <= index < len(self.lambda_set):
-            raise ConfigError(f"rate index {index} outside lambda set of size {len(self.lambda_set)}")
-        return RateIndex(index, self.lambda_set[index])
+    def layer_groups(self) -> tuple[tuple[str, list[ConvLayer]], ...]:
+        raise NotImplementedError
+
+    def meta(self) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def hyper_encoder(self) -> list[ConvLayer]:
+        raise NotImplementedError
+
+    def extra_tensors(self) -> list[tuple[str, Tensor]]:
+        return []
 
     def parameters(self) -> list[Tensor]:
         params: list[Tensor] = []
-        for layer in self.analysis + self.synthesis + self.hyper_enc + self.hyper_dec:
-            params.extend(layer.parameters())
-        for layer_id in sorted(self.lambda_table):
-            for scale, bias in self.lambda_table[layer_id]:
-                params.extend([scale, bias])
+        for _, layers in self.layer_groups():
+            for layer in layers:
+                params.extend(layer.parameters())
+        params.extend(t for _, t in self.extra_tensors())
         params.extend(self.z_prior)
         return params
 
@@ -94,44 +102,21 @@ class AutoencoderWeights:
         for p in self.parameters():
             p.requires_grad = flag
 
-    def latent_extents(self, height: int, width: int) -> tuple[int, int, int]:
-        f = self.downsample_factor
-        if height % f or width % f:
-            raise ShapeError(
-                f"frame extents {height}x{width} are not divisible by the downsampling factor {f}; "
-                "pad the frame first (the video pipeline pads by edge replication)"
-            )
-        return self.latent_channels, height // f, width // f
-
     def hyper_extents(self, latent_h: int, latent_w: int) -> tuple[int, int, int]:
         h, w = latent_h, latent_w
-        for layer in self.hyper_enc:
+        for layer in self.hyper_encoder():
             h = -(-h // layer.stride)
             w = -(-w // layer.stride)
         return self.hyper_channels, h, w
 
     def to_named(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {
-            "meta.kind": np.full((1, 1, 1, 1), 1.0, dtype=np.float32),
-            "meta.arch": np.array(
-                [self.latent_channels, self.downsample_factor, self.hyper_channels, len(self.lambda_set)],
-                dtype=np.float32,
-            ).reshape(1, 4, 1, 1),
-            "meta.lambda_set": np.asarray(self.lambda_set, dtype=np.float32).reshape(1, -1, 1, 1),
-        }
-        for group, layers in (
-            ("analysis", self.analysis),
-            ("synthesis", self.synthesis),
-            ("hyper_enc", self.hyper_enc),
-            ("hyper_dec", self.hyper_dec),
-        ):
+        named = {"meta.kind": np.full((1, 1, 1, 1), float(self.KIND), dtype=np.float32), **self.meta()}
+        for group, layers in self.layer_groups():
             for i, layer in enumerate(layers):
                 named[f"{group}.{i}.kernel"] = layer.kernel.data
                 named[f"{group}.{i}.bias"] = layer.bias.data
-        for layer_id in sorted(self.lambda_table):
-            for j, (scale, bias) in enumerate(self.lambda_table[layer_id]):
-                named[f"cond.{j}.{layer_id}.scale"] = scale.data
-                named[f"cond.{j}.{layer_id}.bias"] = bias.data
+        for name, t in self.extra_tensors():
+            named[name] = t.data
         named["z_prior.mean"] = self.z_prior[0].data
         named["z_prior.log_scale"] = self.z_prior[1].data
         return named
@@ -154,6 +139,95 @@ class AutoencoderWeights:
 
     def save(self, path) -> None:
         serialize.save_named_tensors(path, self.to_named())
+
+    # Hyper-latent prior: one Laplacian per hyper channel.
+
+    def z_prior_nll(self, z: Tensor) -> Tensor:
+        """Elementwise bits of a (b, hyper channels, h, w) hyper latent."""
+        mu, ls = self.z_prior
+        return laplace_nll_bits(
+            z, expand_param(mu, z), clamp(expand_param(ls, z), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
+        )
+
+    def _z_tables(self, z_shape) -> np.ndarray:
+        """One cumulative table per symbol of a (channels, h, w) hyper plane."""
+        rows = coder.discretize_laplacian_rows(self.z_prior[0].data.reshape(-1), self.z_prior[1].data.reshape(-1))
+        return np.repeat(coder.pmfs_from_rows(rows), z_shape[1] * z_shape[2], axis=0)
+
+    def encode_z(self, z_hat: np.ndarray) -> coder.CodedStream:
+        return coder.encode_plane(z_hat, self._z_tables(z_hat.shape))
+
+    def decode_z(self, stream: coder.CodedStream, latent_h: int, latent_w: int) -> np.ndarray:
+        z_shape = self.hyper_extents(latent_h, latent_w)
+        return coder.decode_plane(stream, self._z_tables(z_shape), z_shape)
+
+
+def read_weights(path, cls: type[CodecWeights], what: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Named tensors of a ``cls`` weights file and its ``meta.arch`` vector."""
+    named = serialize.load_named_tensors(path)
+    kind = named.get("meta.kind")
+    if kind is None or kind.size != 1 or float(kind.reshape(())) != cls.KIND:
+        raise serialize.WeightsFormatError(f"not {what} weights file")
+    arch = named.get("meta.arch")
+    if arch is None or arch.size != 4 or not np.all(np.isfinite(arch) & (arch >= 0) & (arch == np.round(arch))):
+        raise serialize.WeightsFormatError("meta.arch must hold four non-negative integers")
+    return named, arch.reshape(-1).astype(int)
+
+
+@dataclass
+class AutoencoderWeights(CodecWeights):
+    KIND = 1
+
+    analysis: list[ConvLayer]
+    synthesis: list[ConvLayer]
+    lambda_table: dict[str, list[tuple[Tensor, Tensor]]]
+    hyper_enc: list[ConvLayer]
+    hyper_dec: list[ConvLayer]
+    z_prior: tuple[Tensor, Tensor]
+    lambda_set: tuple[float, ...]
+    latent_channels: int
+    downsample_factor: int
+    hyper_channels: int
+
+    def rate(self, index: int) -> RateIndex:
+        if not 0 <= index < len(self.lambda_set):
+            raise ConfigError(f"rate index {index} outside lambda set of size {len(self.lambda_set)}")
+        return RateIndex(index, self.lambda_set[index])
+
+    def latent_extents(self, height: int, width: int) -> tuple[int, int, int]:
+        f = self.downsample_factor
+        if height % f or width % f:
+            raise ShapeError(
+                f"frame extents {height}x{width} are not divisible by the downsampling factor {f}; "
+                "pad the frame first (the video pipeline pads by edge replication)"
+            )
+        return self.latent_channels, height // f, width // f
+
+    def layer_groups(self):
+        return (
+            ("analysis", self.analysis),
+            ("synthesis", self.synthesis),
+            ("hyper_enc", self.hyper_enc),
+            ("hyper_dec", self.hyper_dec),
+        )
+
+    def meta(self):
+        arch = [self.latent_channels, self.downsample_factor, self.hyper_channels, len(self.lambda_set)]
+        return {
+            "meta.arch": np.array(arch, dtype=np.float32).reshape(1, 4, 1, 1),
+            "meta.lambda_set": np.asarray(self.lambda_set, dtype=np.float32).reshape(1, -1, 1, 1),
+        }
+
+    def hyper_encoder(self):
+        return self.hyper_enc
+
+    def extra_tensors(self):
+        return [
+            (f"cond.{j}.{layer_id}.{part}", t)
+            for layer_id in sorted(self.lambda_table)
+            for j, pair in enumerate(self.lambda_table[layer_id])
+            for part, t in zip(("scale", "bias"), pair)
+        ]
 
 
 def _he_kernel(rng: np.random.Generator, out_ch: int, in_ch: int, kh: int, kw: int, gain: float = 1.0):
@@ -184,7 +258,7 @@ def init_autoencoder(
     seed: int = 0,
 ) -> AutoencoderWeights:
     """Fresh desk-scale weights; conditional scales start as the identity."""
-    steps = int(np.log2(downsample_factor))
+    steps = int(downsample_factor).bit_length() - 1
     if 2**steps != downsample_factor or steps < 1:
         raise ConfigError(f"downsampling factor must be a power of two >= 2, got {downsample_factor}")
     if hyper_channels is None:
@@ -243,15 +317,14 @@ def init_autoencoder(
 
 
 def load_autoencoder(path) -> AutoencoderWeights:
-    named = serialize.load_named_tensors(path)
-    if "meta.kind" not in named or int(named["meta.kind"].reshape(())) != 1:
-        raise serialize.WeightsFormatError("not an auto-encoder weights file")
-    arch = named["meta.arch"].reshape(-1).astype(int)
-    lam = tuple(float(v) for v in named["meta.lambda_set"].reshape(-1))
+    named, arch = read_weights(path, AutoencoderWeights, "an auto-encoder")
+    lambda_set = named.get("meta.lambda_set")
+    if lambda_set is None:
+        raise serialize.WeightsFormatError("missing tensor 'meta.lambda_set'")
     w = init_autoencoder(
         latent_channels=int(arch[0]),
         downsample_factor=int(arch[1]),
-        lambda_set=lam,
+        lambda_set=tuple(float(v) for v in lambda_set.reshape(-1)),
         hyper_channels=int(arch[2]),
         seed=0,
     )
@@ -353,14 +426,7 @@ def i_entropy_params(latent_hat: np.ndarray, rate: RateIndex, weights: Autoencod
     z_hat = quantize_round(z)
     zt = Tensor(z_hat[None].astype(np.float32))
     mu, log_scale = hyper_synthesis(zt, weights, latent_hat.shape[1], latent_hat.shape[2])
-    prior_mu, prior_ls = weights.z_prior
-    z_bits = sum_all(
-        laplace_nll_bits(
-            zt,
-            expand_param(prior_mu, zt),
-            clamp(expand_param(prior_ls, zt), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX),
-        )
-    ).item()
+    z_bits = sum_all(weights.z_prior_nll(zt)).item()
     return mu, log_scale, z_hat, z_bits
 
 
@@ -369,17 +435,9 @@ def i_entropy_params(latent_hat: np.ndarray, rate: RateIndex, weights: Autoencod
 # ---------------------------------------------------------------------------
 
 
-def _z_prior_pmfs(weights: AutoencoderWeights) -> list[coder.DiscretePmf]:
-    mu = weights.z_prior[0].data.reshape(-1)
-    ls = weights.z_prior[1].data.reshape(-1)
-    rows = coder.discretize_laplacian_rows(mu, ls)
-    return coder.pmfs_from_rows(rows, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
-
-
-def _plane_provider(mu: np.ndarray, log_scale: np.ndarray) -> coder.PmfProvider:
-    rows = coder.discretize_laplacian_rows(mu.reshape(-1), log_scale.reshape(-1))
-    pmfs = coder.pmfs_from_rows(rows, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
-    return coder.pmf_sequence(pmfs)
+def _latent_tables(mu: Tensor, log_scale: Tensor) -> np.ndarray:
+    rows = coder.discretize_laplacian_rows(mu.data[0].reshape(-1), log_scale.data[0].reshape(-1))
+    return coder.pmfs_from_rows(rows)
 
 
 def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeights):
@@ -394,17 +452,16 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
     latent = analyze(Tensor(frame[None]), rate, weights)
     latent_hat = quantize_round(latent)
     mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, rate, weights)
-    z_stream = coder.encode_plane(z_hat, coder.per_channel_pmfs(_z_prior_pmfs(weights), z_hat.shape))
-    y_stream = coder.encode_plane(latent_hat, _plane_provider(mu.data[0], log_scale.data[0]))
+    z_stream = weights.encode_z(z_hat)
+    y_stream = coder.encode_plane(latent_hat, _latent_tables(mu, log_scale))
     return FrameChunk(FRAME_I, z_stream, y_stream), latent_hat
 
 
 def decompress_iframe(chunk: FrameChunk, rate: RateIndex, weights: AutoencoderWeights, latent_shape):
     """Invert :func:`compress_iframe`; returns (frame tensor, latent_hat)."""
     c, h, w = latent_shape
-    z_shape = weights.hyper_extents(h, w)
-    z_hat = coder.decode_plane(chunk.z_stream, coder.per_channel_pmfs(_z_prior_pmfs(weights), z_shape), z_shape)
+    z_hat = weights.decode_z(chunk.z_stream, h, w)
     zt = Tensor(z_hat[None].astype(np.float32))
     mu, log_scale = hyper_synthesis(zt, weights, h, w)
-    latent_hat = coder.decode_plane(chunk.y_stream, _plane_provider(mu.data[0], log_scale.data[0]), (c, h, w))
+    latent_hat = coder.decode_plane(chunk.y_stream, _latent_tables(mu, log_scale), (c, h, w))
     return synthesize(latent_hat, rate, weights), latent_hat

@@ -5,6 +5,7 @@ little-endian float32 payload."""
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -35,27 +36,32 @@ def serialize_named_tensors(named: dict[str, np.ndarray]) -> bytes:
 
 
 def deserialize_named_tensors(data: bytes) -> dict[str, np.ndarray]:
-    if data[: len(MAGIC)] != MAGIC:
+    """Inverse of :func:`serialize_named_tensors`; any malformed input
+    raises :class:`WeightsFormatError`."""
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise WeightsFormatError(f"weights file truncated in {what} at byte {pos}")
+        pos += n
+        return data[pos - n : pos]
+
+    if take(len(MAGIC) + 1, "the header")[: len(MAGIC)] != MAGIC:
         raise WeightsFormatError("not a weights file (bad magic)")
-    pos = len(MAGIC)
-    version = data[pos]
-    pos += 1
-    if version != VERSION:
-        raise WeightsFormatError(f"unsupported weights version {version}")
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    if data[len(MAGIC)] != VERSION:
+        raise WeightsFormatError(f"unsupported weights version {data[len(MAGIC)]}")
+    (count,) = struct.unpack("<I", take(4, "the tensor count"))
     named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        shape = struct.unpack_from("<4I", data, pos)
-        pos += 16
-        n = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=pos).reshape(shape)
-        pos += 4 * n
-        named[name] = arr.astype(np.float32)
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"tensor {i}"))
+        try:
+            name = take(name_len, f"tensor {i}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightsFormatError(f"tensor {i} has a name that is not UTF-8") from exc
+        shape = struct.unpack("<4I", take(16, f"tensor '{name}'"))
+        payload = take(4 * math.prod(shape), f"tensor '{name}'")
+        named[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
     if pos != len(data):
         raise WeightsFormatError(f"{len(data) - pos} trailing bytes after the last tensor")
     return named

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import coder, serialize
+from . import coder
 from .container import FRAME_P, FrameChunk
-from .image import LEAKY_SLOPE, _conv, _run_chain, crop_channels, scaled_width
+from .image import LEAKY_SLOPE, CodecWeights, _conv, _run_chain, crop_channels, read_weights, scaled_width
 from .tensor import (
     ConvLayer,
     ShapeError,
@@ -33,7 +33,6 @@ from .tensor import (
     clamp,
     concat_channels,
     crop_hw,
-    expand_param,
     laplace_nll_bits,
     masked_conv2d,
     round_half_away,
@@ -59,7 +58,9 @@ class StemFlags:
 
 
 @dataclass
-class StemWeights:
+class StemWeights(CodecWeights):
+    KIND = 2
+
     phe: list[ConvLayer]
     phd: list[ConvLayer]
     tpm: list[ConvLayer]
@@ -72,56 +73,14 @@ class StemWeights:
     def hyper_channels(self) -> int:
         return self.phe[-1].out_channels
 
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self.phe + self.phd + self.tpm + [self.spm] + self.epm:
-            params.extend(layer.parameters())
-        params.extend(self.z_prior)
-        return params
+    def layer_groups(self):
+        return (("phe", self.phe), ("phd", self.phd), ("tpm", self.tpm), ("spm", [self.spm]), ("epm", self.epm))
 
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
+    def meta(self):
+        return {"meta.arch": np.array([self.latent_channels, 0, 0, 0], dtype=np.float32).reshape(1, 4, 1, 1)}
 
-    def hyper_extents(self, latent_h: int, latent_w: int) -> tuple[int, int, int]:
-        h, w = latent_h, latent_w
-        for layer in self.phe:
-            h = -(-h // layer.stride)
-            w = -(-w // layer.stride)
-        return self.hyper_channels, h, w
-
-    def to_named(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {
-            "meta.kind": np.full((1, 1, 1, 1), 2.0, dtype=np.float32),
-            "meta.arch": np.array([self.latent_channels, 0, 0, 0], dtype=np.float32).reshape(1, 4, 1, 1),
-        }
-        groups = (("phe", self.phe), ("phd", self.phd), ("tpm", self.tpm), ("spm", [self.spm]), ("epm", self.epm))
-        for group, layers in groups:
-            for i, layer in enumerate(layers):
-                named[f"{group}.{i}.kernel"] = layer.kernel.data
-                named[f"{group}.{i}.bias"] = layer.bias.data
-        named["z_prior.mean"] = self.z_prior[0].data
-        named["z_prior.log_scale"] = self.z_prior[1].data
-        return named
-
-    def load_named(self, named: dict[str, np.ndarray]) -> None:
-        mine = self.to_named()
-        for name, arr in mine.items():
-            if name.startswith("meta."):
-                continue
-            if name not in named:
-                raise serialize.WeightsFormatError(f"missing tensor '{name}'")
-            if named[name].shape != arr.shape:
-                raise serialize.WeightsFormatError(
-                    f"tensor '{name}' has shape {named[name].shape}, expected {arr.shape}"
-                )
-            arr[...] = named[name]
-
-    def to_bytes(self) -> bytes:
-        return serialize.serialize_named_tensors(self.to_named())
-
-    def save(self, path) -> None:
-        serialize.save_named_tensors(path, self.to_named())
+    def hyper_encoder(self):
+        return self.phe
 
 
 def init_stem(latent_channels: int = 32, seed: int = 0) -> StemWeights:
@@ -167,10 +126,7 @@ def init_stem(latent_channels: int = 32, seed: int = 0) -> StemWeights:
 
 
 def load_stem(path) -> StemWeights:
-    named = serialize.load_named_tensors(path)
-    if "meta.kind" not in named or int(named["meta.kind"].reshape(())) != 2:
-        raise serialize.WeightsFormatError("not a spatiotemporal-model weights file")
-    arch = named["meta.arch"].reshape(-1).astype(int)
+    named, arch = read_weights(path, StemWeights, "a spatiotemporal-model")
     w = init_stem(latent_channels=int(arch[0]), seed=0)
     w.load_named(named)
     return w
@@ -223,17 +179,8 @@ def hyper_encode(latent: np.ndarray, prev_latent: np.ndarray, weights: StemWeigh
     z = _run_chain(concat_channels(lt, pv), weights.phe)
     z_hat = round_half_away(z.data[0] if z.shape[0] == 1 else z.data)
     zt = Tensor(_as_batch(z_hat))
-    z_bits = sum_all(_z_prior_nll(zt, weights)).item()
+    z_bits = sum_all(weights.z_prior_nll(zt)).item()
     return z_hat, z_bits
-
-
-def _z_prior_nll(zt: Tensor, weights: StemWeights) -> Tensor:
-    mu, ls = weights.z_prior
-    return laplace_nll_bits(
-        zt,
-        expand_param(mu, zt),
-        clamp(expand_param(ls, zt), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX),
-    )
 
 
 def temporal_prior(prev_latent: np.ndarray, weights: StemWeights) -> Tensor:
@@ -303,7 +250,7 @@ def _rate_forward(latent, prev_latent, flags: StemFlags, weights: StemWeights,
         z_tilde = add_uniform_noise(z, noise_seed)
     else:
         z_tilde = Tensor(round_half_away(z.data).astype(dtype), dtype=dtype)
-    z_nll = _z_prior_nll(z_tilde, weights)
+    z_nll = weights.z_prior_nll(z_tilde)
 
     phd_out = crop_hw(_run_chain(z_tilde, weights.phd), h, w)
     plane = lt - pv if flags.use_residual else lt
@@ -391,27 +338,33 @@ class _PositionParams:
         return mu, log_scale
 
 
-def _rows_cum(rows: np.ndarray) -> np.ndarray:
-    s = rows.shape[1] - 1
-    cums = np.zeros((rows.shape[0], s + 2), dtype=np.int64)
-    np.cumsum(rows[:, :-1], axis=1, out=cums[:, 1 : s + 1])
-    cums[:, s + 1] = coder.TOTAL_FREQ
-    return cums
-
-
-def _z_prior_pmfs(weights: StemWeights) -> list[coder.DiscretePmf]:
-    mu = weights.z_prior[0].data.reshape(-1)
-    ls = weights.z_prior[1].data.reshape(-1)
-    rows = coder.discretize_laplacian_rows(mu, ls)
-    return coder.pmfs_from_rows(rows, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
-
-
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
     """Hyper-decoder and temporal features, computed once per frame."""
     h, w = prev_latent.shape[1], prev_latent.shape[2]
     phd = crop_hw(_run_chain(Tensor(_as_batch(z_hat)), weights.phd), h, w).data[0]
     tpm = temporal_prior(prev_latent, weights).data[0] if flags.use_tpm else None
     return phd, tpm
+
+
+def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
+    """The serial loop shared by the P-frame encoder and decoder.
+
+    Positions are visited in spatial raster order. At each one the fusion
+    sees only the symbols already coded, then ``step(r, col, cums)`` codes
+    the position's channels against their cumulative tables and returns
+    their values, which join the causal context. Returns the coded plane.
+    """
+    c, h, w = shape
+    pad = pos.pad
+    plane = np.zeros(shape, dtype=np.int32)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    for r in range(h):
+        for col in range(w):
+            mu, log_scale = pos.at(padded, r, col)
+            values = step(r, col, coder.pmfs_from_rows(coder.discretize_laplacian_rows(mu, log_scale)))
+            plane[:, r, col] = values
+            padded[:, r + pad, col + pad] = values
+    return plane
 
 
 def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:
@@ -425,32 +378,24 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     latent = np.asarray(latent, dtype=np.int32)
     prev_latent = np.asarray(prev_latent, dtype=np.int32)
     _check_planes(latent, prev_latent)
-    c, h, w = latent.shape
 
     z_hat, _ = hyper_encode(latent, prev_latent, weights)
-    z_stream = coder.encode_plane(z_hat, coder.per_channel_pmfs(_z_prior_pmfs(weights), z_hat.shape))
-
     plane = residual_latent(latent, prev_latent) if flags.use_residual else latent
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
-    pos = _PositionParams(weights, flags, phd, tpm)
-
-    pad = pos.pad
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-    padded[:, pad : pad + h, pad : pad + w] = plane
 
     enc = coder.RangeEncoder()
     bypass = 0
-    for r in range(h):
-        for col in range(w):
-            mu, log_scale = pos.at(padded, r, col)
-            rows = coder.discretize_laplacian_rows(mu, log_scale)
-            cums = _rows_cum(rows)
-            for ch in range(c):
-                bypass += coder.encode_symbol(
-                    enc, int(plane[ch, r, col]), cums[ch], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX
-                )
-    y_stream = coder.CodedStream(enc.finish(), c * h * w, bypass)
-    return FrameChunk(FRAME_P, z_stream, y_stream)
+
+    def encode_step(r, col, cums):
+        nonlocal bypass
+        values = plane[:, r, col]
+        for v, cum in zip(values.tolist(), cums):
+            bypass += coder.encode_symbol(enc, v, cum, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
+        return values
+
+    _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, encode_step)
+    y_stream = coder.CodedStream(enc.finish(), plane.size, bypass)
+    return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
 
 
 def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> np.ndarray:
@@ -461,26 +406,13 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
     the first diverging position onward.
     """
     prev_latent = np.asarray(prev_latent, dtype=np.int32)
-    c, h, w = prev_latent.shape
-
-    z_shape = weights.hyper_extents(h, w)
-    z_hat = coder.decode_plane(chunk.z_stream, coder.per_channel_pmfs(_z_prior_pmfs(weights), z_shape), z_shape)
-
+    z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
-    pos = _PositionParams(weights, flags, phd, tpm)
-
-    pad = pos.pad
-    plane = np.zeros((c, h, w), dtype=np.int32)
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
 
     dec = coder.RangeDecoder(chunk.y_stream.data)
-    for r in range(h):
-        for col in range(w):
-            mu, log_scale = pos.at(padded, r, col)
-            rows = coder.discretize_laplacian_rows(mu, log_scale)
-            cums = _rows_cum(rows)
-            for ch in range(c):
-                v = coder.decode_symbol(dec, cums[ch], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
-                plane[ch, r, col] = v
-                padded[ch, r + pad, col + pad] = v
+
+    def decode_step(r, col, cums):
+        return [coder.decode_symbol(dec, cum, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX) for cum in cums]
+
+    plane = _walk_positions(_PositionParams(weights, flags, phd, tpm), prev_latent.shape, decode_step)
     return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane

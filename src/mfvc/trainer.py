@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import image as image_mod
-from .coder import LOG_SCALE_MAX, LOG_SCALE_MIN
 from .image import AutoencoderWeights, RateIndex, analyze, synthesis_transform
 from .stem import StemFlags, StemWeights, init_stem, p_frame_rate
 from .tensor import (
@@ -32,7 +31,6 @@ from .tensor import (
     clamp,
     conv2d,
     div,
-    expand_param,
     laplace_nll_bits,
     mean_all,
     mul,
@@ -233,14 +231,7 @@ def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
     z_tilde = _noisy(z, noise_seed + 1)
     mu, log_scale = image_mod.hyper_synthesis(z_tilde, weights, y.shape[2], y.shape[3])
     y_bits = sum_all(laplace_nll_bits(y_tilde, mu, log_scale))
-    prior_mu, prior_ls = weights.z_prior
-    z_bits = sum_all(
-        laplace_nll_bits(
-            z_tilde,
-            expand_param(prior_mu, z_tilde),
-            clamp(expand_param(prior_ls, z_tilde), LOG_SCALE_MIN, LOG_SCALE_MAX),
-        )
-    )
+    z_bits = sum_all(weights.z_prior_nll(z_tilde))
     rate_bpp = affine(y_bits + z_bits, 1.0 / (b * h * w), 0.0)
 
     recon = synthesis_transform(y_tilde, rate, weights)

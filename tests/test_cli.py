@@ -153,6 +153,17 @@ class TestCommands:
         assert code == 1
         assert "nope.mfvc" in capsys.readouterr().err
 
+    def test_truncated_weights_exits_1(self, trained_models, tmp_path, capsys):
+        ae, stem = trained_models
+        cut = tmp_path / "cut.mfvcw"
+        cut.write_bytes(ae.read_bytes()[:40])
+        code = run(["decompress", "--input", str(tmp_path / "any.mfvc"),
+                    "--weights", str(cut), "--stem-weights", str(stem),
+                    "--output", str(tmp_path / "x.rgb")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
+
     def test_ablate_prints_table(self, trained_models, capsys):
         ae, stem = trained_models
         code = run(["ablate", "--synth", "translate", "--width", "16", "--height", "16",

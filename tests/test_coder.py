@@ -10,15 +10,14 @@ from mfvc.coder import (
     DiscretePmf,
     RangeDecoder,
     RangeEncoder,
-    constant_pmf,
     decode_plane,
+    decode_symbol,
     discretize_laplacian,
     discretize_laplacian_rows,
     encode_plane,
+    encode_symbol,
     laplace_interval_probs,
-    per_channel_pmfs,
     plane_cross_entropy,
-    pmf_sequence,
     pmfs_from_rows,
 )
 
@@ -98,76 +97,82 @@ class TestRoundtrip:
                 symbols = rng.integers(-64, 65, size=n, dtype=np.int64)
             else:
                 symbols = rng.integers(-300, 300, size=n, dtype=np.int64)
-            stream = encode_plane(symbols, constant_pmf(pmf))
-            out = decode_plane(stream, constant_pmf(pmf), n)
+            stream = encode_plane(symbols, pmf.cum, pmf.support_min)
+            out = decode_plane(stream, pmf.cum, n, pmf.support_min)
             np.testing.assert_array_equal(out, symbols)
 
     def test_empty_plane(self):
         pmf = discretize_laplacian(0.0, 0.0)
-        stream = encode_plane(np.zeros((0,), dtype=np.int32), constant_pmf(pmf))
+        stream = encode_plane(np.zeros((0,), dtype=np.int32), pmf.cum, pmf.support_min)
         assert stream.symbol_count == 0
-        out = decode_plane(stream, constant_pmf(pmf), 0)
+        out = decode_plane(stream, pmf.cum, 0, pmf.support_min)
         assert out.size == 0
 
     def test_far_overflow_survives(self):
         pmf = discretize_laplacian(0.0, 1.0, -64, 64)
         plane = np.array([10000, -9999, 0, 65], dtype=np.int64)
-        stream = encode_plane(plane, constant_pmf(pmf))
+        stream = encode_plane(plane, pmf.cum, pmf.support_min)
         assert stream.bypass_bit_count > 0
-        out = decode_plane(stream, constant_pmf(pmf), 4)
+        out = decode_plane(stream, pmf.cum, 4, pmf.support_min)
         np.testing.assert_array_equal(out, plane)
 
     def test_plane_shape_restored(self):
         rng = np.random.default_rng(7)
         plane = rng.integers(-5, 6, size=(3, 4, 5), dtype=np.int32)
         pmf = discretize_laplacian(0.0, 1.0)
-        stream = encode_plane(plane, constant_pmf(pmf))
-        out = decode_plane(stream, constant_pmf(pmf), (3, 4, 5))
+        stream = encode_plane(plane, pmf.cum, pmf.support_min)
+        out = decode_plane(stream, pmf.cum, (3, 4, 5), pmf.support_min)
         np.testing.assert_array_equal(out, plane)
 
-    def test_per_channel_provider(self):
+    def test_per_channel_tables(self):
         rng = np.random.default_rng(8)
         plane = rng.integers(-10, 11, size=(3, 6, 6), dtype=np.int32)
         rows = discretize_laplacian_rows(np.array([0.0, 2.0, -2.0]), np.array([0.5, 1.0, 1.5]), -32, 32)
-        pmfs = pmfs_from_rows(rows, -32, 32)
-        provider = per_channel_pmfs(pmfs, plane.shape)
-        stream = encode_plane(plane, provider)
-        out = decode_plane(stream, provider, plane.shape)
+        cum = np.repeat(pmfs_from_rows(rows), 6 * 6, axis=0)
+        stream = encode_plane(plane, cum, -32)
+        out = decode_plane(stream, cum, plane.shape, -32)
         np.testing.assert_array_equal(out, plane)
 
-    def test_adaptive_provider_sees_prefix(self):
-        # PMF choice depends on the previous symbol; decoding must still work.
+    def test_adaptive_tables_see_prefix(self):
+        # The table for each symbol depends on the previous symbol; the
+        # decoder rebuilds the same choice from what it has decoded.
         sharp = discretize_laplacian(0.0, -2.0, -32, 32)
         wide = discretize_laplacian(0.0, 2.0, -32, 32)
 
-        def provider(i, prev):
-            if i == 0:
-                return wide
-            return sharp if prev[i - 1] % 2 == 0 else wide
+        def table(prev):
+            return wide if prev is None or prev % 2 else sharp
 
         rng = np.random.default_rng(9)
-        plane = rng.integers(-30, 31, size=64, dtype=np.int64)
-        stream = encode_plane(plane, provider)
-        out = decode_plane(stream, provider, 64)
-        np.testing.assert_array_equal(out, plane)
+        plane = rng.integers(-30, 31, size=64, dtype=np.int64).tolist()
+        enc = RangeEncoder()
+        prev = None
+        for v in plane:
+            encode_symbol(enc, v, table(prev).cum, -32, 32)
+            prev = v
+        dec = RangeDecoder(enc.finish())
+        out, prev = [], None
+        for _ in plane:
+            prev = decode_symbol(dec, table(prev).cum, -32, 32)
+            out.append(prev)
+        assert out == plane
 
     @given(st.lists(st.integers(-500, 500), min_size=0, max_size=120), st.floats(-5, 5), st.floats(-6, 6))
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_property(self, values, mu, ls):
         pmf = discretize_laplacian(mu, ls, -48, 48)
         plane = np.asarray(values, dtype=np.int64)
-        stream = encode_plane(plane, constant_pmf(pmf))
-        out = decode_plane(stream, constant_pmf(pmf), len(values))
+        stream = encode_plane(plane, pmf.cum, pmf.support_min)
+        out = decode_plane(stream, pmf.cum, len(values), pmf.support_min)
         np.testing.assert_array_equal(out, plane)
 
     def test_truncated_stream_raises(self):
         pmf = discretize_laplacian(0.0, 2.0, -8, 8)
         rng = np.random.default_rng(10)
         plane = rng.integers(-8, 9, size=500, dtype=np.int64)
-        stream = encode_plane(plane, constant_pmf(pmf))
+        stream = encode_plane(plane, pmf.cum, pmf.support_min)
         clipped = CodedStream(stream.data[: max(4, len(stream.data) // 3)], 500, 0)
         with pytest.raises(CorruptStreamError):
-            decode_plane(clipped, constant_pmf(pmf), 500)
+            decode_plane(clipped, pmf.cum, 500, pmf.support_min)
 
     def test_malformed_overflow_magnitude_raises(self):
         # A stream of coded zero bits drives the Exp-Golomb prefix past its cap.
@@ -180,14 +185,14 @@ class TestRoundtrip:
             enc.encode_bit(0)
         stream = CodedStream(enc.finish(), 1, 70)
         with pytest.raises(CorruptStreamError):
-            decode_plane(stream, constant_pmf(pmf), 1)
+            decode_plane(stream, pmf.cum, 1, pmf.support_min)
 
 
 class TestRates:
     def test_all_zero_plane_at_min_scale(self):
         n = 4096
         pmf = discretize_laplacian(0.0, -6.0)
-        stream = encode_plane(np.zeros(n, dtype=np.int64), constant_pmf(pmf))
+        stream = encode_plane(np.zeros(n, dtype=np.int64), pmf.cum, pmf.support_min)
         assert len(stream.data) <= n / 8 + 8
 
     def test_uniform_pmf_costs_eight_bits(self):
@@ -195,27 +200,42 @@ class TestRates:
         rng = np.random.default_rng(11)
         n = 8192
         plane = rng.integers(-127, 129, size=n, dtype=np.int64)
-        stream = encode_plane(plane, constant_pmf(pmf))
+        stream = encode_plane(plane, pmf.cum, pmf.support_min)
         bits = 8 * len(stream.data)
         assert bits <= 8.0056 * n * 1.01 + 64
 
     def test_single_half_probability_symbol(self):
         freq = np.array([TOTAL_FREQ // 2, TOTAL_FREQ // 2 - 1], dtype=np.int64)
         pmf = DiscretePmf(0, 1, freq, 1)
-        stream = encode_plane(np.array([0]), constant_pmf(pmf))
+        stream = encode_plane(np.array([0]), pmf.cum, pmf.support_min)
         assert 8 * len(stream.data) <= 1 + 32
 
     def test_cross_entropy_uniform(self):
         pmf = uniform_pmf_256()
         plane = np.arange(-100, 100, dtype=np.int64)
-        bits = plane_cross_entropy(plane, constant_pmf(pmf))
+        bits = plane_cross_entropy(plane, pmf.cum, pmf.support_min)
         assert bits == pytest.approx(200 * -np.log2(255 / TOTAL_FREQ))
+
+    def test_cross_entropy_matches_symbol_loop(self):
+        rng = np.random.default_rng(13)
+        n = 300
+        rows = discretize_laplacian_rows(rng.uniform(-5, 5, n), rng.uniform(-3, 3, n), -16, 16)
+        plane = rng.integers(-40, 41, size=n, dtype=np.int64)
+        expected = 0.0
+        for row, v in zip(rows, plane.tolist()):
+            if -16 <= v <= 16:
+                expected -= np.log2(row[v + 16] / TOTAL_FREQ)
+            else:
+                excess = v - 17 if v > 16 else -17 - v
+                expected += -np.log2(row[-1] / TOTAL_FREQ) + 2 * (excess + 1).bit_length()
+        # Summation order differs from the loop, so allow float64 rounding.
+        assert plane_cross_entropy(plane, pmfs_from_rows(rows), -16) == pytest.approx(expected, rel=1e-12)
 
     def test_cross_entropy_floor_symbol(self):
         freq = np.full(9, 1, dtype=np.int64)
         freq[4] = TOTAL_FREQ - 9
         pmf = DiscretePmf(-4, 4, freq, 1)
-        bits = plane_cross_entropy(np.array([4]), constant_pmf(pmf))
+        bits = plane_cross_entropy(np.array([4]), pmf.cum, pmf.support_min)
         assert bits == pytest.approx(16.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -229,8 +249,8 @@ class TestRates:
         p = np.concatenate([pmf.freq, [pmf.overflow_freq]]) / TOTAL_FREQ
         draws = rng.choice(len(p), size=n, p=p)
         symbols = np.where(draws < len(pmf.freq), draws + pmf.support_min, pmf.support_max + 3)
-        stream = encode_plane(symbols, constant_pmf(pmf))
-        h = plane_cross_entropy(symbols, constant_pmf(pmf))
+        stream = encode_plane(symbols, pmf.cum, pmf.support_min)
+        h = plane_cross_entropy(symbols, pmf.cum, pmf.support_min)
         assert abs(8 * len(stream.data) - h) <= 0.02 * h + 64
 
     def test_rate_monotone_in_scale(self):
@@ -239,7 +259,7 @@ class TestRates:
         lengths = []
         for ls in (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0):
             pmf = discretize_laplacian(0.0, ls)
-            lengths.append(len(encode_plane(plane, constant_pmf(pmf)).data))
+            lengths.append(len(encode_plane(plane, pmf.cum, pmf.support_min).data))
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
 
@@ -253,9 +273,14 @@ class TestRangeCoderCore:
         dec = RangeDecoder(enc.finish())
         assert [dec.decode_bit() for _ in bits] == bits
 
-    def test_sequence_provider(self):
-        pmfs = [discretize_laplacian(float(i), 0.5, -16, 16) for i in range(10)]
+    def test_per_symbol_tables(self):
+        rows = discretize_laplacian_rows(np.arange(10, dtype=np.float64), np.full(10, 0.5), -16, 16)
+        cum = pmfs_from_rows(rows)
         plane = np.arange(10, dtype=np.int64)
-        provider = pmf_sequence(pmfs)
-        stream = encode_plane(plane, provider)
-        np.testing.assert_array_equal(decode_plane(stream, provider, 10), plane)
+        stream = encode_plane(plane, cum, -16)
+        np.testing.assert_array_equal(decode_plane(stream, cum, 10, -16), plane)
+
+    def test_table_count_must_fit_plane(self):
+        cum = pmfs_from_rows(discretize_laplacian_rows(np.zeros(3), np.zeros(3)))
+        with pytest.raises(ValueError, match="do not fit"):
+            encode_plane(np.zeros(4, dtype=np.int64), cum)

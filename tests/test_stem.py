@@ -76,14 +76,11 @@ class TestBranches:
         assert z_bits > 0
 
     def test_hyper_roundtrips_losslessly(self, weights):
-        from mfvc.stem import _z_prior_pmfs
-
         rng = np.random.default_rng(3)
         a, b = random_latents(rng)
         z_hat, _ = hyper_encode(a, b, weights)
-        provider = coder.per_channel_pmfs(_z_prior_pmfs(weights), z_hat.shape)
-        stream = coder.encode_plane(z_hat, provider)
-        np.testing.assert_array_equal(coder.decode_plane(stream, provider, z_hat.shape), z_hat)
+        stream = weights.encode_z(z_hat)
+        np.testing.assert_array_equal(weights.decode_z(stream, a.shape[1], a.shape[2]), z_hat)
 
     def test_zero_weights_give_constant_bias(self):
         w = init_stem(latent_channels=4, seed=4)

@@ -5,17 +5,25 @@ Range coding with discretized Laplacians
 Integer symbol planes are coded against per-symbol Laplacian models. Each
 model becomes an integer frequency table (total exactly 2^16, floor 1 per
 symbol) so any integer is decodable; values outside the table's support
-escape through an overflow slot plus an Exp-Golomb bypass.
+escape through an overflow slot plus an Exp-Golomb bypass. The codec
+itself codes every symbol against one fixed grid of such tables, indexed
+by the quantized scale and the fractional part of the mean.
 """
 
 import numpy as np
 
 from mfvc.coder import (
+    GRID_MEANS,
+    GRID_SCALES,
+    RangeEncoder,
     decode_plane,
     discretize_laplacian,
     encode_plane,
+    encode_symbol,
+    grid_index,
     laplace_interval_probs,
     plane_cross_entropy,
+    table_grid,
 )
 
 rng = np.random.default_rng(1)
@@ -36,8 +44,14 @@ plane[100] = 12345
 # tables would give each symbol its own.
 stream = encode_plane(plane, pmf.cum)
 decoded = decode_plane(stream, pmf.cum, len(plane))
+# encode_plane is a loop over encode_symbol, which returns the bypass bits
+# an escape spends (0 for a symbol inside the support).
+enc = RangeEncoder()
+cum = pmf.cum.tolist()
+bypass = sum(encode_symbol(enc, v, cum, pmf.support_min, pmf.support_max) for v in plane.tolist())
 print("roundtrip exact:", bool(np.array_equal(decoded, plane)),
-      f"({len(stream.data)} bytes, {stream.bypass_bit_count} bypass bits)")
+      f"({len(stream.data)} bytes, {bypass} bypass bits)")
+print("symbol loop gives the same bytes:", enc.finish() == stream.data)
 
 # The coded length hugs the table's cross entropy.
 h = plane_cross_entropy(plane, pmf.cum)
@@ -50,3 +64,15 @@ print("all-zero plane bytes by log-scale:")
 for ls in (-6.0, -2.0, 0.0, 2.0, 6.0):
     n = len(encode_plane(zeros, discretize_laplacian(0.0, ls).cum).data)
     print(f"  log_scale {ls:+.0f}: {n:5d} bytes")
+
+# The codec's table grid: each (mean, log-scale) prediction picks a grid row
+# and an integer offset; the symbol minus the offset is coded on that row.
+grid = table_grid()
+print(f"table grid: {GRID_SCALES} scales x {GRID_MEANS} mean bins = {len(grid)} rows")
+mu = rng.uniform(-30, 30, size=2048)
+log_scale = rng.uniform(-2, 3, size=2048)
+symbols = np.rint(mu + rng.laplace(0.0, np.exp(log_scale))).astype(np.int64)
+index, offset = grid_index(mu, log_scale)
+stream = encode_plane(symbols, grid, index=index, offset=offset)
+decoded = decode_plane(stream, grid, len(symbols), index=index, offset=offset)
+print("grid roundtrip exact:", bool(np.array_equal(decoded, symbols)), f"({len(stream.data)} bytes)")

@@ -38,6 +38,6 @@ cur = prev + rng.integers(-2, 3, size=prev.shape).astype(np.int32)
 bits_plane, hyper_bits = p_frame_symbol_bits(cur, prev, StemFlags(), stem)
 heat = metrics.entropy_heatmap(bits_plane, factor=4)
 print(f"heatmap {heat.shape}, sum {heat.sum():.1f} bits == plane total {bits_plane.sum():.1f}")
-metrics.save_heatmap_csv("/tmp/heatmap.csv", heat)
-metrics.save_heatmap_pgm("/tmp/heatmap.pgm", heat)
-print("wrote /tmp/heatmap.csv and /tmp/heatmap.pgm")
+metrics.save_heatmap_csv("heatmap.csv", heat)
+metrics.save_heatmap_pgm("heatmap.pgm", heat)
+print("wrote heatmap.csv and heatmap.pgm to the working directory")

@@ -4,8 +4,14 @@ A carryless 32-bit range coder (byte-wise renormalization, 16-bit frequency
 precision) consumes integer frequency tables discretized from Laplacian
 distributions. Symbols outside a table's support are escaped through a
 reserved overflow slot followed by a bypass-coded Exp-Golomb magnitude and
-a side bit. A plane is coded against one cumulative table per symbol,
-passed as a plain (n, S+2) integer array.
+a side bit.
+
+Every model in the codec is coded against one fixed grid of cumulative
+tables, built once per process: ``GRID_SCALES`` log-scale levels times
+``GRID_MEANS`` bins of the mean's fractional part. :func:`grid_index` maps
+a predicted (mean, log-scale) pair to a grid row and an integer offset
+(the rounded mean); the symbol minus its offset is coded against that row.
+The grid constants are part of the bitstream format.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -13,7 +19,9 @@ concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,6 +30,11 @@ DEFAULT_SUPPORT_MIN = -127
 DEFAULT_SUPPORT_MAX = 128
 LOG_SCALE_MIN = -6.0
 LOG_SCALE_MAX = 6.0
+GRID_SCALES = 64
+GRID_MEANS = 16
+
+_INT32_MIN = -(1 << 31)
+_INT32_MAX = (1 << 31) - 1
 
 _TOP = 1 << 24
 _BOT = 1 << 16
@@ -275,18 +288,54 @@ def pmfs_from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The scale x mean table grid
+# ---------------------------------------------------------------------------
+
+_GRID_STEP = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+
+
+@cache
+def table_grid() -> tuple[tuple[int, ...], ...]:
+    """The cumulative tables every model is coded against, built on first use.
+
+    Row ``level * GRID_MEANS + m`` is the Laplacian with log-scale
+    ``LOG_SCALE_MIN + level * step`` (``step`` spreads ``GRID_SCALES`` levels
+    over [LOG_SCALE_MIN, LOG_SCALE_MAX]) and mean ``m / GRID_MEANS - 1/2``,
+    over the default support. Rows are tuples of Python ints, which the
+    per-symbol coder indexes and bisects fastest, and are read-only.
+    """
+    log_scales = np.repeat(LOG_SCALE_MIN + _GRID_STEP * np.arange(GRID_SCALES), GRID_MEANS)
+    means = np.tile(np.arange(GRID_MEANS) / GRID_MEANS - 0.5, GRID_SCALES)
+    return tuple(map(tuple, pmfs_from_rows(discretize_laplacian_rows(means, log_scales)).tolist()))
+
+
+def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
+    """Grid row and integer offset per (mean, log-scale) pair.
+
+    The mean is rounded to the nearest multiple of 1/GRID_MEANS and split
+    into an integer offset and a fractional bin in [-1/2, 1/2); the
+    log-scale goes to the nearest grid level. Inputs are sanitized as for
+    the table build, so NaN and infinities give valid rows and finite
+    offsets. Both outputs are int64 with the broadcast shape of the inputs.
+    """
+    mu, ls = _sanitize(mu, log_scale)
+    fine = np.floor(mu * GRID_MEANS + 0.5).astype(np.int64)
+    offset = (fine + GRID_MEANS // 2) // GRID_MEANS
+    level = np.rint((ls - LOG_SCALE_MIN) / _GRID_STEP).astype(np.int64)
+    return level * GRID_MEANS + fine - (offset * GRID_MEANS - GRID_MEANS // 2), offset
+
+
+# ---------------------------------------------------------------------------
 # Plane coding
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CodedStream:
-    """Range-coder output plus symbol accounting; the byte layout is the raw
-    renormalization bytes with no internal framing."""
+    """Range-coder output: the raw renormalization bytes with no internal
+    framing. Symbol counts come from the plane geometry at decode time."""
 
     data: bytes
-    symbol_count: int
-    bypass_bit_count: int
 
 
 def _encode_overflow(enc: RangeEncoder, value: int, support_min: int, support_max: int) -> int:
@@ -318,94 +367,105 @@ def _decode_overflow(dec: RangeDecoder, support_min: int, support_max: int) -> i
     return support_max + 1 + excess if side else support_min - 1 - excess
 
 
-def encode_symbol(enc: RangeEncoder, value: int, cum: np.ndarray, support_min: int, support_max: int) -> int:
-    """Code one symbol against a cumulative table (layout of DiscretePmf.cum);
-    returns the bypass bit count spent on an overflow escape (0 otherwise)."""
-    s = support_max - support_min + 1
+def encode_symbol(enc: RangeEncoder, value: int, cum, support_min: int, support_max: int) -> int:
+    """Code one symbol against a cumulative row (layout of DiscretePmf.cum;
+    a tuple or list of Python ints is fastest); returns the bypass bit count
+    spent on an overflow escape (0 otherwise)."""
     if support_min <= value <= support_max:
         k = value - support_min
-        enc.encode(int(cum[k]), int(cum[k + 1]))
+        enc.encode(cum[k], cum[k + 1])
         return 0
-    enc.encode(int(cum[s]), TOTAL_FREQ)
+    enc.encode(cum[-2], TOTAL_FREQ)
     return _encode_overflow(enc, value, support_min, support_max)
 
 
-def decode_symbol(dec: RangeDecoder, cum: np.ndarray, support_min: int, support_max: int) -> int:
-    s = support_max - support_min + 1
-    cv = dec.decode_cum()
-    k = int(np.searchsorted(cum, cv, side="right")) - 1
-    if k > s:
-        k = s
-    dec.consume(int(cum[k]), int(cum[k + 1]))
-    if k == s:
+def decode_symbol(dec: RangeDecoder, cum, support_min: int, support_max: int) -> int:
+    """Inverse of :func:`encode_symbol` for the same row."""
+    k = bisect_right(cum, dec.decode_cum()) - 1
+    dec.consume(cum[k], cum[k + 1])
+    if k == support_max - support_min + 1:
         return _decode_overflow(dec, support_min, support_max)
     return support_min + k
 
 
-def _flat(plane) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(plane, dtype=np.int64)).reshape(-1)
+def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray:
+    """Symbols as int32. A value outside int32 raises ``error``: by default
+    :class:`CorruptStreamError`, because to a decoder it means a damaged
+    stream; encoders pass ``ValueError``."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and (values.min() < _INT32_MIN or values.max() > _INT32_MAX):
+        raise error("symbol outside int32")
+    return values.astype(np.int32)
 
 
-def _tables(cum, count: int, support_min: int) -> tuple[np.ndarray, int]:
-    """One cumulative row per symbol (a single row is broadcast) and the
-    support maximum implied by the row width."""
-    cum = np.atleast_2d(cum)
-    if cum.ndim != 2 or cum.shape[0] not in (1, count):
-        raise ValueError(f"{cum.shape} cumulative tables do not fit {count} symbols")
-    return np.broadcast_to(cum, (count, cum.shape[1])), support_min + cum.shape[1] - 3
+def _tables(cum, shape, index, offset, support_min: int):
+    """Rows as sequences of Python ints, the implied support maximum, and
+    flat per-symbol row indices and offsets broadcast over ``shape``.
+
+    Without ``index``, symbol ``i`` takes row ``i``, or the only row."""
+    if isinstance(cum, np.ndarray):
+        cum = np.atleast_2d(cum).tolist()
+    count = int(np.prod(shape))
+    if index is None:
+        if len(cum) not in (1, count):
+            raise ValueError(f"{len(cum)} cumulative tables do not fit {count} symbols")
+        index = 0 if len(cum) == 1 else np.arange(count).reshape(shape)
+    index = np.broadcast_to(np.asarray(index, dtype=np.int64), shape).reshape(-1)
+    if count and (index.min() < 0 or index.max() >= len(cum)):
+        raise ValueError(f"row indices do not fit {len(cum)} cumulative tables")
+    offset = np.broadcast_to(np.asarray(offset, dtype=np.int64), shape).reshape(-1)
+    return cum, support_min + len(cum[0]) - 3, index, offset
 
 
-def encode_plane(plane: np.ndarray, cum: np.ndarray, support_min: int = DEFAULT_SUPPORT_MIN) -> CodedStream:
-    """Range-code an integer plane in channel-major raster order.
+def encode_plane(plane: np.ndarray, cum, support_min: int = DEFAULT_SUPPORT_MIN,
+                 index=None, offset=0) -> CodedStream:
+    """Range-code an int32 plane in channel-major raster order.
 
-    ``cum`` holds one cumulative table per symbol of the flattened plane,
-    shape (n, S+2) in the layout of :attr:`DiscretePmf.cum`, or a single
-    (S+2,) table shared by every symbol; the support is
+    ``cum`` holds cumulative rows of width S+2 in the layout of
+    :attr:`DiscretePmf.cum`: the :func:`table_grid`, an (n, S+2) array, or
+    one (S+2,) row. Symbol ``i`` is coded as ``plane[i] - offset[i]``
+    against row ``index[i]``; ``index`` and ``offset`` broadcast over the
+    plane, so one shared row is index 0. Without ``index``, symbol ``i``
+    takes row ``i`` (or the only row). The support is
     [support_min, support_min + S - 1].
     """
-    symbols = _flat(plane)
-    cums, support_max = _tables(cum, symbols.size, support_min)
+    plane = to_int32(plane, ValueError)
+    rows, support_max, index, offset = _tables(cum, plane.shape, index, offset, support_min)
     enc = RangeEncoder()
-    bypass = 0
-    for i in range(symbols.size):
-        bypass += encode_symbol(enc, int(symbols[i]), cums[i], support_min, support_max)
-    return CodedStream(enc.finish(), symbols.size, bypass)
+    for v, i in zip((plane.reshape(-1) - offset).tolist(), index.tolist()):
+        encode_symbol(enc, v, rows[i], support_min, support_max)
+    return CodedStream(enc.finish())
 
 
-def decode_plane(stream: CodedStream, cum: np.ndarray, count_or_shape,
-                 support_min: int = DEFAULT_SUPPORT_MIN) -> np.ndarray:
-    """Exact inverse of :func:`encode_plane` given the identical tables.
+def decode_plane(stream: CodedStream, cum, count_or_shape, support_min: int = DEFAULT_SUPPORT_MIN,
+                 index=None, offset=0) -> np.ndarray:
+    """Exact inverse of :func:`encode_plane` given the identical tables,
+    row indices and offsets.
 
     ``count_or_shape`` is the symbol count or the plane shape to restore.
     """
-    shape = None
-    if isinstance(count_or_shape, (tuple, list)):
-        shape = tuple(count_or_shape)
-        count = int(np.prod(shape)) if shape else 0
-    else:
-        count = int(count_or_shape)
-    cums, support_max = _tables(cum, count, support_min)
-    out = np.zeros(count, dtype=np.int64)
+    shape = tuple(count_or_shape) if isinstance(count_or_shape, (tuple, list)) else (int(count_or_shape),)
+    rows, support_max, index, offset = _tables(cum, shape, index, offset, support_min)
     dec = RangeDecoder(stream.data)
-    for i in range(count):
-        out[i] = decode_symbol(dec, cums[i], support_min, support_max)
-    plane = out.astype(np.int32)
-    return plane.reshape(shape) if shape is not None else plane
+    decoded = [decode_symbol(dec, rows[i], support_min, support_max) for i in index.tolist()]
+    return to_int32(np.array(decoded, dtype=np.int64) + offset).reshape(shape)
 
 
-def plane_cross_entropy(plane: np.ndarray, cum: np.ndarray, support_min: int = DEFAULT_SUPPORT_MIN) -> float:
+def plane_cross_entropy(plane: np.ndarray, cum, support_min: int = DEFAULT_SUPPORT_MIN,
+                        index=None, offset=0) -> float:
     """Code length implied by the frequency tables, in bits.
 
     In-support symbols cost -log2(freq/2^16); overflow symbols cost the
-    escape slot plus their bypass bits. Tables are given as for
-    :func:`encode_plane`.
+    escape slot plus their bypass bits. Tables, row indices and offsets
+    are given as for :func:`encode_plane`.
     """
-    symbols = _flat(plane)
-    cums, support_max = _tables(cum, symbols.size, support_min)
+    plane = np.asarray(plane)
+    rows, support_max, index, offset = _tables(cum, plane.shape, index, offset, support_min)
+    cums = np.asarray(rows, dtype=np.int64)
+    symbols = plane.astype(np.int64).reshape(-1) - offset
     inside = (symbols >= support_min) & (symbols <= support_max)
     k = np.where(inside, symbols - support_min, cums.shape[1] - 2)
-    rows = np.arange(symbols.size)
-    freq = cums[rows, k + 1] - cums[rows, k]
+    freq = cums[index, k + 1] - cums[index, k]
     bits = float(-np.log2(freq / TOTAL_FREQ).sum())
     for v in symbols[~inside].tolist():
         excess = (v - support_max - 1) if v > support_max else (support_min - 1 - v)

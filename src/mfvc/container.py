@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .coder import CodedStream
 
 VIDEO_MAGIC = b"MFVC"
-VIDEO_VERSION = 1
+VIDEO_VERSION = 2
 
 FRAME_I = 0
 FRAME_P = 1
@@ -97,8 +97,7 @@ class FrameChunk:
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["FrameChunk", int]:
         """Parse one chunk; returns (chunk, next offset).
 
-        Parsed streams carry only their byte payloads; symbol counts come
-        from the header geometry at decode time.
+        Symbol counts come from the header geometry at decode time.
         """
         if offset + CHUNK_HEADER_SIZE > len(data):
             raise ContainerError("truncated chunk header")
@@ -109,8 +108,8 @@ class FrameChunk:
         end = start + z_len + y_len
         if end > len(data):
             raise ContainerError("truncated chunk payload")
-        z = CodedStream(data[start : start + z_len], -1, 0)
-        y = CodedStream(data[start + z_len : end], -1, 0)
+        z = CodedStream(data[start : start + z_len])
+        y = CodedStream(data[start + z_len : end])
         return cls(frame_type, z, y), end
 
 

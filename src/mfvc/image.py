@@ -149,17 +149,19 @@ class CodecWeights:
             z, expand_param(mu, z), clamp(expand_param(ls, z), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
         )
 
-    def _z_tables(self, z_shape) -> np.ndarray:
-        """One cumulative table per symbol of a (channels, h, w) hyper plane."""
-        rows = coder.discretize_laplacian_rows(self.z_prior[0].data.reshape(-1), self.z_prior[1].data.reshape(-1))
-        return np.repeat(coder.pmfs_from_rows(rows), z_shape[1] * z_shape[2], axis=0)
+    def _z_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid rows and offsets of the prior, shaped (channels, 1, 1) to
+        broadcast over a hyper plane."""
+        return coder.grid_index(self.z_prior[0].data.reshape(-1, 1, 1), self.z_prior[1].data.reshape(-1, 1, 1))
 
     def encode_z(self, z_hat: np.ndarray) -> coder.CodedStream:
-        return coder.encode_plane(z_hat, self._z_tables(z_hat.shape))
+        index, offset = self._z_rows()
+        return coder.encode_plane(z_hat, coder.table_grid(), index=index, offset=offset)
 
     def decode_z(self, stream: coder.CodedStream, latent_h: int, latent_w: int) -> np.ndarray:
+        index, offset = self._z_rows()
         z_shape = self.hyper_extents(latent_h, latent_w)
-        return coder.decode_plane(stream, self._z_tables(z_shape), z_shape)
+        return coder.decode_plane(stream, coder.table_grid(), z_shape, index=index, offset=offset)
 
 
 def read_weights(path, cls: type[CodecWeights], what: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -435,11 +437,6 @@ def i_entropy_params(latent_hat: np.ndarray, rate: RateIndex, weights: Autoencod
 # ---------------------------------------------------------------------------
 
 
-def _latent_tables(mu: Tensor, log_scale: Tensor) -> np.ndarray:
-    rows = coder.discretize_laplacian_rows(mu.data[0].reshape(-1), log_scale.data[0].reshape(-1))
-    return coder.pmfs_from_rows(rows)
-
-
 def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeights):
     """Code one frame on its own; returns (chunk, latent_hat).
 
@@ -453,7 +450,8 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
     latent_hat = quantize_round(latent)
     mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, rate, weights)
     z_stream = weights.encode_z(z_hat)
-    y_stream = coder.encode_plane(latent_hat, _latent_tables(mu, log_scale))
+    index, offset = coder.grid_index(mu.data[0], log_scale.data[0])
+    y_stream = coder.encode_plane(latent_hat, coder.table_grid(), index=index, offset=offset)
     return FrameChunk(FRAME_I, z_stream, y_stream), latent_hat
 
 
@@ -463,5 +461,6 @@ def decompress_iframe(chunk: FrameChunk, rate: RateIndex, weights: AutoencoderWe
     z_hat = weights.decode_z(chunk.z_stream, h, w)
     zt = Tensor(z_hat[None].astype(np.float32))
     mu, log_scale = hyper_synthesis(zt, weights, h, w)
-    latent_hat = coder.decode_plane(chunk.y_stream, _latent_tables(mu, log_scale), (c, h, w))
+    index, offset = coder.grid_index(mu.data[0], log_scale.data[0])
+    latent_hat = coder.decode_plane(chunk.y_stream, coder.table_grid(), (c, h, w), index=index, offset=offset)
     return synthesize(latent_hat, rate, weights), latent_hat

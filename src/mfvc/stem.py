@@ -350,9 +350,10 @@ def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
     """The serial loop shared by the P-frame encoder and decoder.
 
     Positions are visited in spatial raster order. At each one the fusion
-    sees only the symbols already coded, then ``step(r, col, cums)`` codes
-    the position's channels against their cumulative tables and returns
-    their values, which join the causal context. Returns the coded plane.
+    sees only the symbols already coded, then ``step(r, col, index,
+    offset)`` codes the position's channels against their table-grid rows
+    (lists of row indices and integer offsets) and returns their values as
+    int32, which join the causal context. Returns the coded plane.
     """
     c, h, w = shape
     pad = pos.pad
@@ -360,8 +361,8 @@ def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
     for r in range(h):
         for col in range(w):
-            mu, log_scale = pos.at(padded, r, col)
-            values = step(r, col, coder.pmfs_from_rows(coder.discretize_laplacian_rows(mu, log_scale)))
+            index, offset = coder.grid_index(*pos.at(padded, r, col))
+            values = step(r, col, index.tolist(), offset.tolist())
             plane[:, r, col] = values
             padded[:, r + pad, col + pad] = values
     return plane
@@ -375,8 +376,8 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     spatial raster order, all channels of a position together, so the
     serial decoder can rebuild the causal context as it goes.
     """
-    latent = np.asarray(latent, dtype=np.int32)
-    prev_latent = np.asarray(prev_latent, dtype=np.int32)
+    latent = coder.to_int32(latent, ValueError)
+    prev_latent = coder.to_int32(prev_latent, ValueError)
     _check_planes(latent, prev_latent)
 
     z_hat, _ = hyper_encode(latent, prev_latent, weights)
@@ -384,18 +385,16 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
     enc = coder.RangeEncoder()
-    bypass = 0
+    grid = coder.table_grid()
 
-    def encode_step(r, col, cums):
-        nonlocal bypass
+    def encode_step(r, col, index, offset):
         values = plane[:, r, col]
-        for v, cum in zip(values.tolist(), cums):
-            bypass += coder.encode_symbol(enc, v, cum, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
+        for v, i, o in zip(values.tolist(), index, offset):
+            coder.encode_symbol(enc, v - o, grid[i], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
         return values
 
     _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, encode_step)
-    y_stream = coder.CodedStream(enc.finish(), plane.size, bypass)
-    return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
+    return FrameChunk(FRAME_P, weights.encode_z(z_hat), coder.CodedStream(enc.finish()))
 
 
 def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> np.ndarray:
@@ -410,9 +409,13 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
     dec = coder.RangeDecoder(chunk.y_stream.data)
+    grid = coder.table_grid()
 
-    def decode_step(r, col, cums):
-        return [coder.decode_symbol(dec, cum, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX) for cum in cums]
+    def decode_step(r, col, index, offset):
+        return coder.to_int32([
+            coder.decode_symbol(dec, grid[i], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX) + o
+            for i, o in zip(index, offset)
+        ])
 
     plane = _walk_positions(_PositionParams(weights, flags, phd, tpm), prev_latent.shape, decode_step)
     return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfvc import coder
 from mfvc.coder import (
+    DEFAULT_SUPPORT_MAX,
+    DEFAULT_SUPPORT_MIN,
+    GRID_MEANS,
+    GRID_SCALES,
+    LOG_SCALE_MAX,
+    LOG_SCALE_MIN,
     TOTAL_FREQ,
     CodedStream,
     CorruptStreamError,
@@ -16,10 +23,27 @@ from mfvc.coder import (
     discretize_laplacian_rows,
     encode_plane,
     encode_symbol,
+    grid_index,
     laplace_interval_probs,
     plane_cross_entropy,
     pmfs_from_rows,
+    table_grid,
 )
+
+INT32_MAX = 2**31 - 1
+
+
+def spy_encode_symbol(monkeypatch) -> list[int]:
+    """Record the return value (bypass bits) of every coder.encode_symbol call."""
+    returns = []
+    real = coder.encode_symbol
+
+    def spy(*args):
+        returns.append(real(*args))
+        return returns[-1]
+
+    monkeypatch.setattr(coder, "encode_symbol", spy)
+    return returns
 
 
 def uniform_pmf_256():
@@ -101,18 +125,20 @@ class TestRoundtrip:
             out = decode_plane(stream, pmf.cum, n, pmf.support_min)
             np.testing.assert_array_equal(out, symbols)
 
-    def test_empty_plane(self):
+    def test_empty_plane(self, monkeypatch):
         pmf = discretize_laplacian(0.0, 0.0)
+        coded = spy_encode_symbol(monkeypatch)
         stream = encode_plane(np.zeros((0,), dtype=np.int32), pmf.cum, pmf.support_min)
-        assert stream.symbol_count == 0
+        assert coded == []
         out = decode_plane(stream, pmf.cum, 0, pmf.support_min)
         assert out.size == 0
 
-    def test_far_overflow_survives(self):
+    def test_far_overflow_survives(self, monkeypatch):
         pmf = discretize_laplacian(0.0, 1.0, -64, 64)
         plane = np.array([10000, -9999, 0, 65], dtype=np.int64)
+        coded = spy_encode_symbol(monkeypatch)
         stream = encode_plane(plane, pmf.cum, pmf.support_min)
-        assert stream.bypass_bit_count > 0
+        assert len(coded) == 4 and sum(coded) > 0
         out = decode_plane(stream, pmf.cum, 4, pmf.support_min)
         np.testing.assert_array_equal(out, plane)
 
@@ -170,7 +196,7 @@ class TestRoundtrip:
         rng = np.random.default_rng(10)
         plane = rng.integers(-8, 9, size=500, dtype=np.int64)
         stream = encode_plane(plane, pmf.cum, pmf.support_min)
-        clipped = CodedStream(stream.data[: max(4, len(stream.data) // 3)], 500, 0)
+        clipped = CodedStream(stream.data[: max(4, len(stream.data) // 3)])
         with pytest.raises(CorruptStreamError):
             decode_plane(clipped, pmf.cum, 500, pmf.support_min)
 
@@ -183,7 +209,7 @@ class TestRoundtrip:
         enc.encode(int(cum[s]), TOTAL_FREQ)  # escape
         for _ in range(70):
             enc.encode_bit(0)
-        stream = CodedStream(enc.finish(), 1, 70)
+        stream = CodedStream(enc.finish())
         with pytest.raises(CorruptStreamError):
             decode_plane(stream, pmf.cum, 1, pmf.support_min)
 
@@ -284,3 +310,85 @@ class TestRangeCoderCore:
         cum = pmfs_from_rows(discretize_laplacian_rows(np.zeros(3), np.zeros(3)))
         with pytest.raises(ValueError, match="do not fit"):
             encode_plane(np.zeros(4, dtype=np.int64), cum)
+
+
+class TestTableGrid:
+    def test_rows_are_complete_cumulative_tables(self):
+        grid = np.asarray(table_grid())
+        assert grid.shape == (GRID_SCALES * GRID_MEANS, DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 3)
+        assert (grid[:, 0] == 0).all()
+        assert (grid[:, -1] == TOTAL_FREQ).all()
+        # Every symbol and the overflow slot keep a frequency of at least 1.
+        assert (np.diff(grid, axis=1) >= 1).all()
+
+    def test_grid_is_built_once(self):
+        assert table_grid() is table_grid()
+
+    def test_index_sanitizes_inputs(self):
+        mu = np.array([np.nan, np.inf, -np.inf, 1e6, -1e6, 1e300, -1e300, 0.0, 0.0, 0.0, 0.0])
+        ls = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.nan, np.inf, -np.inf, 1e9])
+        index, offset = grid_index(mu, ls)
+        assert index.dtype == offset.dtype == np.int64
+        assert ((index >= 0) & (index < GRID_SCALES * GRID_MEANS)).all()
+        assert (np.abs(offset) <= 10**6).all()
+        np.testing.assert_array_equal(offset[:7], [0, 10**6, -(10**6), 10**6, -(10**6), 10**6, -(10**6)])
+
+    @given(st.floats(-1e4, 1e4), st.floats(LOG_SCALE_MIN, LOG_SCALE_MAX))
+    @settings(max_examples=200, deadline=None)
+    def test_row_is_the_nearest_grid_point(self, mu, ls):
+        index, offset = grid_index(mu, ls)
+        level, mean_bin = divmod(int(index), GRID_MEANS)
+        step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+        assert abs(mu - (offset + mean_bin / GRID_MEANS - 0.5)) <= 0.5 / GRID_MEANS + 1e-9
+        assert abs(ls - (LOG_SCALE_MIN + level * step)) <= 0.5 * step + 1e-9
+
+    def test_row_matches_its_laplacian(self):
+        index, offset = grid_index(2.3, 0.5)
+        level, mean_bin = divmod(int(index), GRID_MEANS)
+        step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+        pmf = discretize_laplacian(mean_bin / GRID_MEANS - 0.5, LOG_SCALE_MIN + level * step)
+        assert int(offset) == 2
+        assert list(table_grid()[int(index)]) == pmf.cum.tolist()
+
+    def test_escapes_and_extreme_means_roundtrip(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        mu = rng.uniform(-20, 20, n)
+        mu[:6] = [1e6 - 0.3, -1e6 + 0.4, np.inf, -np.inf, np.nan, 5e5]
+        ls = rng.uniform(LOG_SCALE_MIN - 1, LOG_SCALE_MAX + 1, n)
+        plane = np.rint(np.nan_to_num(mu, posinf=1e6, neginf=-1e6) + rng.laplace(0, 3, n)).astype(np.int64)
+        plane[6:12] = [INT32_MAX, -INT32_MAX - 1, 40000, -40000, 0, 999_999]
+        index, offset = grid_index(mu, ls)
+        grid = table_grid()
+        stream = encode_plane(plane, grid, index=index, offset=offset)
+        out = decode_plane(stream, grid, n, index=index, offset=offset)
+        np.testing.assert_array_equal(out, plane)
+        assert plane_cross_entropy(plane, grid, index=index, offset=offset) > 0
+
+    def test_row_index_must_exist(self):
+        with pytest.raises(ValueError, match="row indices"):
+            encode_plane(np.zeros(3, dtype=np.int64), table_grid(), index=len(table_grid()))
+
+
+class TestInt32Range:
+    def test_encoder_rejects_symbols_outside_int32(self):
+        pmf = discretize_laplacian(0.0, 1.0)
+        for bad in (2**40 + 5, INT32_MAX + 1, -INT32_MAX - 2):
+            with pytest.raises(ValueError, match="int32"):
+                encode_plane(np.array([bad, 3], dtype=np.int64), pmf.cum)
+
+    def test_decoder_rejects_decoded_symbol_outside_int32(self):
+        pmf = discretize_laplacian(0.0, 1.0)
+        cum = pmf.cum.tolist()
+        enc = RangeEncoder()
+        for v in (2**40 + 5, 3):
+            encode_symbol(enc, v, cum, pmf.support_min, pmf.support_max)
+        with pytest.raises(CorruptStreamError, match="int32"):
+            decode_plane(CodedStream(enc.finish()), pmf.cum, 2)
+
+    def test_decoder_rejects_offset_sum_outside_int32(self):
+        pmf = discretize_laplacian(0.0, 1.0)
+        stream = encode_plane(np.array([INT32_MAX, 0], dtype=np.int64), pmf.cum)
+        np.testing.assert_array_equal(decode_plane(stream, pmf.cum, 2), [INT32_MAX, 0])
+        with pytest.raises(CorruptStreamError, match="int32"):
+            decode_plane(stream, pmf.cum, 2, offset=1)

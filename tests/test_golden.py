@@ -17,10 +17,10 @@ from mfvc.stem import StemFlags, init_stem
 from mfvc.video import GopConfig, compress_video, synth_sequence
 
 GOLDEN = {
-    "all": "506bc61d7031c4893f21a29a7c1b1e6efb8ea06d9cc97340889fef1fa1845301",
-    "no_spm": "d883c12dbde444ea325a6157dd05362e7f5aa0830c25fe0d477bc7ebce570dad",
-    "no_tpm": "8324cadab959727dd32da060069e206a3fde4087ccc7cc39c8d0b43dc3be6414",
-    "no_residual": "cbb53adf1337fb9a0a6455bbd6fa070d199bac033ed6f8dd84d5c08c27f01f19",
+    "all": "d28bae201a5892b6f85b502946ddaac91d61836d4eaf583c4f5f95280da96fd6",
+    "no_spm": "f7161c6bc7fd6444dae51fa5077b98eae6e9399d97d9cbe38b0bab8359fa278d",
+    "no_tpm": "27c456db13f90a91c069aaaab59c3e90516c2a0023dad03722e01321d589be17",
+    "no_residual": "fc3d655725a2c67f49d86f2a4c15e760f6368b9f7b1f705fe1920c957ac8f189",
 }
 
 FLAGS = {

@@ -190,6 +190,36 @@ class TestPFrameRoundtrip:
         chunk = encode_pframe(a, b, StemFlags(), weights)
         np.testing.assert_array_equal(decode_pframe(chunk, b, StemFlags(), weights), a)
 
+    def test_latent_outside_int32_rejected(self, weights):
+        a = np.zeros((4, 2, 2), dtype=np.int64)
+        a[0, 0, 0] = 2**40 + 5
+        with pytest.raises(ValueError, match="int32"):
+            encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
+
+    def test_decoded_value_outside_int32_raises(self):
+        # A fusion with zero weights predicts (0, 0) everywhere, so a stream
+        # for it can be written symbol by symbol on that grid row.
+        w = init_stem(latent_channels=2, seed=3)
+        for layer in w.epm:
+            layer.kernel.data[...] = 0.0
+            layer.bias.data[...] = 0.0
+        zeros = np.zeros((2, 3, 3), np.int32)
+        chunk = encode_pframe(zeros, zeros, StemFlags(), w)
+        index, offset = coder.grid_index(0.0, 0.0)
+        row = coder.table_grid()[int(index)]
+        for first, expect_ok in ((5, True), (2**40, False)):
+            enc = coder.RangeEncoder()
+            for v in [first] + [0] * (zeros.size - 1):
+                coder.encode_symbol(enc, v, row, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
+            chunk.y_stream = coder.CodedStream(enc.finish())
+            if expect_ok:
+                expected = zeros.copy()
+                expected[0, 0, 0] = 5
+                np.testing.assert_array_equal(decode_pframe(chunk, zeros, StemFlags(), w), expected)
+            else:
+                with pytest.raises(coder.CorruptStreamError, match="int32"):
+                    decode_pframe(chunk, zeros, StemFlags(), w)
+
     def test_encoding_deterministic(self, weights):
         rng = np.random.default_rng(15)
         a, b = random_latents(rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfvc.container import FRAME_I, FRAME_P, ContainerError, DigestMismatchError
+from mfvc.container import FRAME_I, FRAME_P, VIDEO_VERSION, ContainerError, DigestMismatchError
 from mfvc.image import compress_iframe, decompress_iframe, init_autoencoder
 from mfvc.stem import StemFlags, init_stem
 from mfvc.video import (
@@ -127,6 +127,14 @@ class TestErrors:
         other = init_autoencoder(latent_channels=4, downsample_factor=4, lambda_set=(8.0, 64.0), seed=99)
         with pytest.raises(DigestMismatchError, match="digest"):
             decompress_video(stream, other, stem)
+
+    def test_version_1_stream_rejected(self, models):
+        ae, stem = models
+        blob = bytearray(compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
+        assert blob[4] == VIDEO_VERSION == 2
+        blob[4] = 1
+        with pytest.raises(ContainerError, match="version 1"):
+            VideoBitstream.from_bytes(bytes(blob))
 
     def test_truncated_stream_names_frame(self, models):
         ae, stem = models

@@ -82,9 +82,14 @@ def _parse_value(name: str, text: str, kind):
     if kind is float:
         return float(text)
     if kind is tuple:
-        parts = [p for p in text.replace(",", " ").split() if p]
-        return tuple(int(p) if p.lstrip("+-").isdigit() else float(p) for p in parts)
+        return number_tuple(text)
     return text.strip()
+
+
+def number_tuple(text: str) -> tuple:
+    """Numbers separated by commas or spaces; argparse names it in errors."""
+    parts = [p for p in text.replace(",", " ").split() if p]
+    return tuple(int(p) if p.lstrip("+-").isdigit() else float(p) for p in parts)
 
 
 def load_config(path) -> CliConfig:
@@ -307,41 +312,27 @@ _COMMANDS = {
 }
 
 
+_CHOICES = {"distortion": ("mse", "ms-ssim"), "synth": ("translate", "zoom", "noise_static")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; every CliConfig field is a flag:
+    ``--field-name``, or ``--no-x`` for a ``use_x`` switch."""
     parser = argparse.ArgumentParser(prog="mfvc", description="Motion-free video codec")
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file; flags override it")
-        p.add_argument("--input", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--weights", default=None)
-        p.add_argument("--stem-weights", dest="stem_weights", default=None)
-        p.add_argument("--original", default=None)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--log", default=None)
-        p.add_argument("--width", type=int, default=None)
-        p.add_argument("--height", type=int, default=None)
-        p.add_argument("--frames", type=int, default=None)
-        p.add_argument("--gop-size", dest="gop_size", type=int, default=None)
-        p.add_argument("--rate-index", dest="rate_index", type=int, default=None)
-        p.add_argument("--no-spm", dest="use_spm", action="store_false", default=None)
-        p.add_argument("--no-tpm", dest="use_tpm", action="store_false", default=None)
-        p.add_argument("--no-residual", dest="use_residual", action="store_false", default=None)
-        p.add_argument("--lambda-set", dest="lambda_set", default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--patch-h", dest="patch_h", type=int, default=None)
-        p.add_argument("--patch-w", dest="patch_w", type=int, default=None)
-        p.add_argument("--lr-values", dest="lr_values", default=None)
-        p.add_argument("--lr-boundaries", dest="lr_boundaries", default=None)
-        p.add_argument("--total-iters", dest="total_iters", type=int, default=None)
-        p.add_argument("--distortion", choices=("mse", "ms-ssim"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--latent-channels", dest="latent_channels", type=int, default=None)
-        p.add_argument("--downsample-factor", dest="downsample_factor", type=int, default=None)
-        p.add_argument("--synth", choices=("translate", "zoom", "noise_static"), default=None)
-        p.add_argument("--synth-shift", dest="synth_shift", type=int, default=None)
-        p.add_argument("--frame-index", dest="frame_index", type=int, default=None)
+        for f in fields(CliConfig):
+            kind = type(f.default)
+            if f.name == "command":
+                continue
+            if kind is bool:
+                flag = "--no-" + f.name.removeprefix("use_").replace("_", "-")
+                p.add_argument(flag, dest=f.name, action="store_false", default=None)
+            else:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                               type=number_tuple if kind is tuple else kind, choices=_CHOICES.get(f.name))
     return parser
 
 
@@ -354,17 +345,8 @@ def run(argv) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else CliConfig()
-        cfg.command = args.command
-        overrides = {}
-        for f in fields(CliConfig):
-            value = getattr(args, f.name, None)
-            if value is None:
-                continue
-            if f.name in ("lambda_set", "lr_values", "lr_boundaries") and isinstance(value, str):
-                value = _parse_value(f.name, value, tuple)
-            overrides[f.name] = value
-        cfg = replace(cfg, **overrides)
-        return _COMMANDS[args.command](cfg)
+        overrides = {f.name: getattr(args, f.name) for f in fields(CliConfig) if getattr(args, f.name) is not None}
+        return _COMMANDS[args.command](replace(cfg, **overrides))
     except (OSError, ContainerError, CorruptStreamError, WeightsFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,12 +6,13 @@ distributions. Symbols outside a table's support are escaped through a
 reserved overflow slot followed by a bypass-coded Exp-Golomb magnitude and
 a side bit.
 
-Every model in the codec is coded against one fixed grid of cumulative
-tables, built once per process: ``GRID_SCALES`` log-scale levels times
-``GRID_MEANS`` bins of the mean's fractional part. :func:`grid_index` maps
-a predicted (mean, log-scale) pair to a grid row and an integer offset
-(the rounded mean); the symbol minus its offset is coded against that row.
-The grid constants are part of the bitstream format.
+Every symbol is coded against one fixed grid of cumulative tables over
+the default support, built once per process: ``GRID_SCALES`` log-scale
+levels times ``GRID_MEANS`` bins of the mean's fractional part.
+:func:`grid_index` maps a predicted (mean, log-scale) pair to a grid row
+and an integer offset (the rounded mean); the symbol minus its offset is
+coded against that row. The grid constants are part of the bitstream
+format.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -168,11 +169,6 @@ class DiscretePmf:
     support_max: int
     freq: np.ndarray
     overflow_freq: int
-
-    @property
-    def cum(self) -> np.ndarray:
-        """Cumulative table of length support+2; the final entry is 2^16."""
-        return pmfs_from_rows(np.append(self.freq, self.overflow_freq)[None])[0]
 
     def validate(self) -> None:
         if not self.support_min <= 0 <= self.support_max:
@@ -338,11 +334,14 @@ class CodedStream:
     data: bytes
 
 
-def _encode_overflow(enc: RangeEncoder, value: int, support_min: int, support_max: int) -> int:
-    if value > support_max:
-        excess, side = value - support_max - 1, 1
+_OVERFLOW_SLOT = DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 1
+
+
+def _encode_overflow(enc: RangeEncoder, value: int) -> int:
+    if value > DEFAULT_SUPPORT_MAX:
+        excess, side = value - DEFAULT_SUPPORT_MAX - 1, 1
     else:
-        excess, side = support_min - 1 - value, 0
+        excess, side = DEFAULT_SUPPORT_MIN - 1 - value, 0
     n = excess + 1
     k = n.bit_length()
     for _ in range(k - 1):
@@ -353,7 +352,7 @@ def _encode_overflow(enc: RangeEncoder, value: int, support_min: int, support_ma
     return 2 * k
 
 
-def _decode_overflow(dec: RangeDecoder, support_min: int, support_max: int) -> int:
+def _decode_overflow(dec: RangeDecoder) -> int:
     zeros = 0
     while dec.decode_bit() == 0:
         zeros += 1
@@ -364,28 +363,42 @@ def _decode_overflow(dec: RangeDecoder, support_min: int, support_max: int) -> i
         n = (n << 1) | dec.decode_bit()
     excess = n - 1
     side = dec.decode_bit()
-    return support_max + 1 + excess if side else support_min - 1 - excess
+    return DEFAULT_SUPPORT_MAX + 1 + excess if side else DEFAULT_SUPPORT_MIN - 1 - excess
 
 
-def encode_symbol(enc: RangeEncoder, value: int, cum, support_min: int, support_max: int) -> int:
-    """Code one symbol against a cumulative row (layout of DiscretePmf.cum;
-    a tuple or list of Python ints is fastest); returns the bypass bit count
-    spent on an overflow escape (0 otherwise)."""
-    if support_min <= value <= support_max:
-        k = value - support_min
-        enc.encode(cum[k], cum[k + 1])
+def encode_symbol(enc: RangeEncoder, value: int, row) -> int:
+    """Code one symbol against a cumulative row over the default support (a
+    :func:`table_grid` row); returns the bypass bit count spent on an
+    overflow escape (0 otherwise)."""
+    if DEFAULT_SUPPORT_MIN <= value <= DEFAULT_SUPPORT_MAX:
+        k = value - DEFAULT_SUPPORT_MIN
+        enc.encode(row[k], row[k + 1])
         return 0
-    enc.encode(cum[-2], TOTAL_FREQ)
-    return _encode_overflow(enc, value, support_min, support_max)
+    enc.encode(row[_OVERFLOW_SLOT], TOTAL_FREQ)
+    return _encode_overflow(enc, value)
 
 
-def decode_symbol(dec: RangeDecoder, cum, support_min: int, support_max: int) -> int:
+def decode_symbol(dec: RangeDecoder, row) -> int:
     """Inverse of :func:`encode_symbol` for the same row."""
-    k = bisect_right(cum, dec.decode_cum()) - 1
-    dec.consume(cum[k], cum[k + 1])
-    if k == support_max - support_min + 1:
-        return _decode_overflow(dec, support_min, support_max)
-    return support_min + k
+    k = bisect_right(row, dec.decode_cum()) - 1
+    dec.consume(row[k], row[k + 1])
+    if k == _OVERFLOW_SLOT:
+        return _decode_overflow(dec)
+    return DEFAULT_SUPPORT_MIN + k
+
+
+def encode_symbols(enc: RangeEncoder, values, index, offset) -> None:
+    """Code ``values[i] - offset[i]`` against grid row ``index[i]``, in order
+    (sequences of Python ints)."""
+    grid = table_grid()
+    for v, i, o in zip(values, index, offset):
+        encode_symbol(enc, v - o, grid[i])
+
+
+def decode_symbols(dec: RangeDecoder, index, offset) -> list[int]:
+    """Inverse of :func:`encode_symbols`: one value per row index."""
+    grid = table_grid()
+    return [decode_symbol(dec, grid[i]) + o for i, o in zip(index, offset)]
 
 
 def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray:
@@ -398,76 +411,53 @@ def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray
     return values.astype(np.int32)
 
 
-def _tables(cum, shape, index, offset, support_min: int):
-    """Rows as sequences of Python ints, the implied support maximum, and
-    flat per-symbol row indices and offsets broadcast over ``shape``.
-
-    Without ``index``, symbol ``i`` takes row ``i``, or the only row."""
-    if isinstance(cum, np.ndarray):
-        cum = np.atleast_2d(cum).tolist()
-    count = int(np.prod(shape))
-    if index is None:
-        if len(cum) not in (1, count):
-            raise ValueError(f"{len(cum)} cumulative tables do not fit {count} symbols")
-        index = 0 if len(cum) == 1 else np.arange(count).reshape(shape)
+def _broadcast(shape, index, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Flat per-symbol grid rows and offsets broadcast over ``shape``; raises
+    ``ValueError`` if they do not broadcast or a row is not in the grid."""
     index = np.broadcast_to(np.asarray(index, dtype=np.int64), shape).reshape(-1)
-    if count and (index.min() < 0 or index.max() >= len(cum)):
-        raise ValueError(f"row indices do not fit {len(cum)} cumulative tables")
-    offset = np.broadcast_to(np.asarray(offset, dtype=np.int64), shape).reshape(-1)
-    return cum, support_min + len(cum[0]) - 3, index, offset
+    if index.size and (index.min() < 0 or index.max() >= GRID_SCALES * GRID_MEANS):
+        raise ValueError("row indices outside the table grid")
+    return index, np.broadcast_to(np.asarray(offset, dtype=np.int64), shape).reshape(-1)
 
 
-def encode_plane(plane: np.ndarray, cum, support_min: int = DEFAULT_SUPPORT_MIN,
-                 index=None, offset=0) -> CodedStream:
+def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
     """Range-code an int32 plane in channel-major raster order.
 
-    ``cum`` holds cumulative rows of width S+2 in the layout of
-    :attr:`DiscretePmf.cum`: the :func:`table_grid`, an (n, S+2) array, or
-    one (S+2,) row. Symbol ``i`` is coded as ``plane[i] - offset[i]``
-    against row ``index[i]``; ``index`` and ``offset`` broadcast over the
-    plane, so one shared row is index 0. Without ``index``, symbol ``i``
-    takes row ``i`` (or the only row). The support is
-    [support_min, support_min + S - 1].
+    Symbol ``i`` is coded as ``plane[i] - offset[i]`` against grid row
+    ``index[i]``, as given by :func:`grid_index`; ``index`` and ``offset``
+    broadcast over the plane.
     """
     plane = to_int32(plane, ValueError)
-    rows, support_max, index, offset = _tables(cum, plane.shape, index, offset, support_min)
+    index, offset = _broadcast(plane.shape, index, offset)
     enc = RangeEncoder()
-    for v, i in zip((plane.reshape(-1) - offset).tolist(), index.tolist()):
-        encode_symbol(enc, v, rows[i], support_min, support_max)
+    encode_symbols(enc, plane.reshape(-1).tolist(), index.tolist(), offset.tolist())
     return CodedStream(enc.finish())
 
 
-def decode_plane(stream: CodedStream, cum, count_or_shape, support_min: int = DEFAULT_SUPPORT_MIN,
-                 index=None, offset=0) -> np.ndarray:
-    """Exact inverse of :func:`encode_plane` given the identical tables,
-    row indices and offsets.
-
-    ``count_or_shape`` is the symbol count or the plane shape to restore.
-    """
-    shape = tuple(count_or_shape) if isinstance(count_or_shape, (tuple, list)) else (int(count_or_shape),)
-    rows, support_max, index, offset = _tables(cum, shape, index, offset, support_min)
-    dec = RangeDecoder(stream.data)
-    decoded = [decode_symbol(dec, rows[i], support_min, support_max) for i in index.tolist()]
-    return to_int32(np.array(decoded, dtype=np.int64) + offset).reshape(shape)
+def decode_plane(stream: CodedStream, shape, index, offset) -> np.ndarray:
+    """Exact inverse of :func:`encode_plane`: the plane of ``shape`` coded
+    with the same row indices and offsets."""
+    index, offset = _broadcast(shape, index, offset)
+    decoded = decode_symbols(RangeDecoder(stream.data), index.tolist(), offset.tolist())
+    return to_int32(decoded).reshape(shape)
 
 
-def plane_cross_entropy(plane: np.ndarray, cum, support_min: int = DEFAULT_SUPPORT_MIN,
-                        index=None, offset=0) -> float:
-    """Code length implied by the frequency tables, in bits.
+def plane_cross_entropy(plane: np.ndarray, index, offset) -> float:
+    """Code length implied by the grid rows, in bits.
 
     In-support symbols cost -log2(freq/2^16); overflow symbols cost the
-    escape slot plus their bypass bits. Tables, row indices and offsets
-    are given as for :func:`encode_plane`.
+    escape slot plus their bypass bits. Rows and offsets are given as for
+    :func:`encode_plane`.
     """
     plane = np.asarray(plane)
-    rows, support_max, index, offset = _tables(cum, plane.shape, index, offset, support_min)
-    cums = np.asarray(rows, dtype=np.int64)
+    index, offset = _broadcast(plane.shape, index, offset)
+    cums = np.asarray(table_grid(), dtype=np.int64)
     symbols = plane.astype(np.int64).reshape(-1) - offset
-    inside = (symbols >= support_min) & (symbols <= support_max)
-    k = np.where(inside, symbols - support_min, cums.shape[1] - 2)
+    inside = (symbols >= DEFAULT_SUPPORT_MIN) & (symbols <= DEFAULT_SUPPORT_MAX)
+    k = np.where(inside, symbols - DEFAULT_SUPPORT_MIN, _OVERFLOW_SLOT)
     freq = cums[index, k + 1] - cums[index, k]
     bits = float(-np.log2(freq / TOTAL_FREQ).sum())
     for v in symbols[~inside].tolist():
-        excess = (v - support_max - 1) if v > support_max else (support_min - 1 - v)
+        excess = (v - DEFAULT_SUPPORT_MAX - 1) if v > DEFAULT_SUPPORT_MAX else (DEFAULT_SUPPORT_MIN - 1 - v)
         bits += 2 * (excess + 1).bit_length()
     return bits

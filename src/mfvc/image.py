@@ -155,13 +155,10 @@ class CodecWeights:
         return coder.grid_index(self.z_prior[0].data.reshape(-1, 1, 1), self.z_prior[1].data.reshape(-1, 1, 1))
 
     def encode_z(self, z_hat: np.ndarray) -> coder.CodedStream:
-        index, offset = self._z_rows()
-        return coder.encode_plane(z_hat, coder.table_grid(), index=index, offset=offset)
+        return coder.encode_plane(z_hat, *self._z_rows())
 
     def decode_z(self, stream: coder.CodedStream, latent_h: int, latent_w: int) -> np.ndarray:
-        index, offset = self._z_rows()
-        z_shape = self.hyper_extents(latent_h, latent_w)
-        return coder.decode_plane(stream, coder.table_grid(), z_shape, index=index, offset=offset)
+        return coder.decode_plane(stream, self.hyper_extents(latent_h, latent_w), *self._z_rows())
 
 
 def read_weights(path, cls: type[CodecWeights], what: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -450,8 +447,7 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
     latent_hat = quantize_round(latent)
     mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, rate, weights)
     z_stream = weights.encode_z(z_hat)
-    index, offset = coder.grid_index(mu.data[0], log_scale.data[0])
-    y_stream = coder.encode_plane(latent_hat, coder.table_grid(), index=index, offset=offset)
+    y_stream = coder.encode_plane(latent_hat, *coder.grid_index(mu.data[0], log_scale.data[0]))
     return FrameChunk(FRAME_I, z_stream, y_stream), latent_hat
 
 
@@ -461,6 +457,5 @@ def decompress_iframe(chunk: FrameChunk, rate: RateIndex, weights: AutoencoderWe
     z_hat = weights.decode_z(chunk.z_stream, h, w)
     zt = Tensor(z_hat[None].astype(np.float32))
     mu, log_scale = hyper_synthesis(zt, weights, h, w)
-    index, offset = coder.grid_index(mu.data[0], log_scale.data[0])
-    latent_hat = coder.decode_plane(chunk.y_stream, coder.table_grid(), (c, h, w), index=index, offset=offset)
+    latent_hat = coder.decode_plane(chunk.y_stream, (c, h, w), *coder.grid_index(mu.data[0], log_scale.data[0]))
     return synthesize(latent_hat, rate, weights), latent_hat

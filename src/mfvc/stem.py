@@ -385,12 +385,10 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
     enc = coder.RangeEncoder()
-    grid = coder.table_grid()
 
     def encode_step(r, col, index, offset):
         values = plane[:, r, col]
-        for v, i, o in zip(values.tolist(), index, offset):
-            coder.encode_symbol(enc, v - o, grid[i], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
+        coder.encode_symbols(enc, values.tolist(), index, offset)
         return values
 
     _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, encode_step)
@@ -409,13 +407,9 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
     dec = coder.RangeDecoder(chunk.y_stream.data)
-    grid = coder.table_grid()
 
     def decode_step(r, col, index, offset):
-        return coder.to_int32([
-            coder.decode_symbol(dec, grid[i], coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX) + o
-            for i, o in zip(index, offset)
-        ])
+        return coder.to_int32(coder.decode_symbols(dec, index, offset))
 
     plane = _walk_positions(_PositionParams(weights, flags, phd, tpm), prev_latent.shape, decode_step)
     return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane

@@ -45,15 +45,14 @@ class Tensor:
     chain rule; tensors created directly are graph leaves.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float32, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = _as4d(data, dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable] = None
-        self.name = name
 
     @property
     def shape(self):
@@ -67,12 +66,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -107,7 +100,6 @@ def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callabl
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = ""
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -538,8 +530,7 @@ def quantize_round(x: Tensor) -> np.ndarray:
         raise ValueError("quantize_round needs finite values")
     if x.shape[0] != 1:
         raise ShapeError(f"quantize_round expects batch extent 1, got {x.shape[0]}")
-    d = x.data.astype(np.float64)
-    return np.trunc(d + np.copysign(0.5, d)).astype(np.int32)[0]
+    return round_half_away(x.data[0])
 
 
 def round_half_away(values: np.ndarray) -> np.ndarray:

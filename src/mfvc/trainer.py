@@ -84,14 +84,16 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     skipped: int = 0
 
 
@@ -108,8 +110,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Optional[np.ndarray]],
     skipped this step because their gradient was absent or non-finite."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     skipped = 0
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
@@ -118,11 +120,11 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Optional[np.ndarray]],
             skipped += 1
             continue
         g = g.astype(np.float32, copy=False)
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
     state.skipped += skipped
     return skipped
 
@@ -205,10 +207,6 @@ def msssim_index(a: Tensor, b: Tensor, scales: int = 3) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _noisy(x: Tensor, seed: int) -> Tensor:
-    return add_uniform_noise(x, seed)
-
-
 def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
            distortion: str = "mse", noise_seed: int = 0, msssim_scales: int = 3):
     """Single-frame training objective: rate plus lambda-weighted distortion.
@@ -226,9 +224,9 @@ def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
     b, _, h, w = x.shape
 
     y = analyze(x, rate, weights)
-    y_tilde = _noisy(y, noise_seed)
+    y_tilde = add_uniform_noise(y, noise_seed)
     z = image_mod._run_chain(y_tilde, weights.hyper_enc)
-    z_tilde = _noisy(z, noise_seed + 1)
+    z_tilde = add_uniform_noise(z, noise_seed + 1)
     mu, log_scale = image_mod.hyper_synthesis(z_tilde, weights, y.shape[2], y.shape[3])
     y_bits = sum_all(laplace_nll_bits(y_tilde, mu, log_scale))
     z_bits = sum_all(weights.z_prior_nll(z_tilde))
@@ -298,9 +296,9 @@ def _random_crop(rng, frame_hw, patch_h, patch_w):
 
 
 def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWeights] = None,
-                      log_path=None, checkpoint_path=None, checkpoint_every: int = 0) -> AutoencoderWeights:
+                      log_path=None) -> AutoencoderWeights:
     """Optimize the auto-encoder on random crops with a random rate index
-    per sample; returns the trained weights (also checkpointed if asked)."""
+    per sample; returns the trained weights."""
     frames = _as_frame_array(dataset)
     if weights is None:
         weights = image_mod.init_autoencoder(lambda_set=cfg.lambda_set, seed=cfg.seed)
@@ -342,12 +340,8 @@ def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWe
 
         adam_step(params, [p.grad for p in params], state, lr)
         log.row(it, lr, loss_val, rate_val, dist_val)
-        if checkpoint_path and checkpoint_every and (it + 1) % checkpoint_every == 0:
-            weights.save(checkpoint_path)
 
     weights.set_trainable(False)
-    if checkpoint_path:
-        weights.save(checkpoint_path)
     return weights
 
 
@@ -372,7 +366,7 @@ def _frozen_latents(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWei
 
 def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConfig,
                flags: StemFlags = StemFlags(), stem_weights: Optional[StemWeights] = None,
-               log_path=None, checkpoint_path=None, checkpoint_every: int = 0) -> StemWeights:
+               log_path=None) -> StemWeights:
     """Optimize the spatiotemporal entropy model on frame pairs.
 
     Each pair is (first frame of a clip, a random later frame), cropped at
@@ -414,10 +408,6 @@ def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConf
         backward(loss)
         adam_step(params, [p.grad for p in params], state, lr)
         log.row(it, lr, loss.item(), loss.item(), 0.0)
-        if checkpoint_path and checkpoint_every and (it + 1) % checkpoint_every == 0:
-            stem_weights.save(checkpoint_path)
 
     stem_weights.set_trainable(False)
-    if checkpoint_path:
-        stem_weights.save(checkpoint_path)
     return stem_weights

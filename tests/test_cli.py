@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from mfvc import cli
 from mfvc.cli import CliConfig, load_config, read_raw_video, run, write_raw_video
 from mfvc.tensor import ConfigError
 from mfvc.video import synth_sequence
@@ -46,6 +49,40 @@ class TestConfigFile:
         path.write_text("gop_size = soon\n")
         with pytest.raises(ConfigError, match="gop_size"):
             load_config(path)
+
+
+class TestFlags:
+    def test_every_field_has_a_flag(self, monkeypatch):
+        # Every field but the subcommand is reachable as --field-name, or
+        # --no-x for a use_x switch; set each one away from its default.
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "eval", lambda cfg: seen.append(cfg) or 0)
+        argv, expected = ["eval"], {"command": "eval"}
+        other = {"distortion": "ms-ssim", "synth": "zoom"}
+        for f in fields(CliConfig):
+            if f.name == "command":
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            if f.default is True:
+                argv.append("--no-" + f.name.removeprefix("use_").replace("_", "-"))
+                expected[f.name] = False
+            elif isinstance(f.default, int):
+                argv += [flag, str(f.default + 1)]
+                expected[f.name] = f.default + 1
+            elif isinstance(f.default, tuple):
+                argv += [flag, "3, 0.5"]
+                expected[f.name] = (3, 0.5)
+            else:
+                argv += [flag, other.get(f.name, f"{f.name}.bin")]
+                expected[f.name] = other.get(f.name, f"{f.name}.bin")
+        assert run(argv) == 0
+        assert seen == [CliConfig(**expected)]
+        assert all(getattr(seen[0], f.name) != f.default for f in fields(CliConfig))
+
+    @pytest.mark.parametrize("flag,value", [("--distortion", "psnr"), ("--lambda-set", "a,b"), ("--width", "x")])
+    def test_bad_flag_value_exits_2(self, flag, value, capsys):
+        assert run(["compress", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestRawIo:

@@ -14,15 +14,16 @@ from mfvc.coder import (
     TOTAL_FREQ,
     CodedStream,
     CorruptStreamError,
-    DiscretePmf,
     RangeDecoder,
     RangeEncoder,
     decode_plane,
     decode_symbol,
+    decode_symbols,
     discretize_laplacian,
     discretize_laplacian_rows,
     encode_plane,
     encode_symbol,
+    encode_symbols,
     grid_index,
     laplace_interval_probs,
     plane_cross_entropy,
@@ -46,9 +47,15 @@ def spy_encode_symbol(monkeypatch) -> list[int]:
     return returns
 
 
-def uniform_pmf_256():
-    freq = np.full(256, 255, dtype=np.int64)
-    return DiscretePmf(-127, 128, freq, TOTAL_FREQ - 256 * 255)
+def row_of(freq) -> list[int]:
+    """Cumulative row of default width from its 256 symbol frequencies and
+    the overflow frequency."""
+    assert len(freq) == DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 2
+    return pmfs_from_rows(np.asarray(freq, dtype=np.int64)[None])[0].tolist()
+
+
+def grid_row(mu: float, ls: float) -> list[int]:
+    return table_grid()[int(grid_index(mu, ls)[0])]
 
 
 class TestDiscretization:
@@ -114,56 +121,55 @@ class TestRoundtrip:
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(1, 80))
-            mu = float(rng.uniform(-20, 20))
-            ls = float(rng.uniform(-6, 6))
-            pmf = discretize_laplacian(mu, ls, -64, 64)
+            index, offset = grid_index(rng.uniform(-20, 20), rng.uniform(-6, 6))
             if rng.random() < 0.5:
                 symbols = rng.integers(-64, 65, size=n, dtype=np.int64)
             else:
-                symbols = rng.integers(-300, 300, size=n, dtype=np.int64)
-            stream = encode_plane(symbols, pmf.cum, pmf.support_min)
-            out = decode_plane(stream, pmf.cum, n, pmf.support_min)
+                # Beyond the +-127 support: escapes.
+                symbols = rng.integers(-600, 600, size=n, dtype=np.int64)
+            stream = encode_plane(symbols, index, offset)
+            out = decode_plane(stream, (n,), index, offset)
             np.testing.assert_array_equal(out, symbols)
 
     def test_empty_plane(self, monkeypatch):
-        pmf = discretize_laplacian(0.0, 0.0)
+        index, offset = grid_index(0.0, 0.0)
         coded = spy_encode_symbol(monkeypatch)
-        stream = encode_plane(np.zeros((0,), dtype=np.int32), pmf.cum, pmf.support_min)
+        stream = encode_plane(np.zeros((0,), dtype=np.int32), index, offset)
         assert coded == []
-        out = decode_plane(stream, pmf.cum, 0, pmf.support_min)
+        out = decode_plane(stream, (0,), index, offset)
         assert out.size == 0
 
     def test_far_overflow_survives(self, monkeypatch):
-        pmf = discretize_laplacian(0.0, 1.0, -64, 64)
-        plane = np.array([10000, -9999, 0, 65], dtype=np.int64)
+        index, offset = grid_index(0.0, 1.0)
+        plane = np.array([10000, -9999, 0, 129], dtype=np.int64)
         coded = spy_encode_symbol(monkeypatch)
-        stream = encode_plane(plane, pmf.cum, pmf.support_min)
+        stream = encode_plane(plane, index, offset)
         assert len(coded) == 4 and sum(coded) > 0
-        out = decode_plane(stream, pmf.cum, 4, pmf.support_min)
+        out = decode_plane(stream, (4,), index, offset)
         np.testing.assert_array_equal(out, plane)
 
     def test_plane_shape_restored(self):
         rng = np.random.default_rng(7)
         plane = rng.integers(-5, 6, size=(3, 4, 5), dtype=np.int32)
-        pmf = discretize_laplacian(0.0, 1.0)
-        stream = encode_plane(plane, pmf.cum, pmf.support_min)
-        out = decode_plane(stream, pmf.cum, (3, 4, 5), pmf.support_min)
+        index, offset = grid_index(0.0, 1.0)
+        stream = encode_plane(plane, index, offset)
+        out = decode_plane(stream, (3, 4, 5), index, offset)
         np.testing.assert_array_equal(out, plane)
 
     def test_per_channel_tables(self):
         rng = np.random.default_rng(8)
         plane = rng.integers(-10, 11, size=(3, 6, 6), dtype=np.int32)
-        rows = discretize_laplacian_rows(np.array([0.0, 2.0, -2.0]), np.array([0.5, 1.0, 1.5]), -32, 32)
-        cum = np.repeat(pmfs_from_rows(rows), 6 * 6, axis=0)
-        stream = encode_plane(plane, cum, -32)
-        out = decode_plane(stream, cum, plane.shape, -32)
+        index, offset = grid_index(np.array([0.0, 2.0, -2.0]).reshape(3, 1, 1), np.array([0.5, 1.0, 1.5]).reshape(3, 1, 1))
+        assert index.shape == (3, 1, 1)
+        stream = encode_plane(plane, index, offset)
+        out = decode_plane(stream, plane.shape, index, offset)
         np.testing.assert_array_equal(out, plane)
 
     def test_adaptive_tables_see_prefix(self):
         # The table for each symbol depends on the previous symbol; the
         # decoder rebuilds the same choice from what it has decoded.
-        sharp = discretize_laplacian(0.0, -2.0, -32, 32)
-        wide = discretize_laplacian(0.0, 2.0, -32, 32)
+        sharp = grid_row(0.0, -2.0)
+        wide = grid_row(0.0, 2.0)
 
         def table(prev):
             return wide if prev is None or prev % 2 else sharp
@@ -173,110 +179,119 @@ class TestRoundtrip:
         enc = RangeEncoder()
         prev = None
         for v in plane:
-            encode_symbol(enc, v, table(prev).cum, -32, 32)
+            encode_symbol(enc, v, table(prev))
             prev = v
         dec = RangeDecoder(enc.finish())
         out, prev = [], None
         for _ in plane:
-            prev = decode_symbol(dec, table(prev).cum, -32, 32)
+            prev = decode_symbol(dec, table(prev))
             out.append(prev)
         assert out == plane
+
+    def test_symbol_loop_matches_plane(self):
+        rng = np.random.default_rng(14)
+        n = 300
+        plane = rng.integers(-300, 300, size=n, dtype=np.int64)
+        index, offset = grid_index(rng.uniform(-40, 40, n), rng.uniform(-3, 3, n))
+        enc = RangeEncoder()
+        encode_symbols(enc, plane.tolist(), index.tolist(), offset.tolist())
+        data = enc.finish()
+        assert data == encode_plane(plane, index, offset).data
+        assert decode_symbols(RangeDecoder(data), index.tolist(), offset.tolist()) == plane.tolist()
 
     @given(st.lists(st.integers(-500, 500), min_size=0, max_size=120), st.floats(-5, 5), st.floats(-6, 6))
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_property(self, values, mu, ls):
-        pmf = discretize_laplacian(mu, ls, -48, 48)
+        index, offset = grid_index(mu, ls)
         plane = np.asarray(values, dtype=np.int64)
-        stream = encode_plane(plane, pmf.cum, pmf.support_min)
-        out = decode_plane(stream, pmf.cum, len(values), pmf.support_min)
+        stream = encode_plane(plane, index, offset)
+        out = decode_plane(stream, (len(values),), index, offset)
         np.testing.assert_array_equal(out, plane)
 
     def test_truncated_stream_raises(self):
-        pmf = discretize_laplacian(0.0, 2.0, -8, 8)
+        index, offset = grid_index(0.0, 2.0)
         rng = np.random.default_rng(10)
         plane = rng.integers(-8, 9, size=500, dtype=np.int64)
-        stream = encode_plane(plane, pmf.cum, pmf.support_min)
+        stream = encode_plane(plane, index, offset)
         clipped = CodedStream(stream.data[: max(4, len(stream.data) // 3)])
         with pytest.raises(CorruptStreamError):
-            decode_plane(clipped, pmf.cum, 500, pmf.support_min)
+            decode_plane(clipped, (500,), index, offset)
 
     def test_malformed_overflow_magnitude_raises(self):
         # A stream of coded zero bits drives the Exp-Golomb prefix past its cap.
         enc = RangeEncoder()
-        pmf = discretize_laplacian(0.0, -6.0, -2, 2)
-        cum = pmf.cum
-        s = len(pmf.freq)
-        enc.encode(int(cum[s]), TOTAL_FREQ)  # escape
+        index, offset = grid_index(0.0, -6.0)
+        row = table_grid()[int(index)]
+        enc.encode(row[-2], TOTAL_FREQ)  # escape
         for _ in range(70):
             enc.encode_bit(0)
         stream = CodedStream(enc.finish())
         with pytest.raises(CorruptStreamError):
-            decode_plane(stream, pmf.cum, 1, pmf.support_min)
+            decode_plane(stream, (1,), index, offset)
 
 
 class TestRates:
     def test_all_zero_plane_at_min_scale(self):
         n = 4096
-        pmf = discretize_laplacian(0.0, -6.0)
-        stream = encode_plane(np.zeros(n, dtype=np.int64), pmf.cum, pmf.support_min)
+        stream = encode_plane(np.zeros(n, dtype=np.int64), *grid_index(0.0, -6.0))
         assert len(stream.data) <= n / 8 + 8
 
     def test_uniform_pmf_costs_eight_bits(self):
-        pmf = uniform_pmf_256()
+        row = row_of([255] * 256 + [TOTAL_FREQ - 256 * 255])
         rng = np.random.default_rng(11)
         n = 8192
-        plane = rng.integers(-127, 129, size=n, dtype=np.int64)
-        stream = encode_plane(plane, pmf.cum, pmf.support_min)
-        bits = 8 * len(stream.data)
+        enc = RangeEncoder()
+        for v in rng.integers(-127, 129, size=n, dtype=np.int64).tolist():
+            encode_symbol(enc, v, row)
+        bits = 8 * len(enc.finish())
         assert bits <= 8.0056 * n * 1.01 + 64
 
     def test_single_half_probability_symbol(self):
-        freq = np.array([TOTAL_FREQ // 2, TOTAL_FREQ // 2 - 1], dtype=np.int64)
-        pmf = DiscretePmf(0, 1, freq, 1)
-        stream = encode_plane(np.array([0]), pmf.cum, pmf.support_min)
-        assert 8 * len(stream.data) <= 1 + 32
-
-    def test_cross_entropy_uniform(self):
-        pmf = uniform_pmf_256()
-        plane = np.arange(-100, 100, dtype=np.int64)
-        bits = plane_cross_entropy(plane, pmf.cum, pmf.support_min)
-        assert bits == pytest.approx(200 * -np.log2(255 / TOTAL_FREQ))
+        # Symbol 0 holds 2^15, symbol 1 the remainder, every other slot 1.
+        freq = [1] * 257
+        freq[-DEFAULT_SUPPORT_MIN] = TOTAL_FREQ // 2
+        freq[1 - DEFAULT_SUPPORT_MIN] = TOTAL_FREQ // 2 - 255
+        row = row_of(freq)
+        enc = RangeEncoder()
+        encode_symbol(enc, 0, row)
+        assert 8 * len(enc.finish()) <= 1 + 32
 
     def test_cross_entropy_matches_symbol_loop(self):
         rng = np.random.default_rng(13)
         n = 300
-        rows = discretize_laplacian_rows(rng.uniform(-5, 5, n), rng.uniform(-3, 3, n), -16, 16)
-        plane = rng.integers(-40, 41, size=n, dtype=np.int64)
+        index, offset = grid_index(rng.uniform(-5, 5, n), rng.uniform(-3, 6, n))
+        plane = rng.integers(-200, 201, size=n, dtype=np.int64)
         expected = 0.0
-        for row, v in zip(rows, plane.tolist()):
-            if -16 <= v <= 16:
-                expected -= np.log2(row[v + 16] / TOTAL_FREQ)
+        for i, o, v in zip(index.tolist(), offset.tolist(), plane.tolist()):
+            row, s = table_grid()[i], v - o
+            if DEFAULT_SUPPORT_MIN <= s <= DEFAULT_SUPPORT_MAX:
+                k = s - DEFAULT_SUPPORT_MIN
+                expected -= np.log2((row[k + 1] - row[k]) / TOTAL_FREQ)
             else:
-                excess = v - 17 if v > 16 else -17 - v
-                expected += -np.log2(row[-1] / TOTAL_FREQ) + 2 * (excess + 1).bit_length()
+                excess = s - DEFAULT_SUPPORT_MAX - 1 if s > DEFAULT_SUPPORT_MAX else DEFAULT_SUPPORT_MIN - 1 - s
+                expected += -np.log2((row[-1] - row[-2]) / TOTAL_FREQ) + 2 * (excess + 1).bit_length()
         # Summation order differs from the loop, so allow float64 rounding.
-        assert plane_cross_entropy(plane, pmfs_from_rows(rows), -16) == pytest.approx(expected, rel=1e-12)
+        assert plane_cross_entropy(plane, index, offset) == pytest.approx(expected, rel=1e-12)
 
     def test_cross_entropy_floor_symbol(self):
-        freq = np.full(9, 1, dtype=np.int64)
-        freq[4] = TOTAL_FREQ - 9
-        pmf = DiscretePmf(-4, 4, freq, 1)
-        bits = plane_cross_entropy(np.array([4]), pmf.cum, pmf.support_min)
-        assert bits == pytest.approx(16.0)
+        # At the sharpest scale symbol 100 keeps only the floor frequency 1.
+        index, offset = grid_index(0.0, -6.0)
+        row = table_grid()[int(index)]
+        assert row[100 - DEFAULT_SUPPORT_MIN + 1] - row[100 - DEFAULT_SUPPORT_MIN] == 1
+        assert plane_cross_entropy(np.array([100]), index, offset) == pytest.approx(16.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_length_tracks_cross_entropy(self, seed):
         rng = np.random.default_rng(seed)
         n = 4096
-        mu = float(rng.uniform(-3, 3))
-        ls = float(rng.uniform(-2, 2))
-        pmf = discretize_laplacian(mu, ls, -64, 64)
-        # Draw symbols from the table itself so the model matches the data.
-        p = np.concatenate([pmf.freq, [pmf.overflow_freq]]) / TOTAL_FREQ
+        index, offset = grid_index(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        # Draw symbols from the grid row itself so the model matches the data.
+        p = np.diff(table_grid()[int(index)]) / TOTAL_FREQ
         draws = rng.choice(len(p), size=n, p=p)
-        symbols = np.where(draws < len(pmf.freq), draws + pmf.support_min, pmf.support_max + 3)
-        stream = encode_plane(symbols, pmf.cum, pmf.support_min)
-        h = plane_cross_entropy(symbols, pmf.cum, pmf.support_min)
+        overflow = DEFAULT_SUPPORT_MAX + 3
+        symbols = np.where(draws < len(p) - 1, draws + DEFAULT_SUPPORT_MIN, overflow) + offset
+        stream = encode_plane(symbols, index, offset)
+        h = plane_cross_entropy(symbols, index, offset)
         assert abs(8 * len(stream.data) - h) <= 0.02 * h + 64
 
     def test_rate_monotone_in_scale(self):
@@ -284,8 +299,7 @@ class TestRates:
         plane = np.zeros(n, dtype=np.int64)
         lengths = []
         for ls in (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0):
-            pmf = discretize_laplacian(0.0, ls)
-            lengths.append(len(encode_plane(plane, pmf.cum, pmf.support_min).data))
+            lengths.append(len(encode_plane(plane, *grid_index(0.0, ls)).data))
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
 
@@ -300,16 +314,19 @@ class TestRangeCoderCore:
         assert [dec.decode_bit() for _ in bits] == bits
 
     def test_per_symbol_tables(self):
-        rows = discretize_laplacian_rows(np.arange(10, dtype=np.float64), np.full(10, 0.5), -16, 16)
-        cum = pmfs_from_rows(rows)
+        index, offset = grid_index(np.arange(10) * 1.3, np.linspace(-2.0, 2.0, 10))
+        assert len(set(index.tolist())) == 10
         plane = np.arange(10, dtype=np.int64)
-        stream = encode_plane(plane, cum, -16)
-        np.testing.assert_array_equal(decode_plane(stream, cum, 10, -16), plane)
+        stream = encode_plane(plane, index, offset)
+        np.testing.assert_array_equal(decode_plane(stream, (10,), index, offset), plane)
 
     def test_table_count_must_fit_plane(self):
-        cum = pmfs_from_rows(discretize_laplacian_rows(np.zeros(3), np.zeros(3)))
-        with pytest.raises(ValueError, match="do not fit"):
-            encode_plane(np.zeros(4, dtype=np.int64), cum)
+        # An index that does not broadcast to the plane is refused.
+        index, offset = grid_index(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            encode_plane(np.zeros(4, dtype=np.int64), index, offset)
+        with pytest.raises(ValueError):
+            decode_plane(CodedStream(bytes(8)), (4,), index, 0)
 
 
 class TestTableGrid:
@@ -348,7 +365,7 @@ class TestTableGrid:
         step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
         pmf = discretize_laplacian(mean_bin / GRID_MEANS - 0.5, LOG_SCALE_MIN + level * step)
         assert int(offset) == 2
-        assert list(table_grid()[int(index)]) == pmf.cum.tolist()
+        assert np.diff(table_grid()[int(index)]).tolist() == [*pmf.freq.tolist(), pmf.overflow_freq]
 
     def test_escapes_and_extreme_means_roundtrip(self):
         rng = np.random.default_rng(21)
@@ -359,36 +376,37 @@ class TestTableGrid:
         plane = np.rint(np.nan_to_num(mu, posinf=1e6, neginf=-1e6) + rng.laplace(0, 3, n)).astype(np.int64)
         plane[6:12] = [INT32_MAX, -INT32_MAX - 1, 40000, -40000, 0, 999_999]
         index, offset = grid_index(mu, ls)
-        grid = table_grid()
-        stream = encode_plane(plane, grid, index=index, offset=offset)
-        out = decode_plane(stream, grid, n, index=index, offset=offset)
+        stream = encode_plane(plane, index, offset)
+        out = decode_plane(stream, (n,), index, offset)
         np.testing.assert_array_equal(out, plane)
-        assert plane_cross_entropy(plane, grid, index=index, offset=offset) > 0
+        assert plane_cross_entropy(plane, index, offset) > 0
 
     def test_row_index_must_exist(self):
         with pytest.raises(ValueError, match="row indices"):
-            encode_plane(np.zeros(3, dtype=np.int64), table_grid(), index=len(table_grid()))
+            encode_plane(np.zeros(3, dtype=np.int64), len(table_grid()), 0)
+        with pytest.raises(ValueError, match="row indices"):
+            decode_plane(CodedStream(bytes(8)), (3,), -1, 0)
 
 
 class TestInt32Range:
     def test_encoder_rejects_symbols_outside_int32(self):
-        pmf = discretize_laplacian(0.0, 1.0)
+        index, offset = grid_index(0.0, 1.0)
         for bad in (2**40 + 5, INT32_MAX + 1, -INT32_MAX - 2):
             with pytest.raises(ValueError, match="int32"):
-                encode_plane(np.array([bad, 3], dtype=np.int64), pmf.cum)
+                encode_plane(np.array([bad, 3], dtype=np.int64), index, offset)
 
     def test_decoder_rejects_decoded_symbol_outside_int32(self):
-        pmf = discretize_laplacian(0.0, 1.0)
-        cum = pmf.cum.tolist()
+        index, offset = grid_index(0.0, 1.0)
+        row = table_grid()[int(index)]
         enc = RangeEncoder()
         for v in (2**40 + 5, 3):
-            encode_symbol(enc, v, cum, pmf.support_min, pmf.support_max)
+            encode_symbol(enc, v, row)
         with pytest.raises(CorruptStreamError, match="int32"):
-            decode_plane(CodedStream(enc.finish()), pmf.cum, 2)
+            decode_plane(CodedStream(enc.finish()), (2,), index, offset)
 
     def test_decoder_rejects_offset_sum_outside_int32(self):
-        pmf = discretize_laplacian(0.0, 1.0)
-        stream = encode_plane(np.array([INT32_MAX, 0], dtype=np.int64), pmf.cum)
-        np.testing.assert_array_equal(decode_plane(stream, pmf.cum, 2), [INT32_MAX, 0])
+        index, offset = grid_index(0.0, 1.0)
+        stream = encode_plane(np.array([INT32_MAX, 0], dtype=np.int64), index, offset)
+        np.testing.assert_array_equal(decode_plane(stream, (2,), index, offset), [INT32_MAX, 0])
         with pytest.raises(CorruptStreamError, match="int32"):
-            decode_plane(stream, pmf.cum, 2, offset=1)
+            decode_plane(stream, (2,), index, offset + 1)

@@ -210,7 +210,7 @@ class TestPFrameRoundtrip:
         for first, expect_ok in ((5, True), (2**40, False)):
             enc = coder.RangeEncoder()
             for v in [first] + [0] * (zeros.size - 1):
-                coder.encode_symbol(enc, v, row, coder.DEFAULT_SUPPORT_MIN, coder.DEFAULT_SUPPORT_MAX)
+                coder.encode_symbol(enc, v, row)
             chunk.y_stream = coder.CodedStream(enc.finish())
             if expect_ok:
                 expected = zeros.copy()

@@ -256,6 +256,20 @@ class TestRates:
         encode_symbol(enc, 0, row)
         assert 8 * len(enc.finish()) <= 1 + 32
 
+    def test_cross_entropy_uniform(self):
+        # A plane holding every in-support symbol once has an empirical
+        # entropy of exactly 8 bits a symbol; by Gibbs' inequality no grid
+        # row can code it for less, and each costs the sum of its in-support
+        # -log2(freq/2^16).
+        plane = np.arange(DEFAULT_SUPPORT_MIN, DEFAULT_SUPPORT_MAX + 1, dtype=np.int64)
+        for ls in np.linspace(LOG_SCALE_MIN, LOG_SCALE_MAX, GRID_SCALES):
+            index, offset = grid_index(0.0, ls)
+            assert int(offset) == 0
+            freq = np.diff(table_grid()[int(index)])[: plane.size]
+            bits = plane_cross_entropy(plane, index, offset)
+            assert bits == pytest.approx(-np.log2(freq / TOTAL_FREQ).sum(), rel=1e-12)
+            assert bits >= 8 * plane.size
+
     def test_cross_entropy_matches_symbol_loop(self):
         rng = np.random.default_rng(13)
         n = 300

@@ -1,10 +1,13 @@
-"""Golden-stream pin: fixed-seed untrained weights on a fixed sequence must
-code to exactly these bytes.
+"""Golden pins: fixed-seed untrained weights on a fixed sequence must code
+to exactly these bytes, and a few fixed-seed training iterations must give
+exactly these weight files.
 
 The sequence covers I-frames and P-frames (GOP 3 over a translating and a
 zooming clip) and every branch ablation of the entropy model. A refactor
 must leave these hashes unchanged; an intentional format change bumps the
-container version, updates the pins here and says so in CHANGES.md.
+container version, updates the pins here and says so in CHANGES.md. The
+training pins cover both stages under both distortion measures; they hold
+at one and at two BLAS threads.
 """
 
 import hashlib
@@ -14,7 +17,8 @@ import pytest
 
 from mfvc.image import init_autoencoder
 from mfvc.stem import StemFlags, init_stem
-from mfvc.video import GopConfig, compress_video, synth_sequence
+from mfvc.trainer import TrainConfig, train_image_model, train_stem
+from mfvc.video import GopConfig, compress_video, synth_clips, synth_sequence
 
 GOLDEN = {
     "all": "d28bae201a5892b6f85b502946ddaac91d61836d4eaf583c4f5f95280da96fd6",
@@ -47,3 +51,34 @@ def test_stream_bytes_pinned(setup, name):
     ae, stem, frames = setup
     stream = compress_video(frames, ae, stem, GopConfig(3, ae.rate(1), FLAGS[name]))
     assert hashlib.sha256(stream.to_bytes()).hexdigest() == GOLDEN[name]
+
+
+TRAINED = {
+    # distortion: (patch side, auto-encoder sha256, entropy-model sha256)
+    "mse": (
+        32,
+        "b75aca38b19de805807dfe73e044685ce5435a47d03033012baf956e6a3a405d",
+        "7597bfbda19ac309cce99bc3f5c2b3010e9b8ae350351484d961d342e25e986d",
+    ),
+    "ms-ssim": (
+        48,
+        "042f728f1a86d5bbe9ed055febfcb047feefded28eb215b5878e08cd242b5659",
+        "95c204f7dacce9278668eb46df3d621e9f8aa1478f668e995afbb20de0fd20f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("distortion", sorted(TRAINED))
+def test_trained_weights_pinned(distortion):
+    patch, ae_hash, stem_hash = TRAINED[distortion]
+    lambdas = (16.0, 64.0, 256.0)
+    cfg = TrainConfig(lambda_set=lambdas, batch_size=2, patch_h=patch, patch_w=patch, lr_values=(1e-3,),
+                      lr_boundaries=(), total_iters=6, distortion=distortion, seed=3)
+    frames = np.concatenate([
+        synth_sequence("translate", 3, 48, 48, seed=1, shift=2),
+        synth_sequence("zoom", 3, 48, 48, seed=2),
+    ])
+    ae = train_image_model(frames, cfg, weights=init_autoencoder(8, 4, lambdas, seed=3))
+    assert hashlib.sha256(ae.to_bytes()).hexdigest() == ae_hash
+    stem = train_stem(synth_clips("translate", 2, 3, 48, 48, seed=4), ae, cfg, stem_weights=init_stem(8, seed=3))
+    assert hashlib.sha256(stem.to_bytes()).hexdigest() == stem_hash

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .coder import CorruptStreamError
 from .container import ContainerError
-from .image import DEFAULT_LAMBDA_SET, init_autoencoder, load_autoencoder
+from .image import init_autoencoder, load_autoencoder
 from .serialize import WeightsFormatError
 from .stem import StemFlags, load_stem, p_frame_symbol_bits
 from .tensor import ConfigError
@@ -52,15 +52,15 @@ class CliConfig:
     use_spm: bool = True
     use_tpm: bool = True
     use_residual: bool = True
-    lambda_set: tuple = DEFAULT_LAMBDA_SET
-    batch_size: int = 4
-    patch_h: int = 64
-    patch_w: int = 64
-    lr_values: tuple = (1e-3, 5e-4, 1e-4)
-    lr_boundaries: tuple = (2000, 4000)
-    total_iters: int = 5000
-    distortion: str = "mse"
-    seed: int = 0
+    lambda_set: tuple = TrainConfig.lambda_set
+    batch_size: int = TrainConfig.batch_size
+    patch_h: int = TrainConfig.patch_h
+    patch_w: int = TrainConfig.patch_w
+    lr_values: tuple = TrainConfig.lr_values
+    lr_boundaries: tuple = TrainConfig.lr_boundaries
+    total_iters: int = TrainConfig.total_iters
+    distortion: str = TrainConfig.distortion
+    seed: int = TrainConfig.seed
     latent_channels: int = 32
     downsample_factor: int = 4
     synth: str = ""
@@ -160,17 +160,7 @@ def _flags(cfg: CliConfig) -> StemFlags:
 
 
 def _train_config(cfg: CliConfig) -> TrainConfig:
-    return TrainConfig(
-        lambda_set=tuple(float(v) for v in cfg.lambda_set),
-        batch_size=cfg.batch_size,
-        patch_h=cfg.patch_h,
-        patch_w=cfg.patch_w,
-        lr_values=tuple(float(v) for v in cfg.lr_values),
-        lr_boundaries=tuple(int(v) for v in cfg.lr_boundaries),
-        total_iters=cfg.total_iters,
-        distortion=cfg.distortion,
-        seed=cfg.seed,
-    )
+    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     _make_node,
+    add_uniform_noise,
     clamp,
     conv2d,
     crop_hw,
@@ -31,6 +32,7 @@ from .tensor import (
     leaky_relu,
     mul,
     quantize_round,
+    round_half_away,
     softplus,
     sum_all,
     transpose_conv2d,
@@ -65,12 +67,12 @@ class RateIndex:
 
 class CodecWeights:
     """Weight plumbing shared by the auto-encoder and the entropy model: the
-    named-tensor round trip, hyper-latent extents and the channel-wise
-    Laplacian prior over the quantized hyper latent.
+    named-tensor round trip, the hyper path and the channel-wise Laplacian
+    prior over the quantized hyper latent.
 
     A subclass sets ``KIND`` and ``hyper_channels`` and declares its layer
-    groups, its ``meta.*`` tensors and its hyper-encoder layers; anything
-    else it trains goes in :meth:`extra_tensors`.
+    groups, its ``meta.*`` tensors and its hyper-encoder and hyper-decoder
+    layers; anything else it trains goes in :meth:`extra_tensors`.
     """
 
     KIND: ClassVar[int]
@@ -84,6 +86,9 @@ class CodecWeights:
         raise NotImplementedError
 
     def hyper_encoder(self) -> list[ConvLayer]:
+        raise NotImplementedError
+
+    def hyper_decoder(self) -> list[ConvLayer]:
         raise NotImplementedError
 
     def extra_tensors(self) -> list[tuple[str, Tensor]]:
@@ -139,6 +144,18 @@ class CodecWeights:
 
     def save(self, path) -> None:
         serialize.save_named_tensors(path, self.to_named())
+
+    def hyper_latent(self, x: Tensor, noise_seed: Optional[int] = None) -> Tensor:
+        """Hyper-encoded ``x``, rounded half away from zero, or with the
+        uniform-noise surrogate of rounding when a training seed is given."""
+        z = _run_chain(x, self.hyper_encoder())
+        if noise_seed is not None:
+            return add_uniform_noise(z, noise_seed)
+        return Tensor(round_half_away(z.data).astype(z.dtype), dtype=z.dtype)
+
+    def hyper_features(self, z: Tensor, h: int, w: int) -> Tensor:
+        """Hyper-decoded ``z`` cropped to the h x w latent extents."""
+        return crop_hw(_run_chain(z, self.hyper_decoder()), h, w)
 
     # Hyper-latent prior: one Laplacian per hyper channel.
 
@@ -219,6 +236,9 @@ class AutoencoderWeights(CodecWeights):
 
     def hyper_encoder(self):
         return self.hyper_enc
+
+    def hyper_decoder(self):
+        return self.hyper_dec
 
     def extra_tensors(self):
         return [
@@ -391,13 +411,12 @@ def synthesize(latent: np.ndarray, rate: RateIndex, weights: AutoencoderWeights)
 
 def hyper_synthesis(z: Tensor, weights: AutoencoderWeights, latent_h: int, latent_w: int) -> tuple[Tensor, Tensor]:
     """Hyper decoder output split into latent means and clamped log scales."""
-    out = _run_chain(z, weights.hyper_dec)
-    out = crop_hw(out, latent_h, latent_w)
-    c = weights.latent_channels
-    data = out
-    mu = crop_channels(data, 0, c)
-    log_scale = clamp(crop_channels(data, c, 2 * c), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
-    return mu, log_scale
+    return laplace_params(weights.hyper_features(z, latent_h, latent_w), weights.latent_channels)
+
+
+def laplace_params(out: Tensor, c: int) -> tuple[Tensor, Tensor]:
+    """Split 2C channels into C Laplacian means and C clamped log scales."""
+    return crop_channels(out, 0, c), clamp(crop_channels(out, c, 2 * c), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
 
 
 def crop_channels(x: Tensor, start: int, stop: int) -> Tensor:
@@ -412,21 +431,18 @@ def crop_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _make_node(y, (x,), bwd)
 
 
-def i_entropy_params(latent_hat: np.ndarray, rate: RateIndex, weights: AutoencoderWeights):
+def i_entropy_params(latent_hat: np.ndarray, weights: AutoencoderWeights):
     """Hyper path for one quantized latent plane.
 
     Returns (mu, log_scale, z_hat, z_bits): the per-symbol Laplacian
     parameters predicted from the quantized hyper latent, the hyper latent
-    itself, and its cross entropy under the channel-wise prior.
+    itself as int32, and its cross entropy under the channel-wise prior.
     """
     latent_hat = np.asarray(latent_hat)
-    lt = Tensor(latent_hat[None].astype(np.float32))
-    z = _run_chain(lt, weights.hyper_enc)
-    z_hat = quantize_round(z)
-    zt = Tensor(z_hat[None].astype(np.float32))
+    zt = weights.hyper_latent(Tensor(latent_hat[None].astype(np.float32)))
     mu, log_scale = hyper_synthesis(zt, weights, latent_hat.shape[1], latent_hat.shape[2])
     z_bits = sum_all(weights.z_prior_nll(zt)).item()
-    return mu, log_scale, z_hat, z_bits
+    return mu, log_scale, zt.data[0].astype(np.int32), z_bits
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +461,7 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
         raise ShapeError(f"frame must be (3, H, W), got {frame.shape}")
     latent = analyze(Tensor(frame[None]), rate, weights)
     latent_hat = quantize_round(latent)
-    mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, rate, weights)
+    mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, weights)
     z_stream = weights.encode_z(z_hat)
     y_stream = coder.encode_plane(latent_hat, *coder.grid_index(mu.data[0], log_scale.data[0]))
     return FrameChunk(FRAME_I, z_stream, y_stream), latent_hat

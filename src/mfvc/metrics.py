@@ -49,7 +49,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
-def _gaussian_window() -> np.ndarray:
+def gaussian_window() -> np.ndarray:
     x = np.arange(_WINDOW_SIZE, dtype=np.float64) - (_WINDOW_SIZE - 1) / 2
     g = np.exp(-(x**2) / (2.0 * _WINDOW_SIGMA**2))
     g /= g.sum()
@@ -80,7 +80,7 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
 
 
 def _ms_ssim_single(a: np.ndarray, b: np.ndarray, scales: int) -> float:
-    window = _gaussian_window()
+    window = gaussian_window()
     weights = np.asarray(MSSSIM_WEIGHTS[:scales], dtype=np.float64)
     weights = weights / weights.sum()
     value = 1.0

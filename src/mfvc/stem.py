@@ -23,19 +23,15 @@ import numpy as np
 
 from . import coder
 from .container import FRAME_P, FrameChunk
-from .image import LEAKY_SLOPE, CodecWeights, _conv, _run_chain, crop_channels, read_weights, scaled_width
+from .image import LEAKY_SLOPE, CodecWeights, _conv, _run_chain, laplace_params, read_weights, scaled_width
 from .tensor import (
     ConvLayer,
     ShapeError,
     Tensor,
-    add_uniform_noise,
     causal_mask,
-    clamp,
     concat_channels,
-    crop_hw,
     laplace_nll_bits,
     masked_conv2d,
-    round_half_away,
     sum_all,
 )
 
@@ -81,6 +77,9 @@ class StemWeights(CodecWeights):
 
     def hyper_encoder(self):
         return self.phe
+
+    def hyper_decoder(self):
+        return self.phd
 
 
 def init_stem(latent_channels: int = 32, seed: int = 0) -> StemWeights:
@@ -174,13 +173,9 @@ def _as_batch(plane: np.ndarray) -> np.ndarray:
 
 def hyper_encode(latent: np.ndarray, prev_latent: np.ndarray, weights: StemWeights):
     """Quantized joint hyper latent and its prior cross entropy in bits."""
-    lt = Tensor(_as_batch(latent))
-    pv = Tensor(_as_batch(prev_latent))
-    z = _run_chain(concat_channels(lt, pv), weights.phe)
-    z_hat = round_half_away(z.data[0] if z.shape[0] == 1 else z.data)
-    zt = Tensor(_as_batch(z_hat))
-    z_bits = sum_all(weights.z_prior_nll(zt)).item()
-    return z_hat, z_bits
+    zt = weights.hyper_latent(concat_channels(Tensor(_as_batch(latent)), Tensor(_as_batch(prev_latent))))
+    z_hat = zt.data.astype(np.int32)
+    return (z_hat[0] if len(z_hat) == 1 else z_hat), sum_all(weights.z_prior_nll(zt)).item()
 
 
 def temporal_prior(prev_latent: np.ndarray, weights: StemWeights) -> Tensor:
@@ -223,11 +218,7 @@ def entropy_params(
         concat_channels(branch(phd_out, True), branch(spm_out, flags.use_spm)),
         branch(tpm_out, flags.use_tpm),
     )
-    out = _run_chain(fused, weights.epm)
-    c = weights.latent_channels
-    mu = crop_channels(out, 0, c)
-    log_scale = clamp(crop_channels(out, c, 2 * c), coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
-    return mu, log_scale
+    return laplace_params(_run_chain(fused, weights.epm), weights.latent_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +236,10 @@ def _rate_forward(latent, prev_latent, flags: StemFlags, weights: StemWeights,
         raise ShapeError(f"latent extents differ: {lt.shape} vs {pv.shape}")
     _, _, h, w = lt.shape
 
-    z = _run_chain(concat_channels(lt, pv), weights.phe)
-    if training:
-        z_tilde = add_uniform_noise(z, noise_seed)
-    else:
-        z_tilde = Tensor(round_half_away(z.data).astype(dtype), dtype=dtype)
+    z_tilde = weights.hyper_latent(concat_channels(lt, pv), noise_seed if training else None)
     z_nll = weights.z_prior_nll(z_tilde)
 
-    phd_out = crop_hw(_run_chain(z_tilde, weights.phd), h, w)
+    phd_out = weights.hyper_features(z_tilde, h, w)
     plane = lt - pv if flags.use_residual else lt
     spm_out = masked_conv2d(plane, weights.spm) if flags.use_spm else None
     tpm_out = _run_chain(pv, weights.tpm) if flags.use_tpm else None
@@ -341,7 +328,7 @@ class _PositionParams:
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
     """Hyper-decoder and temporal features, computed once per frame."""
     h, w = prev_latent.shape[1], prev_latent.shape[2]
-    phd = crop_hw(_run_chain(Tensor(_as_batch(z_hat)), weights.phd), h, w).data[0]
+    phd = weights.hyper_features(Tensor(_as_batch(z_hat)), h, w).data[0]
     tpm = temporal_prior(prev_latent, weights).data[0] if flags.use_tpm else None
     return phd, tpm
 

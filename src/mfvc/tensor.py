@@ -526,16 +526,16 @@ def quantize_round(x: Tensor) -> np.ndarray:
     The batch extent must be 1; rounding is symmetric around zero to match
     the signed distribution of residual latents.
     """
-    if not np.isfinite(x.data).all():
-        raise ValueError("quantize_round needs finite values")
     if x.shape[0] != 1:
         raise ShapeError(f"quantize_round expects batch extent 1, got {x.shape[0]}")
     return round_half_away(x.data[0])
 
 
 def round_half_away(values: np.ndarray) -> np.ndarray:
-    """Array version of the codec rounding rule."""
+    """Array version of the codec rounding rule; rejects non-finite values."""
     d = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(d).all():
+        raise ValueError("rounding needs finite values")
     return np.trunc(d + np.copysign(0.5, d)).astype(np.int32)
 
 

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import image as image_mod
-from .image import AutoencoderWeights, RateIndex, analyze, synthesis_transform
+from .image import AutoencoderWeights, CodecWeights, RateIndex, analyze, synthesis_transform
+from .metrics import MSSSIM_WEIGHTS, gaussian_window
 from .stem import StemFlags, StemWeights, init_stem, p_frame_rate
 from .tensor import (
     ConfigError,
@@ -39,12 +40,11 @@ from .tensor import (
     sub,
     sum_all,
 )
+from .video import frames_to_float
 
 # Full-scale schedule; desk-scale runs shrink the boundaries proportionally.
 FULL_SCALE_LR_VALUES = (1e-4, 5e-5, 1e-5, 5e-6, 1e-6)
 FULL_SCALE_LR_BOUNDARIES = (1_600_000, 2_100_000, 2_300_000, 2_400_000, 2_500_000)
-
-MSSSIM_WEIGHTS_5 = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
 @dataclass
@@ -144,19 +144,12 @@ def mse_distortion(a: Tensor, b: Tensor) -> Tensor:
     return mean_all(mul(d, d))
 
 
-def _gaussian_window(channels: int, dtype=np.float32) -> ConvLayer:
-    x = np.arange(11, dtype=np.float64) - 5.0
-    g = np.exp(-(x**2) / (2.0 * 1.5**2))
-    g /= g.sum()
-    win2d = np.outer(g, g)
-    kernel = np.zeros((channels, channels, 11, 11), dtype=dtype)
-    for c in range(channels):
-        kernel[c, c] = win2d
-    return ConvLayer(
-        kernel=Tensor(kernel, dtype=dtype),
-        bias=Tensor(np.zeros((1, channels, 1, 1), dtype=dtype), dtype=dtype),
-        stride=1,
-    )
+def _blur(channels: int) -> ConvLayer:
+    """Per-channel convolution with the metric's Gaussian window."""
+    window = gaussian_window()
+    kernel = np.zeros((channels, channels) + window.shape, dtype=np.float32)
+    kernel[range(channels), range(channels)] = window
+    return ConvLayer(kernel=Tensor(kernel), bias=Tensor(np.zeros((1, channels, 1, 1))), stride=1)
 
 
 def msssim_index(a: Tensor, b: Tensor, scales: int = 3) -> Tensor:
@@ -172,11 +165,11 @@ def msssim_index(a: Tensor, b: Tensor, scales: int = 3) -> Tensor:
         raise ConfigError(f"frames differ in shape: {a.shape} vs {b.shape}")
     if min(a.shape[2], a.shape[3]) < 2 ** (scales - 1) * 11:
         raise ConfigError(f"frames too small for {scales} scales; need at least {2 ** (scales - 1) * 11} pixels")
-    weights = np.asarray(MSSSIM_WEIGHTS_5[:scales])
+    weights = np.asarray(MSSSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
     c1 = 0.01**2
     c2 = 0.03**2
-    blur = _gaussian_window(a.shape[1])
+    blur = _blur(a.shape[1])
 
     total: Optional[Tensor] = None
     for s in range(scales):
@@ -225,8 +218,7 @@ def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
 
     y = analyze(x, rate, weights)
     y_tilde = add_uniform_noise(y, noise_seed)
-    z = image_mod._run_chain(y_tilde, weights.hyper_enc)
-    z_tilde = add_uniform_noise(z, noise_seed + 1)
+    z_tilde = weights.hyper_latent(y_tilde, noise_seed + 1)
     mu, log_scale = image_mod.hyper_synthesis(z_tilde, weights, y.shape[2], y.shape[3])
     y_bits = sum_all(laplace_nll_bits(y_tilde, mu, log_scale))
     z_bits = sum_all(weights.z_prior_nll(z_tilde))
@@ -273,17 +265,26 @@ class _TrainLog:
             csv.writer(fh).writerow([iteration, f"{lr:.8g}", f"{loss:.8g}", f"{rate:.8g}", f"{dist:.8g}"])
 
 
-def _as_frame_array(dataset) -> np.ndarray:
-    frames = np.asarray(dataset)
-    if frames.ndim == 3:
-        frames = frames[None]
-    if frames.ndim != 4 or frames.shape[1] != 3:
-        raise ConfigError(f"dataset must be (N, 3, H, W) frames, got shape {frames.shape}")
-    if frames.size == 0:
-        raise ConfigError("dataset is empty")
-    if frames.dtype == np.uint8:
-        frames = frames.astype(np.float32) / 255.0
-    return frames.astype(np.float32)
+def _optimize(weights: CodecWeights, cfg: TrainConfig, log_path, step) -> CodecWeights:
+    """The loop both stages share: Adam on every parameter of ``weights``
+    under the learning-rate schedule of ``cfg``, one log row per iteration.
+
+    ``step(rng, it)`` samples iteration ``it``'s batch from the seeded
+    ``rng``, back-propagates its loss and returns (loss, R, D) for the log.
+    """
+    weights.set_trainable(True)
+    params = weights.parameters()
+    state = init_optimizer(params)
+    rng = np.random.default_rng(cfg.seed)
+    log = _TrainLog(log_path)
+    for it in range(cfg.total_iters):
+        lr = lr_at(it, cfg)
+        zero_grads(params)
+        loss, rate, dist = step(rng, it)
+        adam_step(params, [p.grad for p in params], state, lr)
+        log.row(it, lr, loss, rate, dist)
+    weights.set_trainable(False)
+    return weights
 
 
 def _random_crop(rng, frame_hw, patch_h, patch_w):
@@ -297,9 +298,13 @@ def _random_crop(rng, frame_hw, patch_h, patch_w):
 
 def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWeights] = None,
                       log_path=None) -> AutoencoderWeights:
-    """Optimize the auto-encoder on random crops with a random rate index
-    per sample; returns the trained weights."""
-    frames = _as_frame_array(dataset)
+    """Optimize the auto-encoder on random crops of ``dataset`` ((N, 3, H, W)
+    frames or one (3, H, W) frame) with a random rate index per sample;
+    returns the trained weights."""
+    frames = np.asarray(dataset)
+    frames = frames_to_float(frames[None] if frames.ndim == 3 else frames)
+    if not len(frames):
+        raise ConfigError("dataset is empty")
     if weights is None:
         weights = image_mod.init_autoencoder(lambda_set=cfg.lambda_set, seed=cfg.seed)
     if tuple(weights.lambda_set) != tuple(cfg.lambda_set):
@@ -308,15 +313,7 @@ def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWe
     if cfg.patch_h % f or cfg.patch_w % f:
         raise ConfigError(f"patch extents must be divisible by the downsampling factor {f}")
 
-    weights.set_trainable(True)
-    params = weights.parameters()
-    state = init_optimizer(params)
-    rng = np.random.default_rng(cfg.seed)
-    log = _TrainLog(log_path)
-
-    for it in range(cfg.total_iters):
-        lr = lr_at(it, cfg)
-        zero_grads(params)
+    def step(rng, it):
         idx = rng.integers(0, len(frames), size=cfg.batch_size)
         lams = rng.integers(0, len(cfg.lambda_set), size=cfg.batch_size)
         crops = []
@@ -337,26 +334,9 @@ def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWe
             loss_val += share * loss.item()
             rate_val += share * rate.item()
             dist_val += share * dist.item()
+        return loss_val, rate_val, dist_val
 
-        adam_step(params, [p.grad for p in params], state, lr)
-        log.row(it, lr, loss_val, rate_val, dist_val)
-
-    weights.set_trainable(False)
-    return weights
-
-
-def _normalize_clips(dataset_pairs) -> list[np.ndarray]:
-    clips = []
-    for clip in dataset_pairs:
-        arr = np.asarray(clip)
-        if arr.ndim != 4 or arr.shape[1] != 3 or arr.shape[0] < 2:
-            raise ConfigError("each clip must be (n >= 2, 3, H, W)")
-        if arr.dtype == np.uint8:
-            arr = arr.astype(np.float32) / 255.0
-        clips.append(arr.astype(np.float32))
-    if not clips:
-        raise ConfigError("dataset is empty")
-    return clips
+    return _optimize(weights, cfg, log_path, step)
 
 
 def _frozen_latents(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights) -> np.ndarray:
@@ -369,11 +349,16 @@ def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConf
                log_path=None) -> StemWeights:
     """Optimize the spatiotemporal entropy model on frame pairs.
 
+    ``dataset_pairs`` holds clips of at least two (3, H, W) frames each.
     Each pair is (first frame of a clip, a random later frame), cropped at
     the same location; latents come from the frozen auto-encoder at one
     random rate index per batch, so a single model serves every rate.
     """
-    clips = _normalize_clips(dataset_pairs)
+    clips = [frames_to_float(clip) for clip in dataset_pairs]
+    if not clips:
+        raise ConfigError("dataset is empty")
+    if any(len(clip) < 2 for clip in clips):
+        raise ConfigError("each clip needs at least 2 frames")
     frozen_weights.set_trainable(False)
     if stem_weights is None:
         stem_weights = init_stem(latent_channels=frozen_weights.latent_channels, seed=cfg.seed)
@@ -381,15 +366,7 @@ def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConf
     if cfg.patch_h % f or cfg.patch_w % f:
         raise ConfigError(f"patch extents must be divisible by the downsampling factor {f}")
 
-    stem_weights.set_trainable(True)
-    params = stem_weights.parameters()
-    state = init_optimizer(params)
-    rng = np.random.default_rng(cfg.seed)
-    log = _TrainLog(log_path)
-
-    for it in range(cfg.total_iters):
-        lr = lr_at(it, cfg)
-        zero_grads(params)
+    def step(rng, it):
         lam_idx = int(rng.integers(0, len(cfg.lambda_set)))
         refs, curs = [], []
         for _ in range(cfg.batch_size):
@@ -406,8 +383,6 @@ def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConf
         loss = loss_p(latents, prev_latents, flags, stem_weights,
                       training=True, noise_seed=(cfg.seed << 20) ^ (it * 11))
         backward(loss)
-        adam_step(params, [p.grad for p in params], state, lr)
-        log.row(it, lr, loss.item(), loss.item(), 0.0)
+        return loss.item(), loss.item(), 0.0
 
-    stem_weights.set_trainable(False)
-    return stem_weights
+    return _optimize(stem_weights, cfg, log_path, step)

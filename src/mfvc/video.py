@@ -93,7 +93,8 @@ def pad_to_multiple(frame: np.ndarray, factor: int) -> np.ndarray:
     return np.pad(frame, ((0, 0), (0, ph), (0, pw)), mode="edge")
 
 
-def _frames_to_float(frames: np.ndarray) -> np.ndarray:
+def frames_to_float(frames: np.ndarray) -> np.ndarray:
+    """(n, 3, H, W) frames, uint8 or float in [0, 1], as float32 in [0, 1]."""
     frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[1] != 3:
         raise ShapeError(f"video must be (frames, 3, H, W), got {frames.shape}")
@@ -129,7 +130,7 @@ def compress_video(
     """
     if stem_weights.latent_channels != weights.latent_channels:
         raise ShapeError("auto-encoder and entropy-model latent channel counts differ")
-    fl = _frames_to_float(frames)
+    fl = frames_to_float(frames)
     n, _, height, width = fl.shape
     header = VideoHeader(
         width=width,
@@ -206,7 +207,6 @@ def decompress_video(
     stream: VideoBitstream,
     weights: AutoencoderWeights,
     stem_weights: StemWeights,
-    max_frames: Optional[int] = None,
     return_latents: bool = False,
 ):
     """Decode a bitstream to (n, 3, H, W) uint8 frames."""
@@ -215,8 +215,6 @@ def decompress_video(
     for frame, latent in iter_decompress_video(stream, weights, stem_weights):
         frames.append(frame)
         latents.append(latent)
-        if max_frames is not None and len(frames) >= max_frames:
-            break
     out = np.stack(frames) if frames else np.zeros((0, 3, stream.header.height, stream.header.width), np.uint8)
     return (out, latents) if return_latents else out
 
@@ -235,13 +233,12 @@ def _smooth_texture(rng: np.random.Generator, h: int, w: int, cell: int = 8) -> 
     return (up - lo) / max(hi - lo, 1e-9)
 
 
-def synth_sequence(kind: str, n_frames: int, h: int, w: int, seed: int,
-                   shift: int = 2, noise_sigma: float = 8.0) -> np.ndarray:
+def synth_sequence(kind: str, n_frames: int, h: int, w: int, seed: int, shift: int = 2) -> np.ndarray:
     """Deterministic synthetic uint8 sequences for desk-scale experiments.
 
     ``translate`` slides a window over a smooth texture by ``shift`` pixels
     per frame, ``zoom`` rescales around the center, and ``noise_static``
-    adds fresh i.i.d. noise to a fixed texture each frame.
+    adds fresh i.i.d. noise (sigma 8/255) to a fixed texture each frame.
     """
     if h < 1 or w < 1 or n_frames < 1:
         raise ValueError("sequence dimensions must be positive")
@@ -262,7 +259,7 @@ def synth_sequence(kind: str, n_frames: int, h: int, w: int, seed: int,
             frames[t] = big[:, iy[:, None], ix[None, :]]
     elif kind == "noise_static":
         base = _smooth_texture(rng, h, w)
-        frames = base[None] + rng.normal(0.0, noise_sigma / 255.0, size=(n_frames, 3, h, w))
+        frames = base[None] + rng.normal(0.0, 8.0 / 255.0, size=(n_frames, 3, h, w))
     else:
         raise ValueError(f"unknown sequence kind '{kind}'")
     return np.clip(np.rint(frames * 255.0), 0, 255).astype(np.uint8)

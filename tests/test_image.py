@@ -127,7 +127,7 @@ class TestHyperPath:
     def test_entropy_params_shapes(self, weights):
         rng = np.random.default_rng(6)
         latent = rng.integers(-5, 6, size=(8, 8, 8)).astype(np.int32)
-        mu, log_scale, z_hat, z_bits = i_entropy_params(latent, weights.rate(0), weights)
+        mu, log_scale, z_hat, z_bits = i_entropy_params(latent, weights)
         assert mu.shape == (1, 8, 8, 8)
         assert log_scale.shape == (1, 8, 8, 8)
         assert z_hat.shape == weights.hyper_extents(8, 8)
@@ -138,7 +138,7 @@ class TestHyperPath:
     def test_z_roundtrips_under_prior(self, weights):
         rng = np.random.default_rng(7)
         latent = rng.integers(-5, 6, size=(8, 8, 8)).astype(np.int32)
-        _, _, z_hat, z_bits = i_entropy_params(latent, weights.rate(0), weights)
+        _, _, z_hat, z_bits = i_entropy_params(latent, weights)
         stream = weights.encode_z(z_hat)
         np.testing.assert_array_equal(weights.decode_z(stream, 8, 8), z_hat)
         assert 8 * len(stream.data) <= 1.02 * z_bits + 128
@@ -150,7 +150,7 @@ class TestHyperPath:
             layer.bias.data[...] = 0.0
         w.hyper_dec[-1].bias.data[:, : w.latent_channels] = 0.75
         latent = np.random.default_rng(8).integers(-5, 6, size=(8, 8, 8)).astype(np.int32)
-        mu, log_scale, _, _ = i_entropy_params(latent, w.rate(0), w)
+        mu, log_scale, _, _ = i_entropy_params(latent, w)
         np.testing.assert_allclose(mu.data, 0.75, atol=1e-6)
         np.testing.assert_allclose(log_scale.data, 0.0, atol=1e-6)
 

@@ -196,6 +196,17 @@ class TestPFrameRoundtrip:
         with pytest.raises(ValueError, match="int32"):
             encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
 
+    def test_nonfinite_hyper_latent_rejected(self):
+        # A NaN hyper latent has no codable integer; rounding it must fail
+        # rather than code the int32 minimum.
+        w = init_stem(latent_channels=4, seed=1)
+        w.phe[-1].bias.data[0, 0] = np.nan
+        a, b = random_latents(np.random.default_rng(30))
+        with pytest.raises(ValueError, match="finite"):
+            hyper_encode(a, b, w)
+        with pytest.raises(ValueError, match="finite"):
+            encode_pframe(a, b, StemFlags(), w)
+
     def test_decoded_value_outside_int32_raises(self):
         # A fusion with zero weights predicts (0, 0) everywhere, so a stream
         # for it can be written symbol by symbol on that grid row.

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,8 @@ class TestRoundtrip:
         cfg = GopConfig(gop_size=3, rate=ae.rate(0))
         stream = compress_video(frames, ae, stem, cfg)
         full = decompress_video(stream, ae, stem)
-        partial = decompress_video(stream, ae, stem, max_frames=4)
-        np.testing.assert_array_equal(partial, full[:4])
+        partial = [frame for frame, _ in itertools.islice(iter_decompress_video(stream, ae, stem), 4)]
+        np.testing.assert_array_equal(np.stack(partial), full[:4])
 
     def test_all_flag_ablations_roundtrip(self, models):
         ae, stem = models

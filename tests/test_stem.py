@@ -4,6 +4,8 @@ import pytest
 from mfvc import coder
 from mfvc.stem import (
     StemFlags,
+    _frame_features,
+    _PositionParams,
     StemWeights,
     decode_pframe,
     encode_pframe,
@@ -158,6 +160,34 @@ class TestEntropyParams:
         b = Tensor(np.zeros((1, 8, 5, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
             entropy_params(a, b, b, StemFlags(), weights)
+
+
+class TestSerialFusion:
+    @pytest.mark.parametrize("use_spm", [True, False])
+    @pytest.mark.parametrize("use_tpm", [True, False])
+    def test_position_fusion_matches_graph_fusion(self, use_spm, use_tpm):
+        # The serial coder fuses one position at a time; over the complete
+        # plane its parameters must be those of the whole-plane fusion that
+        # the rate estimate uses.
+        flags = StemFlags(use_spm=use_spm, use_tpm=use_tpm)
+        w = init_stem(latent_channels=4, seed=7)
+        rng = np.random.default_rng(31)
+        a, b = random_latents(rng)
+        plane = residual_latent(a, b)
+        z_hat, _ = hyper_encode(a, b, w)
+        phd, tpm = _frame_features(z_hat, b, flags, w)
+        spm_out = spatial_prior(plane, w) if use_spm else None
+        tpm_out = Tensor(tpm[None]) if use_tpm else None
+        mu, log_scale = entropy_params(Tensor(phd[None]), spm_out, tpm_out, flags, w)
+
+        pos = _PositionParams(w, flags, phd, tpm)
+        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
+        for r in range(plane.shape[1]):
+            for col in range(plane.shape[2]):
+                mu_rc, ls_rc = pos.at(padded, r, col)
+                np.testing.assert_allclose(mu_rc, mu.data[0, :, r, col], rtol=0, atol=1e-5)
+                ls_rc = np.clip(ls_rc, coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
+                np.testing.assert_allclose(ls_rc, log_scale.data[0, :, r, col], rtol=0, atol=1e-5)
 
 
 class TestPFrameRoundtrip:

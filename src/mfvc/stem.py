@@ -189,34 +189,22 @@ def spatial_prior(residual_plane: np.ndarray, weights: StemWeights) -> Tensor:
 
 
 def entropy_params(
-    phd_out: Optional[Tensor],
+    phd_out: Tensor,
     spm_out: Optional[Tensor],
     tpm_out: Optional[Tensor],
-    flags: StemFlags,
     weights: StemWeights,
 ) -> tuple[Tensor, Tensor]:
     """Fuse the hyper, spatial and temporal features into per-symbol
     Laplacian parameters (mean, clamped log scale).
 
-    Disabled branches (or ``None`` inputs) are replaced by zero tensors of
-    the right shape, so one weight layout serves every ablation.
+    A disabled branch is passed as ``None`` and enters the fusion as zeros
+    shaped like the hyper features, so one weight layout serves every
+    ablation.
     """
-    ref = next(t for t in (phd_out, spm_out, tpm_out) if t is not None)
-    zeros = None
-
-    def branch(t: Optional[Tensor], enabled: bool) -> Tensor:
-        nonlocal zeros
-        if enabled and t is not None:
-            if t.shape[2:] != ref.shape[2:]:
-                raise ShapeError(f"fusion extents differ: {t.shape} vs {ref.shape}")
-            return t
-        if zeros is None:
-            zeros = Tensor(np.zeros((ref.shape[0], 2 * weights.latent_channels) + ref.shape[2:], dtype=np.float32))
-        return zeros
-
+    zeros = Tensor(np.zeros(phd_out.shape, dtype=np.float32))
     fused = concat_channels(
-        concat_channels(branch(phd_out, True), branch(spm_out, flags.use_spm)),
-        branch(tpm_out, flags.use_tpm),
+        concat_channels(phd_out, zeros if spm_out is None else spm_out),
+        zeros if tpm_out is None else tpm_out,
     )
     return laplace_params(_run_chain(fused, weights.epm), weights.latent_channels)
 
@@ -243,7 +231,7 @@ def _rate_forward(latent, prev_latent, flags: StemFlags, weights: StemWeights,
     plane = lt - pv if flags.use_residual else lt
     spm_out = masked_conv2d(plane, weights.spm) if flags.use_spm else None
     tpm_out = _run_chain(pv, weights.tpm) if flags.use_tpm else None
-    mu, log_scale = entropy_params(phd_out, spm_out, tpm_out, flags, weights)
+    mu, log_scale = entropy_params(phd_out, spm_out, tpm_out, weights)
     return laplace_nll_bits(plane, mu, log_scale), z_nll
 
 
@@ -286,17 +274,19 @@ class _PositionParams:
 
     Both sides must produce bit-identical Laplacian parameters, so the same
     matrix-vector code runs position by position during encoding and
-    decoding; the causal mask guarantees untransmitted positions contribute
-    exact zeros either way.
+    decoding. The fusion input ``[phd; spm; tpm]`` of every position is laid
+    out once per frame with zeros in the SPM slot; :meth:`at` fills that
+    slot from the causal context when the SPM is on, and the causal mask
+    guarantees untransmitted positions contribute exact zeros. Log-scales
+    come out unclamped: :func:`coder.grid_index` clamps them.
     """
 
-    def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: Optional[np.ndarray]):
+    def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
         c = weights.latent_channels
         self.c = c
-        self.flags = flags
-        self.phd = phd_feat
-        self.tpm = tpm_feat
-        self.pad = _SPM_KERNEL // 2
+        self.use_spm = flags.use_spm
+        fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat])
+        self.fused = np.ascontiguousarray(fused.transpose(1, 2, 0))  # (h, w, 6C)
         kd = weights.spm.kernel.data * weights.spm.mask
         self.spm_mat = np.ascontiguousarray(kd.reshape(2 * c, -1).T)  # (C*k*k, 2C)
         self.spm_bias = weights.spm.bias.data.reshape(-1)
@@ -304,55 +294,48 @@ class _PositionParams:
             (np.ascontiguousarray(l.kernel.data.reshape(l.out_channels, l.in_channels)), l.bias.data.reshape(-1))
             for l in weights.epm
         ]
-        self.zeros = np.zeros(2 * c, dtype=np.float32)
         self.slope = np.float32(LEAKY_SLOPE)
 
     def at(self, padded_plane: np.ndarray, r: int, col: int) -> tuple[np.ndarray, np.ndarray]:
-        k = _SPM_KERNEL
-        if self.flags.use_spm:
-            patch = padded_plane[:, r : r + k, col : col + k].reshape(-1)
-            spm_vec = patch @ self.spm_mat + self.spm_bias
-        else:
-            spm_vec = self.zeros
-        tpm_vec = self.tpm[:, r, col] if self.tpm is not None else self.zeros
-        x = np.concatenate([self.phd[:, r, col], spm_vec, tpm_vec])
+        x = self.fused[r, col]
+        if self.use_spm:
+            x = x.copy()
+            patch = padded_plane[:, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
+            x[2 * self.c : 4 * self.c] = patch.reshape(-1) @ self.spm_mat + self.spm_bias
         for i, (mat, bias) in enumerate(self.epm):
             if i:
                 x = np.where(x < 0, x * self.slope, x)
             x = mat @ x + bias
-        mu = x[: self.c]
-        log_scale = np.clip(x[self.c :], coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
-        return mu, log_scale
+        return x[: self.c], x[self.c :]
 
 
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
-    """Hyper-decoder and temporal features, computed once per frame."""
+    """Hyper-decoder and temporal features, computed once per frame; a
+    disabled TPM gives zeros."""
     h, w = prev_latent.shape[1], prev_latent.shape[2]
     phd = weights.hyper_features(Tensor(_as_batch(z_hat)), h, w).data[0]
-    tpm = temporal_prior(prev_latent, weights).data[0] if flags.use_tpm else None
+    tpm = temporal_prior(prev_latent, weights).data[0] if flags.use_tpm else np.zeros_like(phd)
     return phd, tpm
 
 
 def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
     """The serial loop shared by the P-frame encoder and decoder.
 
-    Positions are visited in spatial raster order. At each one the fusion
-    sees only the symbols already coded, then ``step(r, col, index,
-    offset)`` codes the position's channels against their table-grid rows
-    (lists of row indices and integer offsets) and returns their values as
-    int32, which join the causal context. Returns the coded plane.
+    Positions are visited in spatial raster order over one int32 plane with
+    a zero border, the context the causal 5x5 mask reads. At each position
+    the fusion sees only the symbols already coded, then ``step(r, col,
+    index, offset)`` codes the position's channels against their table-grid
+    rows (lists of row indices and integer offsets) and returns their values
+    as int32, which join the context. Returns the plane's interior.
     """
     c, h, w = shape
-    pad = pos.pad
-    plane = np.zeros(shape, dtype=np.int32)
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    pad = _SPM_KERNEL // 2
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int32)
     for r in range(h):
         for col in range(w):
             index, offset = coder.grid_index(*pos.at(padded, r, col))
-            values = step(r, col, index.tolist(), offset.tolist())
-            plane[:, r, col] = values
-            padded[:, r + pad, col + pad] = values
-    return plane
+            padded[:, r + pad, col + pad] = step(r, col, index.tolist(), offset.tolist())
+    return padded[:, pad : pad + h, pad : pad + w].copy()
 
 
 def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:

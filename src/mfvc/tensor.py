@@ -532,11 +532,15 @@ def quantize_round(x: Tensor) -> np.ndarray:
 
 
 def round_half_away(values: np.ndarray) -> np.ndarray:
-    """Array version of the codec rounding rule; rejects non-finite values."""
+    """Array version of the codec rounding rule; rejects non-finite values
+    and values that round outside int32."""
     d = np.asarray(values, dtype=np.float64)
     if not np.isfinite(d).all():
         raise ValueError("rounding needs finite values")
-    return np.trunc(d + np.copysign(0.5, d)).astype(np.int32)
+    d = np.trunc(d + np.copysign(0.5, d))
+    if d.size and (d.min() < -(1 << 31) or d.max() >= 1 << 31):
+        raise ValueError("rounded value outside int32")
+    return d.astype(np.int32)
 
 
 def add_uniform_noise(x: Tensor, rng_seed: int) -> Tensor:

@@ -355,6 +355,21 @@ class TestTableGrid:
     def test_grid_is_built_once(self):
         assert table_grid() is table_grid()
 
+    def test_rate_queries_share_one_read_only_grid(self, monkeypatch):
+        seen = []
+        real = coder._grid_array
+
+        def spy():
+            seen.append(real())
+            return seen[-1]
+
+        monkeypatch.setattr(coder, "_grid_array", spy)
+        for _ in range(2):
+            plane_cross_entropy(np.arange(-2, 2), 3, 0)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].dtype == np.int64 and not seen[0].flags.writeable
+        assert seen[0].tolist() == list(map(list, table_grid()))
+
     def test_index_sanitizes_inputs(self):
         mu = np.array([np.nan, np.inf, -np.inf, 1e6, -1e6, 1e300, -1e300, 0.0, 0.0, 0.0, 0.0])
         ls = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.nan, np.inf, -np.inf, 1e9])

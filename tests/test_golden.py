@@ -1,13 +1,16 @@
 """Golden pins: fixed-seed untrained weights on a fixed sequence must code
-to exactly these bytes, and a few fixed-seed training iterations must give
-exactly these weight files.
+to exactly these bytes, a few fixed-seed training iterations must give
+exactly these weight files, and the coder's table grid must hold exactly
+these frequencies.
 
 The sequence covers I-frames and P-frames (GOP 3 over a translating and a
 zooming clip) and every branch ablation of the entropy model. A refactor
 must leave these hashes unchanged; an intentional format change bumps the
 container version, updates the pins here and says so in CHANGES.md. The
 training pins cover both stages under both distortion measures; they hold
-at one and at two BLAS threads.
+at one and at two BLAS threads. The table grid is computed with libm
+``exp``/``expm1`` and is part of the bitstream format, so a libm that
+rounds differently shows up here before it breaks a stream.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mfvc.coder import table_grid
 from mfvc.image import init_autoencoder
 from mfvc.stem import StemFlags, init_stem
 from mfvc.trainer import TrainConfig, train_image_model, train_stem
@@ -82,3 +86,11 @@ def test_trained_weights_pinned(distortion):
     assert hashlib.sha256(ae.to_bytes()).hexdigest() == ae_hash
     stem = train_stem(synth_clips("translate", 2, 3, 48, 48, seed=4), ae, cfg, stem_weights=init_stem(8, seed=3))
     assert hashlib.sha256(stem.to_bytes()).hexdigest() == stem_hash
+
+
+GRID_SHA256 = "6c917f6a0e66839218e4f32cf87a7099418f90c9a2f760d2ddb1a8ae2cc6bedf"
+
+
+def test_table_grid_pinned():
+    grid = np.asarray(table_grid(), dtype="<i8")
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == GRID_SHA256

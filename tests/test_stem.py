@@ -138,7 +138,7 @@ class TestEntropyParams:
         for layer in w.epm:
             layer.bias.data[...] = 0.0
         zeros = Tensor(np.zeros((1, 8, 6, 6), dtype=np.float32))
-        mu, log_scale = entropy_params(zeros, zeros, zeros, StemFlags(), w)
+        mu, log_scale = entropy_params(zeros, zeros, zeros, w)
         np.testing.assert_array_equal(mu.data, 0.0)
         np.testing.assert_array_equal(log_scale.data, 0.0)  # scale b = e^0 = 1
 
@@ -149,8 +149,8 @@ class TestEntropyParams:
         phd = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         spm = spatial_prior(res, weights)
         tpm = temporal_prior(b, weights)
-        mu_on, ls_on = entropy_params(phd, spm, tpm, StemFlags(), weights)
-        mu_off, ls_off = entropy_params(phd, spm, tpm, StemFlags(use_spm=False), weights)
+        mu_on, ls_on = entropy_params(phd, spm, tpm, weights)
+        mu_off, ls_off = entropy_params(phd, None, tpm, weights)
         assert mu_on.shape == mu_off.shape == (1, 4, 8, 8)
         assert ls_on.shape == ls_off.shape
         assert not np.array_equal(mu_on.data, mu_off.data)
@@ -159,7 +159,7 @@ class TestEntropyParams:
         a = Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32))
         b = Tensor(np.zeros((1, 8, 5, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
-            entropy_params(a, b, b, StemFlags(), weights)
+            entropy_params(a, b, b, weights)
 
 
 class TestSerialFusion:
@@ -178,7 +178,7 @@ class TestSerialFusion:
         phd, tpm = _frame_features(z_hat, b, flags, w)
         spm_out = spatial_prior(plane, w) if use_spm else None
         tpm_out = Tensor(tpm[None]) if use_tpm else None
-        mu, log_scale = entropy_params(Tensor(phd[None]), spm_out, tpm_out, flags, w)
+        mu, log_scale = entropy_params(Tensor(phd[None]), spm_out, tpm_out, w)
 
         pos = _PositionParams(w, flags, phd, tpm)
         padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
@@ -235,6 +235,15 @@ class TestPFrameRoundtrip:
         with pytest.raises(ValueError, match="finite"):
             hyper_encode(a, b, w)
         with pytest.raises(ValueError, match="finite"):
+            encode_pframe(a, b, StemFlags(), w)
+
+    def test_hyper_latent_beyond_int32_rejected(self):
+        w = init_stem(latent_channels=4, seed=1)
+        w.phe[-1].bias.data[0, 0] = 1e10
+        a, b = random_latents(np.random.default_rng(30))
+        with pytest.raises(ValueError, match="int32"):
+            hyper_encode(a, b, w)
+        with pytest.raises(ValueError, match="int32"):
             encode_pframe(a, b, StemFlags(), w)
 
     def test_decoded_value_outside_int32_raises(self):

@@ -23,6 +23,7 @@ from mfvc.tensor import (
     mul,
     powp,
     quantize_round,
+    round_half_away,
     softplus,
     sub,
     sum_all,
@@ -260,6 +261,16 @@ class TestQuantize:
         bad = np.array([[[[np.inf]]]], dtype=np.float32)
         with pytest.raises(ValueError):
             quantize_round(Tensor(bad))
+
+    def test_int32_limits_kept(self):
+        edge = np.array([2**31 - 1.4, -(2**31) - 0.4])
+        np.testing.assert_array_equal(round_half_away(edge), [2**31 - 1, -(2**31)])
+
+    @pytest.mark.parametrize("value", [1e10, -3e9, 2.2e9, 2**31 - 0.5, -(2**31) - 0.5])
+    def test_beyond_int32_rejected(self, value):
+        # Finite but not representable: casting would wrap to the int32 minimum.
+        with pytest.raises(ValueError, match="int32"):
+            round_half_away(np.array([0.0, value]))
 
 
 class TestUniformNoise:

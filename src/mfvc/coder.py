@@ -291,17 +291,6 @@ _GRID_STEP = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
 
 
 @cache
-def _grid_array() -> np.ndarray:
-    """The :func:`table_grid` rows as one read-only int64 array, for
-    vectorized rate estimates."""
-    log_scales = np.repeat(LOG_SCALE_MIN + _GRID_STEP * np.arange(GRID_SCALES), GRID_MEANS)
-    means = np.tile(np.arange(GRID_MEANS) / GRID_MEANS - 0.5, GRID_SCALES)
-    cums = pmfs_from_rows(discretize_laplacian_rows(means, log_scales))
-    cums.flags.writeable = False
-    return cums
-
-
-@cache
 def table_grid() -> tuple[tuple[int, ...], ...]:
     """The cumulative tables every model is coded against, built on first use.
 
@@ -311,7 +300,18 @@ def table_grid() -> tuple[tuple[int, ...], ...]:
     over the default support. Rows are tuples of Python ints, which the
     per-symbol coder indexes and bisects fastest, and are read-only.
     """
-    return tuple(map(tuple, _grid_array().tolist()))
+    log_scales = np.repeat(LOG_SCALE_MIN + _GRID_STEP * np.arange(GRID_SCALES), GRID_MEANS)
+    means = np.tile(np.arange(GRID_MEANS) / GRID_MEANS - 0.5, GRID_SCALES)
+    return tuple(map(tuple, pmfs_from_rows(discretize_laplacian_rows(means, log_scales)).tolist()))
+
+
+@cache
+def _grid_array() -> np.ndarray:
+    """:func:`table_grid` as one read-only int64 array, built on the first
+    vectorized rate estimate."""
+    cums = np.asarray(table_grid(), dtype=np.int64)
+    cums.flags.writeable = False
+    return cums
 
 
 def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:

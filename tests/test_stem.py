@@ -4,9 +4,9 @@ import pytest
 from mfvc import coder
 from mfvc.stem import (
     StemFlags,
+    StemWeights,
     _frame_features,
     _PositionParams,
-    StemWeights,
     decode_pframe,
     encode_pframe,
     entropy_params,

@@ -20,6 +20,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -181,11 +182,19 @@ class DiscretePmf:
             raise ValueError("frequencies must sum to 2^16")
 
 
-def _sanitize(mu, log_scale):
-    mu = np.nan_to_num(np.asarray(mu, dtype=np.float64), nan=0.0, posinf=1e6, neginf=-1e6)
-    mu = np.clip(mu, -1e6, 1e6)
-    ls = np.nan_to_num(np.asarray(log_scale, dtype=np.float64), nan=0.0)
-    return mu, np.clip(ls, LOG_SCALE_MIN, LOG_SCALE_MAX)
+def _clamped(x, lo: float, hi: float) -> np.ndarray:
+    """A new float64 array: ``x`` clamped to [lo, hi], with NaN as 0."""
+    out = np.asarray(np.maximum(x, lo, dtype=np.float64))
+    np.minimum(out, hi, out=out)
+    np.copyto(out, 0.0, where=np.isnan(out))
+    return out
+
+
+def _sanitize(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
+    """The one input policy of the table build and :func:`grid_index`: new
+    float64 arrays with NaN as 0, means clamped to [-1e6, 1e6] (infinities
+    included) and log-scales to [LOG_SCALE_MIN, LOG_SCALE_MAX]."""
+    return _clamped(mu, -1e6, 1e6), _clamped(log_scale, LOG_SCALE_MIN, LOG_SCALE_MAX)
 
 
 def laplace_interval_probs(mu, log_scale, support_min: int, support_max: int):
@@ -317,17 +326,27 @@ def _grid_array() -> np.ndarray:
 def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
     """Grid row and integer offset per (mean, log-scale) pair.
 
-    The mean is rounded to the nearest multiple of 1/GRID_MEANS and split
-    into an integer offset and a fractional bin in [-1/2, 1/2); the
-    log-scale goes to the nearest grid level. Inputs are sanitized as for
-    the table build, so NaN and infinities give valid rows and finite
-    offsets. Both outputs are int64 with the broadcast shape of the inputs.
+    The mean is rounded to the nearest multiple of 1/GRID_MEANS (halves
+    round up) and split into an integer offset and a fractional bin in
+    [-1/2, 1/2); the log-scale goes to the nearest grid level (halves to
+    even). Inputs are sanitized as for the table build, so NaN and
+    infinities give valid rows and finite offsets. Both outputs are int64:
+    the row index has the broadcast shape of the inputs, the offset the
+    shape of the mean. The map is elementwise, so one call over a whole
+    plane gives the rows of one call per position.
     """
     mu, ls = _sanitize(mu, log_scale)
-    fine = np.floor(mu * GRID_MEANS + 0.5).astype(np.int64)
-    offset = (fine + GRID_MEANS // 2) // GRID_MEANS
-    level = np.rint((ls - LOG_SCALE_MIN) / _GRID_STEP).astype(np.int64)
-    return level * GRID_MEANS + fine - (offset * GRID_MEANS - GRID_MEANS // 2), offset
+    # Integer arithmetic in float64 is exact here: |fine| stays below 2^25.
+    fine = np.multiply(mu, GRID_MEANS, out=mu)
+    np.add(fine, 0.5, out=fine)
+    np.floor(fine, out=fine)
+    np.add(fine, GRID_MEANS // 2, out=fine)  # fine index shifted by half a unit
+    offset = np.floor(np.multiply(fine, 1.0 / GRID_MEANS))
+    level = np.subtract(ls, LOG_SCALE_MIN, out=ls)
+    np.divide(level, _GRID_STEP, out=level)
+    np.rint(level, out=level)
+    index = (level - offset) * GRID_MEANS + fine
+    return index.astype(np.int64), offset.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +363,24 @@ class CodedStream:
 
 
 _OVERFLOW_SLOT = DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 1
+
+
+# Every grid row leaves frequency >= 1 to each of its other 256 slots, so a
+# symbol narrows the coder's range by a factor of at most 1 - 2^-8.
+_MIN_SYMBOL_BITS = -math.log2(1.0 - _OVERFLOW_SLOT / TOTAL_FREQ)
+
+
+def check_capacity(stream: CodedStream, shape) -> None:
+    """Raise :class:`CorruptStreamError` if ``stream`` is too short to hold
+    a plane of ``shape``, before anything is sized from ``shape``.
+
+    No symbol costs less than -log2(1 - 2^-8), about 0.00565 bits (an
+    escape costs more), and the coder's 4-byte head and tail leave at least
+    16 bits of slack, so every stream the encoder writes passes.
+    """
+    count = math.prod(shape)
+    if count * _MIN_SYMBOL_BITS > 8 * len(stream.data):
+        raise CorruptStreamError(f"a {len(stream.data)}-byte stream cannot hold {count} symbols")
 
 
 def _encode_overflow(enc: RangeEncoder, value: int) -> int:
@@ -418,6 +455,15 @@ def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray
     if values.size and (values.min() < _INT32_MIN or values.max() > _INT32_MAX):
         raise error("symbol outside int32")
     return values.astype(np.int32)
+
+
+def check_int32(values: list[int]) -> list[int]:
+    """A non-empty list of decoded values, unchanged; one outside int32
+    raises :class:`CorruptStreamError`. The list form of :func:`to_int32`,
+    cheaper for the few values of one position."""
+    if min(values) < _INT32_MIN or max(values) > _INT32_MAX:
+        raise CorruptStreamError("symbol outside int32")
+    return values
 
 
 def _broadcast(shape, index, offset) -> tuple[np.ndarray, np.ndarray]:

@@ -273,12 +273,15 @@ class _PositionParams:
     """Per-position fusion shared by the encoder and the serial decoder.
 
     Both sides must produce bit-identical Laplacian parameters, so the same
-    matrix-vector code runs position by position during encoding and
-    decoding. The fusion input ``[phd; spm; tpm]`` of every position is laid
-    out once per frame with zeros in the SPM slot; :meth:`at` fills that
-    slot from the causal context when the SPM is on, and the causal mask
-    guarantees untransmitted positions contribute exact zeros. Log-scales
-    come out unclamped: :func:`coder.grid_index` clamps them.
+    float32 matrix-vector code runs position by position, in the same order
+    and on the same context, during encoding and decoding; a batched pass
+    over the plane would sum in another order. The fusion input ``[phd;
+    spm; tpm]`` of every position is laid out once per frame with zeros in
+    the SPM slot; :meth:`at` fills that slot from the causal context when
+    the SPM is on, and the causal mask guarantees untransmitted positions
+    contribute exact zeros. :meth:`at` returns the position's C means then
+    C log-scales, unclamped: :func:`coder.grid_index` clamps them, once per
+    frame in the encoder and once per position in the decoder.
     """
 
     def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
@@ -296,7 +299,7 @@ class _PositionParams:
         ]
         self.slope = np.float32(LEAKY_SLOPE)
 
-    def at(self, padded_plane: np.ndarray, r: int, col: int) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, padded_plane: np.ndarray, r: int, col: int) -> np.ndarray:
         x = self.fused[r, col]
         if self.use_spm:
             x = x.copy()
@@ -304,9 +307,9 @@ class _PositionParams:
             x[2 * self.c : 4 * self.c] = patch.reshape(-1) @ self.spm_mat + self.spm_bias
         for i, (mat, bias) in enumerate(self.epm):
             if i:
-                x = np.where(x < 0, x * self.slope, x)
+                x = np.maximum(x, x * self.slope)  # leaky ReLU, slope in (0, 1)
             x = mat @ x + bias
-        return x[: self.c], x[self.c :]
+        return x
 
 
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
@@ -323,18 +326,17 @@ def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
 
     Positions are visited in spatial raster order over one int32 plane with
     a zero border, the context the causal 5x5 mask reads. At each position
-    the fusion sees only the symbols already coded, then ``step(r, col,
-    index, offset)`` codes the position's channels against their table-grid
-    rows (lists of row indices and integer offsets) and returns their values
-    as int32, which join the context. Returns the plane's interior.
+    the fusion sees only the symbols already coded; ``step(r, col, params)``
+    gets its (2C,) output, means then log-scales, and returns the
+    position's C values, which join the context. Returns the plane's
+    interior.
     """
     c, h, w = shape
     pad = _SPM_KERNEL // 2
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int32)
     for r in range(h):
         for col in range(w):
-            index, offset = coder.grid_index(*pos.at(padded, r, col))
-            padded[:, r + pad, col + pad] = step(r, col, index.tolist(), offset.tolist())
+            padded[:, r + pad, col + pad] = step(r, col, pos.at(padded, r, col))
     return padded[:, pad : pad + h, pad : pad + w].copy()
 
 
@@ -344,7 +346,9 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     The coded plane is the integer residual (or the latent itself when
     ``use_residual`` is off); its symbols go out position by position in
     spatial raster order, all channels of a position together, so the
-    serial decoder can rebuild the causal context as it goes.
+    serial decoder can rebuild the causal context as it goes. The encoder
+    knows every symbol, so it walks the positions only to fuse their
+    parameters, then maps the whole frame to grid rows in one call.
     """
     latent = coder.to_int32(latent, ValueError)
     prev_latent = coder.to_int32(prev_latent, ValueError)
@@ -354,14 +358,18 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     plane = residual_latent(latent, prev_latent) if flags.use_residual else latent
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
+    c, h, w = plane.shape
+    params = np.empty((h, w, 2 * c), dtype=np.float32)
+
+    def fuse_step(r, col, x):
+        params[r, col] = x
+        return plane[:, r, col]
+
+    _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, fuse_step)
+    index, offset = coder.grid_index(params[..., :c], params[..., c:])
     enc = coder.RangeEncoder()
-
-    def encode_step(r, col, index, offset):
-        values = plane[:, r, col]
-        coder.encode_symbols(enc, values.tolist(), index, offset)
-        return values
-
-    _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, encode_step)
+    values = plane.transpose(1, 2, 0).reshape(-1)  # position-major, as the decoder reads
+    coder.encode_symbols(enc, values.tolist(), index.reshape(-1).tolist(), offset.reshape(-1).tolist())
     return FrameChunk(FRAME_P, weights.encode_z(z_hat), coder.CodedStream(enc.finish()))
 
 
@@ -376,10 +384,12 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
     z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
+    c = prev_latent.shape[0]
     dec = coder.RangeDecoder(chunk.y_stream.data)
 
-    def decode_step(r, col, index, offset):
-        return coder.to_int32(coder.decode_symbols(dec, index, offset))
+    def decode_step(r, col, x):
+        index, offset = coder.grid_index(x[:c], x[c:])
+        return coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
 
     plane = _walk_positions(_PositionParams(weights, flags, phd, tpm), prev_latent.shape, decode_step)
     return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane

@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .coder import check_capacity
 from .container import (
     FRAME_I,
     FRAME_P,
@@ -169,7 +170,8 @@ def iter_decompress_video(
     """Yield (uint8 frame, latent plane) pairs in display order.
 
     Raises :class:`DigestMismatchError` before yielding anything if the
-    weights do not match the stream; a corrupted chunk only stops the
+    weights do not match the stream; a corrupted chunk, or one too short
+    for the symbols the header's geometry promises, only stops the
     iteration at its own frame index.
     """
     header = stream.header
@@ -189,6 +191,9 @@ def iter_decompress_video(
     prev_latent: Optional[np.ndarray] = None
     for t, chunk in enumerate(stream.chunks):
         try:
+            hyper = weights if chunk.frame_type == FRAME_I else stem_weights
+            check_capacity(chunk.z_stream, hyper.hyper_extents(lat_h, lat_w))
+            check_capacity(chunk.y_stream, latent_shape)
             if chunk.frame_type == FRAME_I:
                 frame_t, latent = decompress_iframe(chunk, rate, weights, latent_shape)
             else:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,17 @@ def row_of(freq) -> list[int]:
 
 def grid_row(mu: float, ls: float) -> list[int]:
     return table_grid()[int(grid_index(mu, ls)[0])]
+
+
+def reference_grid_index(mu: float, ls: float) -> tuple[int, int]:
+    """:func:`grid_index` of one pair in Python floats (IEEE doubles)."""
+    mu = 0.0 if math.isnan(mu) else min(max(mu, -1e6), 1e6)
+    ls = 0.0 if math.isnan(ls) else min(max(ls, LOG_SCALE_MIN), LOG_SCALE_MAX)
+    fine = math.floor(mu * GRID_MEANS + 0.5)
+    offset = (fine + GRID_MEANS // 2) // GRID_MEANS
+    step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+    level = round((ls - LOG_SCALE_MIN) / step)  # halves to even
+    return level * GRID_MEANS + fine - offset * GRID_MEANS + GRID_MEANS // 2, offset
 
 
 class TestDiscretization:
@@ -379,6 +392,40 @@ class TestTableGrid:
         assert (np.abs(offset) <= 10**6).all()
         np.testing.assert_array_equal(offset[:7], [0, 10**6, -(10**6), 10**6, -(10**6), 10**6, -(10**6)])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_index_is_elementwise(self, dtype):
+        # The P-frame encoder maps a whole frame in one call and the decoder
+        # one position at a time, so both must give the same rows; each
+        # must also be the scalar rule, on every edge case.
+        step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+        level_ties = [LOG_SCALE_MIN + (k + 0.5) * step for k in range(GRID_SCALES - 1)]
+        mean_ties = [k / (2 * GRID_MEANS) for k in range(-41, 42, 2)]
+        edges = [np.nan, np.inf, -np.inf, 1e6 + 0.5, -1e6 - 0.5, 1e6 - 1 / 32, -1e6 + 1 / 32, 1e30, -1e30,
+                 LOG_SCALE_MIN - 0.5, LOG_SCALE_MAX + 0.5, LOG_SCALE_MIN, LOG_SCALE_MAX, 0.0, -0.0]
+        rng = np.random.default_rng(40)
+        h, w, c = 6, 7, 8
+        n = h * w * c
+        mu = np.concatenate([mean_ties, edges, level_ties, rng.uniform(-300, 300, n)])[:n]
+        ls = np.concatenate([level_ties, edges, mean_ties, rng.uniform(-8, 8, n)])[:n]
+        mu = rng.permutation(mu).astype(dtype).reshape(h, w, c)
+        ls = ls.astype(dtype).reshape(h, w, c)
+
+        index, offset = grid_index(mu, ls)
+        assert index.shape == offset.shape == (h, w, c)
+        assert index.dtype == offset.dtype == np.int64
+        for r in range(h):
+            for col in range(w):
+                row_index, row_offset = grid_index(mu[r, col], ls[r, col])
+                np.testing.assert_array_equal(row_index, index[r, col])
+                np.testing.assert_array_equal(row_offset, offset[r, col])
+        expected = [reference_grid_index(float(m), float(v)) for m, v in zip(mu.reshape(-1), ls.reshape(-1))]
+        assert list(zip(index.reshape(-1).tolist(), offset.reshape(-1).tolist())) == expected
+
+    def test_offset_has_the_mean_shape(self):
+        index, offset = grid_index(np.full((3, 1, 1), 2.2), np.zeros((3, 4, 5)))
+        assert index.shape == (3, 4, 5) and offset.shape == (3, 1, 1)
+        np.testing.assert_array_equal(offset, 2)
+
     @given(st.floats(-1e4, 1e4), st.floats(LOG_SCALE_MIN, LOG_SCALE_MAX))
     @settings(max_examples=200, deadline=None)
     def test_row_is_the_nearest_grid_point(self, mu, ls):
@@ -415,6 +462,25 @@ class TestTableGrid:
             encode_plane(np.zeros(3, dtype=np.int64), len(table_grid()), 0)
         with pytest.raises(ValueError, match="row indices"):
             decode_plane(CodedStream(bytes(8)), (3,), -1, 0)
+
+
+class TestCapacity:
+    def test_sharpest_row_streams_fit_the_bound(self):
+        # The most probable symbol of the narrowest row is the cheapest one
+        # the coder can write; its streams come closest to the bound.
+        index, offset = grid_index(0.0, LOG_SCALE_MIN)
+        for n in (0, 1, 1000, 20000):
+            stream = encode_plane(np.zeros(n, dtype=np.int64), index, offset)
+            coder.check_capacity(stream, (n,))
+            assert n * coder._MIN_SYMBOL_BITS <= 8 * len(stream.data) - 16
+
+    def test_too_many_symbols_rejected(self):
+        stream = CodedStream(bytes(10))
+        coder.check_capacity(stream, (math.floor(80 / coder._MIN_SYMBOL_BITS),))
+        with pytest.raises(CorruptStreamError, match="10-byte stream cannot hold"):
+            coder.check_capacity(stream, (math.floor(80 / coder._MIN_SYMBOL_BITS) + 1,))
+        with pytest.raises(CorruptStreamError):
+            coder.check_capacity(stream, (16, 2**27, 2**27))
 
 
 class TestInt32Range:

@@ -184,7 +184,8 @@ class TestSerialFusion:
         padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
         for r in range(plane.shape[1]):
             for col in range(plane.shape[2]):
-                mu_rc, ls_rc = pos.at(padded, r, col)
+                fused = pos.at(padded, r, col)
+                mu_rc, ls_rc = fused[:4], fused[4:]
                 np.testing.assert_allclose(mu_rc, mu.data[0, :, r, col], rtol=0, atol=1e-5)
                 ls_rc = np.clip(ls_rc, coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
                 np.testing.assert_allclose(ls_rc, log_scale.data[0, :, r, col], rtol=0, atol=1e-5)
@@ -294,6 +295,55 @@ class TestPFrameRoundtrip:
         chunk = encode_pframe(a, a, StemFlags(), weights)
         direct = encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
         assert len(chunk.y_stream.data) <= len(direct.y_stream.data)
+
+
+class TestRowAgreement:
+    @pytest.mark.parametrize(
+        "flags", [StemFlags(), StemFlags(use_spm=False), StemFlags(use_tpm=False), StemFlags(use_residual=False)]
+    )
+    def test_encoder_and_decoder_code_the_same_rows(self, weights, flags, monkeypatch):
+        # The encoder maps the whole frame to grid rows at once and the
+        # decoder one position at a time; the symbols that reach the coder
+        # (the calls the traced benchmark counts) must pair the same row
+        # with the same value, in the same order. The hyper latent's plane
+        # coding is left out.
+        a, b = random_latents(np.random.default_rng(18))
+        a[2, 3, 4] = b[2, 3, 4] + 1000  # beyond the support: an escape
+        row_ids = {id(row): i for i, row in enumerate(coder.table_grid())}
+        coded = {"encode": [], "decode": []}
+        in_plane = []
+        real = {name: getattr(coder, name) for name in ("encode_symbol", "decode_symbol", "encode_plane", "decode_plane")}
+
+        def encode_symbol(enc, value, row):
+            if not in_plane:
+                coded["encode"].append((row_ids[id(row)], value))
+            return real["encode_symbol"](enc, value, row)
+
+        def decode_symbol(dec, row):
+            value = real["decode_symbol"](dec, row)
+            if not in_plane:
+                coded["decode"].append((row_ids[id(row)], value))
+            return value
+
+        def plane_coder(name):
+            def wrapped(*args):
+                in_plane.append(name)
+                try:
+                    return real[name](*args)
+                finally:
+                    in_plane.pop()
+            return wrapped
+
+        monkeypatch.setattr(coder, "encode_symbol", encode_symbol)
+        monkeypatch.setattr(coder, "decode_symbol", decode_symbol)
+        monkeypatch.setattr(coder, "encode_plane", plane_coder("encode_plane"))
+        monkeypatch.setattr(coder, "decode_plane", plane_coder("decode_plane"))
+        chunk = encode_pframe(a, b, flags, weights)
+        np.testing.assert_array_equal(decode_pframe(chunk, b, flags, weights), a)
+
+        assert len(coded["encode"]) == a.size
+        assert coded["encode"] == coded["decode"]
+        assert any(not coder.DEFAULT_SUPPORT_MIN <= v <= coder.DEFAULT_SUPPORT_MAX for _, v in coded["encode"])
 
 
 class TestRateEstimate:

@@ -336,11 +336,12 @@ def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
     plane gives the rows of one call per position.
     """
     mu, ls = _sanitize(mu, log_scale)
-    # Integer arithmetic in float64 is exact here: |fine| stays below 2^25.
+    # Integer arithmetic in float64 is exact here: |fine| stays below 2^25
+    # and GRID_MEANS is a power of two.
     fine = np.multiply(mu, GRID_MEANS, out=mu)
     np.add(fine, 0.5, out=fine)
     np.floor(fine, out=fine)
-    np.add(fine, GRID_MEANS // 2, out=fine)  # fine index shifted by half a unit
+    np.add(fine, GRID_MEANS // 2, out=fine)  # + 1/2 in mean units, so the offset is a floor
     offset = np.floor(np.multiply(fine, 1.0 / GRID_MEANS))
     level = np.subtract(ls, LOG_SCALE_MIN, out=ls)
     np.divide(level, _GRID_STEP, out=level)

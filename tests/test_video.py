@@ -169,15 +169,18 @@ class TestErrors:
         for t in range(3):
             np.testing.assert_array_equal(got[t], clean[t])
 
-    def test_absurd_geometry_rejected_before_allocating(self, models):
-        # A header claiming 2^31 x 2^31 pixels promises more symbols than
-        # the chunks' streams can hold; sizing the decoder's arrays from it
-        # would ask for hundreds of PiB.
+    @pytest.mark.parametrize("side", [512, 2**31])
+    def test_absurd_geometry_rejected_before_allocating(self, models, side):
+        # A header claiming more pixels than the 16x16 frames coded promises
+        # more symbols than the chunks' streams can hold. At 2^31 x 2^31,
+        # sizing the decoder's arrays from it would ask for hundreds of PiB;
+        # at 512 x 512 the hyper stream still fits and the latent stream
+        # does not.
         ae, stem = models
         blob = bytearray(compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
-        blob[5:13] = (2**31).to_bytes(4, "little") * 2  # width, height
+        blob[5:13] = side.to_bytes(4, "little") * 2  # width, height
         stream = VideoBitstream.from_bytes(bytes(blob))
-        assert stream.header.width == stream.header.height == 2**31
+        assert stream.header.width == stream.header.height == side
         with pytest.raises(ContainerError, match="frame 0: .* cannot hold"):
             decompress_video(stream, ae, stem)
 

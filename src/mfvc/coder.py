@@ -14,6 +14,20 @@ and an integer offset (the rounded mean); the symbol minus its offset is
 coded against that row. The grid constants are part of the bitstream
 format.
 
+Every symbol goes through one call of the module-global
+:func:`encode_symbol` or :func:`decode_symbol`. Tools that count symbols
+wrap those two functions from outside; on a 2-vCPU machine the call costs
+about 2 ms per 65,536 symbols, against 40-75 ms for coding them. Inside,
+each narrows the interval on the coder's state itself, and renormalizes
+only while the narrowed range is below 2^24: adding a range of at least
+2^24 to ``low`` changes a bit at or above bit 24, so the loop would exit
+without a byte. The encoder runs a copy of :meth:`RangeEncoder._normalize`
+on locals, which made whole I-frame encodes about 5% faster than calling
+it; the decoder calls :meth:`RangeDecoder._normalize`, where a copy showed
+no end-to-end gain. Escapes take the methods: the overflow slot goes
+through :meth:`RangeEncoder.encode`, its magnitude and side through
+:meth:`RangeEncoder.encode_bit`/:meth:`RangeDecoder.decode_bit`.
+
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
 """
@@ -101,25 +115,16 @@ class RangeDecoder:
     """Mirror of :class:`RangeEncoder` over an immutable byte buffer."""
 
     def __init__(self, data: bytes):
+        if len(data) < 4:
+            raise CorruptStreamError("stream exhausted before all symbols were decoded")
         self._data = data
-        self._pos = 0
+        self._pos = 4
         self._low = 0
         self._range = _MASK
-        self._r = 1
-        code = 0
-        for _ in range(4):
-            code = (code << 8) | self._read_byte()
-        self._code = code
-
-    def _read_byte(self) -> int:
-        if self._pos >= len(self._data):
-            raise CorruptStreamError("stream exhausted before all symbols were decoded")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
+        self._code = int.from_bytes(data[:4], "big")
 
     def _normalize(self):
-        low, rng, code = self._low, self._range, self._code
+        low, rng, code, pos, data = self._low, self._range, self._code, self._pos, self._data
         while True:
             if (low ^ (low + rng)) < _TOP:
                 pass
@@ -127,29 +132,25 @@ class RangeDecoder:
                 rng = (-low) & (_BOT - 1)
             else:
                 break
-            code = ((code << 8) | self._read_byte()) & _MASK
+            if pos >= len(data):
+                raise CorruptStreamError("stream exhausted before all symbols were decoded")
+            code = ((code << 8) | data[pos]) & _MASK
+            pos += 1
             low = (low << 8) & _MASK
             rng = (rng << 8) & _MASK
-        self._low, self._range, self._code = low, rng, code
-
-    def decode_cum(self, total: int = TOTAL_FREQ) -> int:
-        """Cumulative-frequency position of the next symbol; follow with consume()."""
-        self._r = self._range // total
-        cum = (self._code - self._low) // self._r
-        return cum if cum < total else total - 1
-
-    def consume(self, cum_lo: int, cum_hi: int, total: int = TOTAL_FREQ) -> None:
-        r = self._r
-        self._low += r * cum_lo
-        if cum_hi < total:
-            self._range = r * (cum_hi - cum_lo)
-        else:
-            self._range -= r * cum_lo
-        self._normalize()
+        self._low, self._range, self._code, self._pos = low, rng, code, pos
 
     def decode_bit(self) -> int:
-        bit = 1 if self.decode_cum(2) >= 1 else 0
-        self.consume(bit, bit + 1, 2)
+        """Inverse of :meth:`RangeEncoder.encode_bit`."""
+        r = self._range >> 1
+        if self._code - self._low >= r:
+            self._low += r
+            self._range -= r
+            bit = 1
+        else:
+            self._range = r
+            bit = 0
+        self._normalize()
         return bit
 
 
@@ -417,9 +418,27 @@ def encode_symbol(enc: RangeEncoder, value: int, row) -> int:
     """Code one symbol against a cumulative row over the default support (a
     :func:`table_grid` row); returns the bypass bit count spent on an
     overflow escape (0 otherwise)."""
-    if DEFAULT_SUPPORT_MIN <= value <= DEFAULT_SUPPORT_MAX:
-        k = value - DEFAULT_SUPPORT_MIN
-        enc.encode(row[k], row[k + 1])
+    k = value - DEFAULT_SUPPORT_MIN
+    if 0 <= k < _OVERFLOW_SLOT:
+        # RangeEncoder.encode and _normalize for an interval that ends
+        # below TOTAL_FREQ, on locals.
+        r = enc._range >> 16
+        lo = row[k]
+        low = enc._low + r * lo
+        rng = r * (row[k + 1] - lo)
+        if rng < _TOP:
+            buf = enc._buf
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    pass
+                elif rng < _BOT:
+                    rng = (-low) & (_BOT - 1)
+                else:
+                    break
+                buf.append((low >> 24) & 0xFF)
+                low = (low << 8) & _MASK
+                rng = (rng << 8) & _MASK
+        enc._low, enc._range = low, rng
         return 0
     enc.encode(row[_OVERFLOW_SLOT], TOTAL_FREQ)
     return _encode_overflow(enc, value)
@@ -427,11 +446,24 @@ def encode_symbol(enc: RangeEncoder, value: int, row) -> int:
 
 def decode_symbol(dec: RangeDecoder, row) -> int:
     """Inverse of :func:`encode_symbol` for the same row."""
-    k = bisect_right(row, dec.decode_cum()) - 1
-    dec.consume(row[k], row[k + 1])
-    if k == _OVERFLOW_SLOT:
-        return _decode_overflow(dec)
-    return DEFAULT_SUPPORT_MIN + k
+    rng, low = dec._range, dec._low
+    r = rng >> 16
+    # Bisecting only the 257 slot starts maps every position from the
+    # overflow slot's start on, 2^16 and past it included, to that slot; a
+    # negative position gives slot -1.
+    k = bisect_right(row, (dec._code - low) // r, 0, _OVERFLOW_SLOT + 1) - 1
+    if k < 0:
+        raise CorruptStreamError("code below the coder's interval")
+    lo = row[k]
+    dec._low = low + r * lo
+    if k < _OVERFLOW_SLOT:
+        dec._range = rng = r * (row[k + 1] - lo)
+        if rng < _TOP:
+            dec._normalize()
+        return DEFAULT_SUPPORT_MIN + k
+    dec._range = rng - r * lo  # the last interval absorbs the division slack
+    dec._normalize()
+    return _decode_overflow(dec)
 
 
 def encode_symbols(enc: RangeEncoder, values, index, offset) -> None:

@@ -190,6 +190,16 @@ def read_weights(path, cls: type[CodecWeights], what: str) -> tuple[dict[str, np
     return named, arch.reshape(-1).astype(int)
 
 
+def check_arch(named: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise :class:`~mfvc.serialize.WeightsFormatError` unless each tensor
+    in ``shapes`` is in the file with that shape. Loaders call it with the
+    shapes ``meta.arch`` implies before building a model from ``meta.arch``,
+    so what they allocate is bounded by the tensors the file holds."""
+    for name, shape in shapes.items():
+        if name not in named or named[name].shape != shape:
+            raise serialize.WeightsFormatError(f"meta.arch does not match tensor '{name}'")
+
+
 @dataclass
 class AutoencoderWeights(CodecWeights):
     KIND = 1
@@ -340,11 +350,17 @@ def load_autoencoder(path) -> AutoencoderWeights:
     lambda_set = named.get("meta.lambda_set")
     if lambda_set is None:
         raise serialize.WeightsFormatError("missing tensor 'meta.lambda_set'")
+    c, f, hc = (int(v) for v in arch[:3])
+    # A factor that is not a power of two is refused by init_autoencoder
+    # before it allocates anything; a valid one sets the analysis depth.
+    steps = f.bit_length() - 1 if f > 1 and f & (f - 1) == 0 else 0
+    shapes = {f"analysis.{i}.kernel": (c, c if i else 3, 5, 5) for i in range(steps)}
+    check_arch(named, {**shapes, "hyper_enc.0.kernel": (hc, c, 3, 3), "hyper_enc.1.kernel": (hc, hc, 5, 5)})
     w = init_autoencoder(
-        latent_channels=int(arch[0]),
-        downsample_factor=int(arch[1]),
+        latent_channels=c,
+        downsample_factor=f,
         lambda_set=tuple(float(v) for v in lambda_set.reshape(-1)),
-        hyper_channels=int(arch[2]),
+        hyper_channels=hc,
         seed=0,
     )
     w.load_named(named)

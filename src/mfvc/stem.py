@@ -23,7 +23,7 @@ import numpy as np
 
 from . import coder
 from .container import FRAME_P, FrameChunk
-from .image import LEAKY_SLOPE, CodecWeights, _conv, _run_chain, laplace_params, read_weights, scaled_width
+from .image import LEAKY_SLOPE, CodecWeights, _conv, _run_chain, check_arch, laplace_params, read_weights, scaled_width
 from .tensor import (
     ConvLayer,
     ShapeError,
@@ -126,7 +126,11 @@ def init_stem(latent_channels: int = 32, seed: int = 0) -> StemWeights:
 
 def load_stem(path) -> StemWeights:
     named, arch = read_weights(path, StemWeights, "a spatiotemporal-model")
-    w = init_stem(latent_channels=int(arch[0]), seed=0)
+    c = int(arch[0])
+    # Every width init_stem uses is proportional to c, so this tensor of
+    # about c^2 values bounds the size of the model it builds.
+    check_arch(named, {"phe.0.kernel": (scaled_width(_PHE_WIDTH, c), 2 * c, 3, 3)})
+    w = init_stem(latent_channels=c, seed=0)
     w.load_named(named)
     return w
 

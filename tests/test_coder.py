@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -36,17 +37,132 @@ from mfvc.coder import (
 INT32_MAX = 2**31 - 1
 
 
-def spy_encode_symbol(monkeypatch) -> list[int]:
-    """Record the return value (bypass bits) of every coder.encode_symbol call."""
+def spy_coder(monkeypatch, name: str = "encode_symbol") -> list[int]:
+    """Record the return value of every call of the module-global
+    ``coder.<name>``: the bypass bits of ``encode_symbol``, the value of
+    ``decode_symbol``."""
     returns = []
-    real = coder.encode_symbol
+    real = getattr(coder, name)
 
     def spy(*args):
         returns.append(real(*args))
         return returns[-1]
 
-    monkeypatch.setattr(coder, "encode_symbol", spy)
+    monkeypatch.setattr(coder, name, spy)
     return returns
+
+
+class ReferenceEncoder:
+    """The range encoder as a chain of methods, one narrowing and one
+    normalization per call: the reference that the per-symbol step of
+    :func:`coder.encode_symbol` must match byte for byte. It counts the
+    renormalizations that take the carry-less branch."""
+
+    def __init__(self):
+        self.buf = bytearray()
+        self.low = 0
+        self.range = 0xFFFFFFFF
+        self.carryless = 0
+
+    def normalize(self):
+        while True:
+            if (self.low ^ (self.low + self.range)) < 1 << 24:
+                pass
+            elif self.range < 1 << 16:
+                self.range = (-self.low) & 0xFFFF
+                self.carryless += 1
+            else:
+                break
+            self.buf.append((self.low >> 24) & 0xFF)
+            self.low = (self.low << 8) & 0xFFFFFFFF
+            self.range = (self.range << 8) & 0xFFFFFFFF
+
+    def encode(self, cum_lo, cum_hi, total=TOTAL_FREQ):
+        r = self.range // total
+        self.low += r * cum_lo
+        if cum_hi < total:
+            self.range = r * (cum_hi - cum_lo)
+        else:
+            self.range -= r * cum_lo
+        self.normalize()
+
+    def encode_bit(self, bit):
+        self.encode(bit, bit + 1, 2)
+
+    def finish(self):
+        for _ in range(4):
+            self.buf.append((self.low >> 24) & 0xFF)
+            self.low = (self.low << 8) & 0xFFFFFFFF
+        return bytes(self.buf)
+
+
+class ReferenceDecoder:
+    """Mirror of :class:`ReferenceEncoder`."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+        self.low = 0
+        self.range = 0xFFFFFFFF
+        self.r = 1
+        self.code = 0
+        for _ in range(4):
+            self.code = (self.code << 8) | self.read_byte()
+
+    def read_byte(self):
+        if self.pos >= len(self.data):
+            raise CorruptStreamError("stream exhausted")
+        self.pos += 1
+        return self.data[self.pos - 1]
+
+    def normalize(self):
+        while True:
+            if (self.low ^ (self.low + self.range)) < 1 << 24:
+                pass
+            elif self.range < 1 << 16:
+                self.range = (-self.low) & 0xFFFF
+            else:
+                break
+            self.code = ((self.code << 8) | self.read_byte()) & 0xFFFFFFFF
+            self.low = (self.low << 8) & 0xFFFFFFFF
+            self.range = (self.range << 8) & 0xFFFFFFFF
+
+    def decode_cum(self, total=TOTAL_FREQ):
+        self.r = self.range // total
+        return min((self.code - self.low) // self.r, total - 1)
+
+    def consume(self, cum_lo, cum_hi, total=TOTAL_FREQ):
+        self.low += self.r * cum_lo
+        if cum_hi < total:
+            self.range = self.r * (cum_hi - cum_lo)
+        else:
+            self.range -= self.r * cum_lo
+        self.normalize()
+
+    def decode_bit(self):
+        bit = 1 if self.decode_cum(2) >= 1 else 0
+        self.consume(bit, bit + 1, 2)
+        return bit
+
+
+# The escape helpers only drive encode_bit/decode_bit, so the references
+# share them with the coder.
+def reference_encode_symbol(enc: ReferenceEncoder, value: int, row) -> None:
+    slot = coder._OVERFLOW_SLOT
+    if DEFAULT_SUPPORT_MIN <= value <= DEFAULT_SUPPORT_MAX:
+        k = value - DEFAULT_SUPPORT_MIN
+        enc.encode(row[k], row[k + 1])
+    else:
+        enc.encode(row[slot], TOTAL_FREQ)
+        coder._encode_overflow(enc, value)
+
+
+def reference_decode_symbol(dec: ReferenceDecoder, row) -> int:
+    k = bisect.bisect_right(row, dec.decode_cum()) - 1
+    dec.consume(row[k], row[k + 1])
+    if k == coder._OVERFLOW_SLOT:
+        return coder._decode_overflow(dec)
+    return DEFAULT_SUPPORT_MIN + k
 
 
 def row_of(freq) -> list[int]:
@@ -146,7 +262,7 @@ class TestRoundtrip:
 
     def test_empty_plane(self, monkeypatch):
         index, offset = grid_index(0.0, 0.0)
-        coded = spy_encode_symbol(monkeypatch)
+        coded = spy_coder(monkeypatch)
         stream = encode_plane(np.zeros((0,), dtype=np.int32), index, offset)
         assert coded == []
         out = decode_plane(stream, (0,), index, offset)
@@ -155,11 +271,25 @@ class TestRoundtrip:
     def test_far_overflow_survives(self, monkeypatch):
         index, offset = grid_index(0.0, 1.0)
         plane = np.array([10000, -9999, 0, 129], dtype=np.int64)
-        coded = spy_encode_symbol(monkeypatch)
+        coded = spy_coder(monkeypatch)
         stream = encode_plane(plane, index, offset)
         assert len(coded) == 4 and sum(coded) > 0
         out = decode_plane(stream, (4,), index, offset)
         np.testing.assert_array_equal(out, plane)
+
+    def test_one_module_global_call_per_symbol(self, monkeypatch):
+        # The traced benchmark counts symbols by wrapping these two
+        # functions; an escape must not add a call.
+        rng = np.random.default_rng(15)
+        plane = rng.integers(-300, 300, size=(3, 5, 7), dtype=np.int32)
+        index, offset = grid_index(rng.uniform(-3, 3, (3, 1, 1)), rng.uniform(-2, 2, (3, 1, 1)))
+        coded = spy_coder(monkeypatch, "encode_symbol")
+        decoded = spy_coder(monkeypatch, "decode_symbol")
+        stream = encode_plane(plane, index, offset)
+        out = decode_plane(stream, plane.shape, index, offset)
+        np.testing.assert_array_equal(out, plane)
+        assert len(coded) == len(decoded) == 105
+        assert sum(coded) > 0
 
     def test_plane_shape_restored(self):
         rng = np.random.default_rng(7)
@@ -241,6 +371,65 @@ class TestRoundtrip:
         stream = CodedStream(enc.finish())
         with pytest.raises(CorruptStreamError):
             decode_plane(stream, (1,), index, offset)
+
+
+class TestReferenceCoder:
+    def test_bytes_and_values_match_the_method_chain(self):
+        rng = np.random.default_rng(16)
+        grid = table_grid()
+        n = 20000
+        rows = rng.integers(0, len(grid), n)
+        rows[::50] = 0  # the sharpest row
+        values = rng.integers(DEFAULT_SUPPORT_MIN, DEFAULT_SUPPORT_MAX + 1, n)
+        small = rng.random(n) < 0.5
+        values[small] = np.rint(rng.laplace(0, 2, small.sum()))
+        edges = [DEFAULT_SUPPORT_MIN, DEFAULT_SUPPORT_MAX, DEFAULT_SUPPORT_MIN - 1, DEFAULT_SUPPORT_MAX + 1,
+                 -1000, 1000, -INT32_MAX - 1, INT32_MAX]
+        at = rng.choice(n, 40 * len(edges), replace=False)
+        values[at] = np.resize(edges, at.size)
+        values, rows = values.tolist(), rows.tolist()
+
+        ref = ReferenceEncoder()
+        enc = RangeEncoder()
+        for v, i in zip(values, rows):
+            reference_encode_symbol(ref, v, grid[i])
+            encode_symbol(enc, v, grid[i])
+        data = enc.finish()
+        assert data == ref.finish()
+        assert ref.carryless > 0
+
+        ref_dec = ReferenceDecoder(data)
+        dec = RangeDecoder(data)
+        assert [reference_decode_symbol(ref_dec, grid[i]) for i in rows] == values
+        assert [decode_symbol(dec, grid[i]) for i in rows] == values
+
+
+class TestDamagedStreams:
+    def test_random_streams_decode_or_raise(self, monkeypatch):
+        # Random bytes put the code register anywhere, below the coder's
+        # interval too; such a position must raise, not decode slot -1.
+        seen = []
+        real = coder.decode_symbol
+
+        def spy(dec, row):
+            cum = (dec._code - dec._low) // (dec._range >> 16)
+            value = real(dec, row)
+            seen.append((cum, dec._range))
+            return value
+
+        monkeypatch.setattr(coder, "decode_symbol", spy)
+        rng = np.random.default_rng(17)
+        shape = (4, 32, 32)
+        for _ in range(200):
+            stream = CodedStream(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
+            index, offset = grid_index(rng.uniform(-20, 20, shape), rng.uniform(-6, 6, shape))
+            try:
+                decode_plane(stream, shape, index, offset)
+            except CorruptStreamError:
+                pass
+        assert len(seen) > 10000
+        assert min(cum for cum, _ in seen) >= 0
+        assert min(rng_after for _, rng_after in seen) > 0
 
 
 class TestRates:

@@ -21,12 +21,10 @@ about 2 ms per 65,536 symbols, against 40-75 ms for coding them. Inside,
 each narrows the interval on the coder's state itself, and renormalizes
 only while the narrowed range is below 2^24: adding a range of at least
 2^24 to ``low`` changes a bit at or above bit 24, so the loop would exit
-without a byte. The encoder runs a copy of :meth:`RangeEncoder._normalize`
-on locals, which made whole I-frame encodes about 5% faster than calling
-it; the decoder calls :meth:`RangeDecoder._normalize`, where a copy showed
-no end-to-end gain. Escapes take the methods: the overflow slot goes
-through :meth:`RangeEncoder.encode`, its magnitude and side through
-:meth:`RangeEncoder.encode_bit`/:meth:`RangeDecoder.decode_bit`.
+without a byte. Below it, both call the coder's own ``_normalize``, the
+one renormalization loop per direction. Escapes take the methods: the
+overflow slot goes through :meth:`RangeEncoder.encode`, its magnitude and
+side through :meth:`RangeEncoder.encode_bit`/:meth:`RangeDecoder.decode_bit`.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -420,25 +418,13 @@ def encode_symbol(enc: RangeEncoder, value: int, row) -> int:
     overflow escape (0 otherwise)."""
     k = value - DEFAULT_SUPPORT_MIN
     if 0 <= k < _OVERFLOW_SLOT:
-        # RangeEncoder.encode and _normalize for an interval that ends
-        # below TOTAL_FREQ, on locals.
+        # RangeEncoder.encode for an interval that ends below TOTAL_FREQ.
         r = enc._range >> 16
         lo = row[k]
-        low = enc._low + r * lo
-        rng = r * (row[k + 1] - lo)
+        enc._low += r * lo
+        enc._range = rng = r * (row[k + 1] - lo)
         if rng < _TOP:
-            buf = enc._buf
-            while True:
-                if (low ^ (low + rng)) < _TOP:
-                    pass
-                elif rng < _BOT:
-                    rng = (-low) & (_BOT - 1)
-                else:
-                    break
-                buf.append((low >> 24) & 0xFF)
-                low = (low << 8) & _MASK
-                rng = (rng << 8) & _MASK
-        enc._low, enc._range = low, rng
+            enc._normalize()
         return 0
     enc.encode(row[_OVERFLOW_SLOT], TOTAL_FREQ)
     return _encode_overflow(enc, value)

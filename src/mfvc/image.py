@@ -351,11 +351,7 @@ def load_autoencoder(path) -> AutoencoderWeights:
     if lambda_set is None:
         raise serialize.WeightsFormatError("missing tensor 'meta.lambda_set'")
     c, f, hc = (int(v) for v in arch[:3])
-    # A factor that is not a power of two is refused by init_autoencoder
-    # before it allocates anything; a valid one sets the analysis depth.
-    steps = f.bit_length() - 1 if f > 1 and f & (f - 1) == 0 else 0
-    shapes = {f"analysis.{i}.kernel": (c, c if i else 3, 5, 5) for i in range(steps)}
-    check_arch(named, {**shapes, "hyper_enc.0.kernel": (hc, c, 3, 3), "hyper_enc.1.kernel": (hc, hc, 5, 5)})
+    check_arch(named, {"hyper_enc.0.kernel": (hc, c, 3, 3)})
     w = init_autoencoder(
         latent_channels=c,
         downsample_factor=f,

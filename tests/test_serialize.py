@@ -74,12 +74,12 @@ class TestLoaderChecksMeta:
         with pytest.raises(ConfigError, match="downsampling factor"):
             load_autoencoder(self.save(tmp_path, named))
 
-    @pytest.mark.parametrize("slot, value", [(0, 2**31), (1, 2**20), (2, 2**31)])
-    def test_autoencoder_arch_checked_before_allocating(self, tmp_path, slot, value):
+    @pytest.mark.parametrize("slot", [0, 2])
+    def test_autoencoder_arch_checked_before_allocating(self, tmp_path, slot):
         # 2^31 latent channels would size a 1.17 TiB model before any
         # tensor shape was compared.
         named = init_autoencoder(4, 4, (8.0,), seed=0).to_named()
-        named["meta.arch"][0, slot] = float(value)
+        named["meta.arch"][0, slot] = float(2**31)
         with pytest.raises(WeightsFormatError, match="meta.arch does not match"):
             load_autoencoder(self.save(tmp_path, named))
 

@@ -79,8 +79,6 @@ def _parse_value(name: str, text: str, kind):
         return _BOOL_WORDS[word]
     if kind is int:
         return int(text)
-    if kind is float:
-        return float(text)
     if kind is tuple:
         return number_tuple(text)
     return text.strip()

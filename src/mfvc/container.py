@@ -1,8 +1,9 @@
 """On-disk bitstream container: a fixed header followed by per-frame chunks.
 
 All integers are little-endian. Each chunk carries its own lengths, so a
-corrupted chunk never damages the frames before it and a truncated file
-still yields every complete leading chunk.
+corrupted chunk payload never damages the frames before it. A file must
+end right after the header's count of chunks: one cut short, or one with
+bytes after its last chunk, fails to parse.
 """
 
 from __future__ import annotations

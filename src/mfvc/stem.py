@@ -41,6 +41,7 @@ _PHD_WIDTH = 256
 _TPM_WIDTHS = (426, 533)
 _EPM_WIDTHS = (1600, 1280)
 _SPM_KERNEL = 5
+_PAD = _SPM_KERNEL // 2  # zero border of the context the causal mask reads
 
 
 @dataclass(frozen=True)
@@ -277,15 +278,17 @@ class _PositionParams:
     """Per-position fusion shared by the encoder and the serial decoder.
 
     Both sides must produce bit-identical Laplacian parameters, so the same
-    float32 matrix-vector code runs position by position, in the same order
-    and on the same context, during encoding and decoding; a batched pass
-    over the plane would sum in another order. The fusion input ``[phd;
-    spm; tpm]`` of every position is laid out once per frame with zeros in
-    the SPM slot; :meth:`at` fills that slot from the causal context when
-    the SPM is on, and the causal mask guarantees untransmitted positions
-    contribute exact zeros. :meth:`at` returns the position's C means then
-    C log-scales, unclamped: :func:`coder.grid_index` clamps them, once per
-    frame in the encoder and once per position in the decoder.
+    float32 matrix-vector code runs at every position in both; a batched
+    pass over the plane would sum in another order. The fusion input
+    ``[phd; spm; tpm]`` of every position is laid out once per frame with
+    zeros in the SPM slot; :meth:`at` fills that slot from the
+    zero-bordered plane when the SPM is on. ``spm_mat`` is ``kernel *
+    mask``, so every tap at or after the position multiplies a finite
+    int32-valued float32 by +-0 and adds an exact zero: the encoder's full
+    plane and the decoder's partly decoded one give parameters that differ
+    at most in the sign of a zero, which :func:`coder.grid_index` maps to
+    the same row. :meth:`at` returns the position's C means then C
+    log-scales, unclamped; ``grid_index`` clamps them.
     """
 
     def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
@@ -325,25 +328,6 @@ def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags
     return phd, tpm
 
 
-def _walk_positions(pos: _PositionParams, shape, step) -> np.ndarray:
-    """The serial loop shared by the P-frame encoder and decoder.
-
-    Positions are visited in spatial raster order over one int32 plane with
-    a zero border, the context the causal 5x5 mask reads. At each position
-    the fusion sees only the symbols already coded; ``step(r, col, params)``
-    gets its (2C,) output, means then log-scales, and returns the
-    position's C values, which join the context. Returns the plane's
-    interior.
-    """
-    c, h, w = shape
-    pad = _SPM_KERNEL // 2
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int32)
-    for r in range(h):
-        for col in range(w):
-            padded[:, r + pad, col + pad] = step(r, col, pos.at(padded, r, col))
-    return padded[:, pad : pad + h, pad : pad + w].copy()
-
-
 def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:
     """Code one P-frame latent against the buffered previous latent.
 
@@ -351,8 +335,9 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     ``use_residual`` is off); its symbols go out position by position in
     spatial raster order, all channels of a position together, so the
     serial decoder can rebuild the causal context as it goes. The encoder
-    knows every symbol, so it walks the positions only to fuse their
-    parameters, then maps the whole frame to grid rows in one call.
+    knows every symbol, so it fuses every position's parameters from the
+    whole plane in one pass and maps the frame to grid rows in one call;
+    the serial walk is the decoder's.
     """
     latent = coder.to_int32(latent, ValueError)
     prev_latent = coder.to_int32(prev_latent, ValueError)
@@ -363,13 +348,9 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
     c, h, w = plane.shape
-    params = np.empty((h, w, 2 * c), dtype=np.float32)
-
-    def fuse_step(r, col, x):
-        params[r, col] = x
-        return plane[:, r, col]
-
-    _walk_positions(_PositionParams(weights, flags, phd, tpm), plane.shape, fuse_step)
+    pos = _PositionParams(weights, flags, phd, tpm)
+    padded = np.pad(plane, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)))
+    params = np.array([[pos.at(padded, r, col) for col in range(w)] for r in range(h)], np.float32).reshape(h, w, 2 * c)
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
     enc = coder.RangeEncoder()
     values = plane.transpose(1, 2, 0).reshape(-1)  # position-major, as the decoder reads
@@ -381,19 +362,23 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
     """Exact inverse of :func:`encode_pframe` for the same weights, flags
     and previous latent.
 
-    A mismatched previous latent is not detected; it yields garbage from
-    the first diverging position onward.
+    The module's one serial loop: positions are decoded in raster order
+    into a zero-bordered int32 context, so each position's fusion reads
+    only the symbols already decoded. A mismatched previous latent is not
+    detected; it yields garbage from the first diverging position onward.
     """
     prev_latent = np.asarray(prev_latent, dtype=np.int32)
     z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
-    c = prev_latent.shape[0]
+    c, h, w = prev_latent.shape
+    pos = _PositionParams(weights, flags, phd, tpm)
     dec = coder.RangeDecoder(chunk.y_stream.data)
-
-    def decode_step(r, col, x):
-        index, offset = coder.grid_index(x[:c], x[c:])
-        return coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
-
-    plane = _walk_positions(_PositionParams(weights, flags, phd, tpm), prev_latent.shape, decode_step)
-    return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane
+    padded = np.zeros((c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
+    plane = padded[:, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the context
+    for r in range(h):
+        for col in range(w):
+            x = pos.at(padded, r, col)
+            index, offset = coder.grid_index(x[:c], x[c:])
+            plane[:, r, col] = coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
+    return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane.copy()

@@ -33,7 +33,7 @@ from .container import (
 from .image import AutoencoderWeights, RateIndex, analyze, compress_iframe, decompress_iframe, synthesize
 from .serialize import weights_digest
 from .stem import StemFlags, StemWeights, decode_pframe, encode_pframe
-from .tensor import ShapeError, Tensor, quantize_round
+from .tensor import ConfigError, ShapeError, Tensor, quantize_round
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class VideoBitstream:
             except ContainerError as exc:
                 raise ContainerError(f"frame {i}: {exc}") from exc
             chunks.append(chunk)
+        if offset != len(data):
+            raise ContainerError(f"{len(data) - offset} trailing bytes after frame {header.frame_count - 1}")
         return cls(header, chunks)
 
     @property
@@ -181,7 +183,10 @@ def iter_decompress_video(
         )
     if header.latent_channels != weights.latent_channels or header.downsample_factor != weights.downsample_factor:
         raise DigestMismatchError("stream geometry does not match the weights")
-    rate = weights.rate(header.rate_index)
+    try:
+        rate = weights.rate(header.rate_index)
+    except ConfigError as exc:  # a stream that does not fit the weights, not a usage error
+        raise DigestMismatchError(str(exc)) from exc
     flags = StemFlags(*unpack_flags(header.flags))
     f = header.downsample_factor
     lat_h = -(-header.height // f)
@@ -308,7 +313,6 @@ def evaluate_video(
                 "ms_ssim": metrics.ms_ssim(original[t], decoded[t], scales=_max_scales(stream.header)),
             }
         )
-    assert stream.total_bits == 8 * HEADER_SIZE + sum(r["bits"] for r in rows)
     return rows
 
 

@@ -182,6 +182,24 @@ class TestCommands:
         assert code == 1
         assert "digest" in capsys.readouterr().err
 
+    def test_decompress_rate_index_outside_lambda_set_exits_1(self, trained_models, tmp_path, capsys):
+        # A stream error, not a usage error: the flags are fine, the header
+        # names a rate the weights do not have.
+        ae, stem = trained_models
+        raw = tmp_path / "in.rgb"
+        write_raw_video(raw, synth_sequence("translate", 2, 16, 16, seed=5))
+        bitstream = tmp_path / "out.mfvc"
+        assert run(["compress", "--input", str(raw), "--width", "16", "--height", "16",
+                    "--frames", "2", "--weights", str(ae), "--stem-weights", str(stem),
+                    "--output", str(bitstream)]) == 0
+        blob = bytearray(bitstream.read_bytes())
+        blob[18] = 9  # rate index; the weights' lambda set has two entries
+        bitstream.write_bytes(bytes(blob))
+        code = run(["decompress", "--input", str(bitstream), "--weights", str(ae),
+                    "--stem-weights", str(stem), "--output", str(tmp_path / "x.rgb")])
+        assert code == 1
+        assert "rate index 9" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, trained_models, tmp_path, capsys):
         ae, stem = trained_models
         code = run(["decompress", "--input", str(tmp_path / "nope.mfvc"),

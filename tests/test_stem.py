@@ -297,18 +297,28 @@ class TestPFrameRoundtrip:
         assert len(chunk.y_stream.data) <= len(direct.y_stream.data)
 
 
+ROW_FLAGS = [StemFlags(), StemFlags(use_spm=False), StemFlags(use_tpm=False), StemFlags(use_residual=False)]
+
+
 class TestRowAgreement:
     @pytest.mark.parametrize(
-        "flags", [StemFlags(), StemFlags(use_spm=False), StemFlags(use_tpm=False), StemFlags(use_residual=False)]
+        "flags, outliers",
+        [pytest.param(f, False, id=f"flags{i}") for i, f in enumerate(ROW_FLAGS)]
+        + [pytest.param(f, True, id=f"flags{i}-outliers") for i, f in enumerate(ROW_FLAGS)],
     )
-    def test_encoder_and_decoder_code_the_same_rows(self, weights, flags, monkeypatch):
-        # The encoder maps the whole frame to grid rows at once and the
-        # decoder one position at a time; the symbols that reach the coder
-        # (the calls the traced benchmark counts) must pair the same row
-        # with the same value, in the same order. The hyper latent's plane
-        # coding is left out.
+    def test_encoder_and_decoder_code_the_same_rows(self, weights, flags, outliers, monkeypatch):
+        # The encoder fuses every position from the whole known plane and
+        # the decoder from the symbols decoded so far; the symbols that
+        # reach the coder (the calls the traced benchmark counts) must pair
+        # the same row with the same value, in the same order. The hyper
+        # latent's plane coding is left out.
         a, b = random_latents(np.random.default_rng(18))
         a[2, 3, 4] = b[2, 3, 4] + 1000  # beyond the support: an escape
+        if outliers:
+            # Symbols of +-20,000 under the masked taps of the positions
+            # before them must still add exact zeros there.
+            a[0, ::3, 1::3] = b[0, ::3, 1::3] + 20000
+            a[3, 1::3, ::3] = b[3, 1::3, ::3] - 20000
         row_ids = {id(row): i for i, row in enumerate(coder.table_grid())}
         coded = {"encode": [], "decode": []}
         in_plane = []

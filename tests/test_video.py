@@ -146,6 +146,30 @@ class TestErrors:
         with pytest.raises(ContainerError, match="frame"):
             VideoBitstream.from_bytes(blob[: len(blob) - 5])
 
+    def test_trailing_bytes_rejected(self, models):
+        ae, stem = models
+        blob = compress_video(small_video(3), ae, stem, GopConfig(gop_size=3, rate=ae.rate(0))).to_bytes()
+        with pytest.raises(ContainerError, match="7 trailing bytes after frame 2"):
+            VideoBitstream.from_bytes(blob + b"garbage")
+
+    def test_lowered_frame_count_rejected(self, models):
+        # With the header's count cut from 3 to 2, the third chunk is left
+        # over after the second.
+        ae, stem = models
+        blob = bytearray(compress_video(small_video(3), ae, stem, GopConfig(gop_size=3, rate=ae.rate(0))).to_bytes())
+        assert int.from_bytes(blob[13:17], "little") == 3
+        blob[13:17] = (2).to_bytes(4, "little")
+        with pytest.raises(ContainerError, match="trailing bytes after frame 1"):
+            VideoBitstream.from_bytes(bytes(blob))
+
+    def test_rate_index_outside_lambda_set_rejected(self, models):
+        ae, stem = models
+        blob = bytearray(compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(1))).to_bytes())
+        assert blob[18] == 1
+        blob[18] = 9
+        with pytest.raises(DigestMismatchError, match="rate index 9"):
+            decompress_video(VideoBitstream.from_bytes(bytes(blob)), ae, stem)
+
     def test_corrupt_chunk_leaves_leading_frames_intact(self, models):
         ae, stem = models
         frames = small_video(5)

@@ -138,6 +138,13 @@ class RangeDecoder:
             rng = (rng << 8) & _MASK
         self._low, self._range, self._code, self._pos = low, rng, code, pos
 
+    def finish(self) -> None:
+        """Raise :class:`CorruptStreamError` unless the symbols decoded read
+        the whole stream: 4 bytes plus one per renormalization, the bytes
+        the encoder wrote."""
+        if self._pos != len(self._data):
+            raise CorruptStreamError(f"bytes left after the last symbol: {len(self._data) - self._pos}")
+
     def decode_bit(self) -> int:
         """Inverse of :meth:`RangeEncoder.encode_bit`."""
         r = self._range >> 1
@@ -510,9 +517,13 @@ def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
 
 def decode_plane(stream: CodedStream, shape, index, offset) -> np.ndarray:
     """Exact inverse of :func:`encode_plane`: the plane of ``shape`` coded
-    with the same row indices and offsets."""
+    with the same row indices and offsets. A stream that runs out before
+    the last symbol, or has bytes left after it, raises
+    :class:`CorruptStreamError`."""
     index, offset = _broadcast(shape, index, offset)
-    decoded = decode_symbols(RangeDecoder(stream.data), index.tolist(), offset.tolist())
+    dec = RangeDecoder(stream.data)
+    decoded = decode_symbols(dec, index.tolist(), offset.tolist())
+    dec.finish()
     return to_int32(decoded).reshape(shape)
 
 

@@ -3,7 +3,9 @@
 All integers are little-endian. Each chunk carries its own lengths, so a
 corrupted chunk payload never damages the frames before it. A file must
 end right after the header's count of chunks: one cut short, or one with
-bytes after its last chunk, fails to parse.
+bytes after its last chunk, fails to parse, and so does a header with a
+zero width, height or GOP size, or a flag bit outside the three branch
+flags.
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ class VideoHeader:
             raise ContainerError("not a video bitstream (bad magic)")
         if version != VIDEO_VERSION:
             raise ContainerError(f"unsupported bitstream version {version}")
+        if width == 0 or height == 0:
+            raise ContainerError(f"empty frame extent {width}x{height}")
+        if gop == 0:
+            raise ContainerError("GOP size 0")
+        unknown = flags & ~(FLAG_SPM | FLAG_TPM | FLAG_RESIDUAL)
+        if unknown:
+            raise ContainerError(f"unknown flag bits {unknown:#04x}")
         return cls(width, height, frame_count, gop, rate, ch, factor, flags, digest)
 
 

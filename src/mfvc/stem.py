@@ -364,8 +364,10 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
 
     The module's one serial loop: positions are decoded in raster order
     into a zero-bordered int32 context, so each position's fusion reads
-    only the symbols already decoded. A mismatched previous latent is not
-    detected; it yields garbage from the first diverging position onward.
+    only the symbols already decoded. A y stream with bytes left after the
+    last symbol raises :class:`~mfvc.coder.CorruptStreamError`. A
+    mismatched previous latent is not detected; it yields garbage from the
+    first diverging position onward.
     """
     prev_latent = np.asarray(prev_latent, dtype=np.int32)
     z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
@@ -381,4 +383,5 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
             x = pos.at(padded, r, col)
             index, offset = coder.grid_index(x[:c], x[c:])
             plane[:, r, col] = coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
+    dec.finish()
     return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane.copy()

@@ -13,6 +13,11 @@ caller (the trainer runs one backward pass at a time).
 
 Forward/backward math runs in float32 by default; reductions and the
 finite-difference oracle accumulate in float64.
+
+Convolutions are matrix products over a column matrix (im2col), one per
+convolution per pass: conv2d keeps its forward columns for the kernel
+gradient, and transpose_conv2d builds the columns of its output gradient
+once in backward for both the input and the kernel gradient.
 """
 
 from __future__ import annotations
@@ -175,31 +180,40 @@ def _same_pad(size: int, k: int, stride: int) -> tuple[int, int, int]:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """Column matrix (b, oh*ow, c*kh*kw) of a "same"-padded convolution over
+    ``x``, taps in (c, kh, kw) order; returns (cols, (oh, ow))."""
     b, c, h, w = x.shape
     oh, ph_lo, ph_hi = _same_pad(h, kh, stride)
     ow, pw_lo, pw_hi = _same_pad(w, kw, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (b, c, oh, ow, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow), (ph_lo, ph_hi, pw_lo, pw_hi)
+    xp = np.zeros((b, c, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=x.dtype)
+    xp[:, :, ph_lo : ph_lo + h, pw_lo : pw_lo + w] = x
+    sb, sc, sh, sw = xp.strides
+    # Padding makes every window fit, so the bounds-free view reads only xp.
+    # The columns are copied to C order for every kernel (a 1x1 window would
+    # reshape to a strided view), since the products' bits follow the layout.
+    win = np.lib.stride_tricks.as_strided(
+        xp, (b, oh, ow, c, kh, kw), (sb, sh * stride, sw * stride, sc, sh, sw), writeable=False
+    )
+    return np.ascontiguousarray(win.reshape(b, oh * ow, c * kh * kw)), (oh, ow)
 
 
-def _conv_fwd(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    co, ci, kh, kw = kernel.shape
-    cols, (oh, ow), _ = _im2col(x, kh, kw, stride)
-    km = kernel.reshape(co, ci * kh * kw)
-    out = cols @ km.T  # (b, oh*ow, co)
-    return out.transpose(0, 2, 1).reshape(x.shape[0], co, oh, ow)
+def _conv_fwd(cols: np.ndarray, kernel: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    co = kernel.shape[0]
+    out = cols @ kernel.reshape(co, -1).T  # (b, oh*ow, co)
+    return out.transpose(0, 2, 1).reshape(cols.shape[0], co, oh, ow)
 
 
-def _conv_grad_kernel(x: np.ndarray, gy: np.ndarray, kernel_shape, stride: int) -> np.ndarray:
-    co, ci, kh, kw = kernel_shape
-    cols, (oh, ow), _ = _im2col(x, kh, kw, stride)
-    gm = gy.reshape(gy.shape[0], co, oh * ow)
-    # Sum over batch and positions: (co, ci*kh*kw)
-    gk = np.einsum("bop,bpk->ok", gm, cols, optimize=True)
-    return gk.reshape(co, ci, kh, kw)
+def _conv_grad_kernel(cols: np.ndarray, gy: np.ndarray, kernel_shape) -> np.ndarray:
+    co = kernel_shape[0]
+    k = cols.shape[2]
+    gm = gy.reshape(gy.shape[0], co, -1)
+    # Sum over batch and positions as NumPy's einsum("bop,bpk->ok") does, so
+    # every float, signed zeros included, stays what that einsum gave: one
+    # (ci*kh*kw, co) product, transposed, or with a single term a multiply.
+    if gm.shape[0] * gm.shape[2] == 1:
+        return (gm.reshape(co, 1) * cols.reshape(1, k)).reshape(kernel_shape)
+    gk = cols.transpose(2, 0, 1).reshape(k, -1) @ gm.transpose(0, 2, 1).reshape(-1, co)
+    return gk.T.reshape(kernel_shape)
 
 
 def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -> np.ndarray:
@@ -288,13 +302,14 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         raise ShapeError(f"input channel extent {x.shape[1]} does not match layer in_ch {layer.in_channels}")
     kernel, bias, stride = layer.kernel, layer.bias, layer.stride
     kd = kernel.data if layer.mask is None else kernel.data * layer.mask
-    y = _conv_fwd(x.data, kd, stride) + bias.data
+    cols, (oh, ow) = _im2col(x.data, *kd.shape[2:], stride)
+    y = _conv_fwd(cols, kd, oh, ow) + bias.data
     mask = layer.mask
 
     def bwd(gy):
         gx = _conv_grad_input(gy, kd, stride, x.shape) if x.requires_grad else None
         if kernel.requires_grad:
-            gk = _conv_grad_kernel(x.data, gy, kernel.shape, stride)
+            gk = _conv_grad_kernel(cols, gy, kernel.shape)
             if mask is not None:
                 gk = gk * mask
         else:
@@ -333,8 +348,11 @@ def transpose_conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     y = _conv_grad_input(x.data, kernel.data, stride, out_shape) + bias.data
 
     def bwd(gy):
-        gx = _conv_fwd(gy, kernel.data, stride) if x.requires_grad else None
-        gk = _conv_grad_kernel(gy, x.data, kernel.shape, stride) if kernel.requires_grad else None
+        gx = gk = None
+        if x.requires_grad or kernel.requires_grad:
+            cols, _ = _im2col(gy, *kernel.shape[2:], stride)
+            gx = _conv_fwd(cols, kernel.data, h, w) if x.requires_grad else None
+            gk = _conv_grad_kernel(cols, x.data, kernel.shape) if kernel.requires_grad else None
         gb = gy.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64) if bias.requires_grad else None
         return gx, gk, gb
 

@@ -360,6 +360,18 @@ class TestRoundtrip:
         with pytest.raises(CorruptStreamError):
             decode_plane(clipped, (500,), index, offset)
 
+    @pytest.mark.parametrize("extra", [b"\x00", b"\xff\x80\x01"])
+    def test_bytes_after_the_last_symbol_raise(self, extra):
+        # The decoder reads the 4 bytes the encoder flushes plus one per
+        # renormalization, so a whole stream leaves none over.
+        rng = np.random.default_rng(11)
+        index, offset = grid_index(rng.uniform(-20, 20, 300), rng.uniform(-6, 6, 300))
+        plane = rng.integers(-600, 600, size=300, dtype=np.int64)
+        stream = encode_plane(plane, index, offset)
+        np.testing.assert_array_equal(decode_plane(stream, (300,), index, offset), plane)
+        with pytest.raises(CorruptStreamError, match=f"bytes left after the last symbol: {len(extra)}"):
+            decode_plane(CodedStream(stream.data + extra), (300,), index, offset)
+
     def test_malformed_overflow_magnitude_raises(self):
         # A stream of coded zero bits drives the Exp-Golomb prefix past its cap.
         enc = RangeEncoder()

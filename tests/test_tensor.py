@@ -118,6 +118,129 @@ class TestConv2d:
             make_layer(np.ones((1, 1, 2, 2)), stride=1)
 
 
+# The convolution helpers as they stood when every convolution built its
+# column matrix anew in forward and again in backward, kept verbatim: the
+# shared-column code must give the same floats, bit for bit.
+def _ref_same_pad(size, k, stride):
+    out = -(-size // stride)
+    total = max((out - 1) * stride + k - size, 0)
+    lo = total // 2
+    return out, lo, total - lo
+
+
+def _ref_im2col(x, kh, kw, stride):
+    b, c, h, w = x.shape
+    oh, ph_lo, ph_hi = _ref_same_pad(h, kh, stride)
+    ow, pw_lo, pw_hi = _ref_same_pad(w, kw, stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (b, c, oh, ow, kh, kw)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols), (oh, ow), (ph_lo, ph_hi, pw_lo, pw_hi)
+
+
+def _ref_conv_fwd(x, kernel, stride):
+    co, ci, kh, kw = kernel.shape
+    cols, (oh, ow), _ = _ref_im2col(x, kh, kw, stride)
+    km = kernel.reshape(co, ci * kh * kw)
+    out = cols @ km.T  # (b, oh*ow, co)
+    return out.transpose(0, 2, 1).reshape(x.shape[0], co, oh, ow)
+
+
+def _ref_conv_grad_kernel(x, gy, kernel_shape, stride):
+    co, ci, kh, kw = kernel_shape
+    cols, (oh, ow), _ = _ref_im2col(x, kh, kw, stride)
+    gm = gy.reshape(gy.shape[0], co, oh * ow)
+    # Sum over batch and positions: (co, ci*kh*kw)
+    gk = np.einsum("bop,bpk->ok", gm, cols, optimize=True)
+    return gk.reshape(co, ci, kh, kw)
+
+
+def _ref_conv_grad_input(gy, kernel, stride, x_shape):
+    b, ci, h, w = x_shape
+    co, _, kh, kw = kernel.shape
+    oh, ph_lo, ph_hi = _ref_same_pad(h, kh, stride)
+    ow, pw_lo, pw_hi = _ref_same_pad(w, kw, stride)
+    km = kernel.reshape(co, ci * kh * kw)
+    gcols = gy.reshape(b, co, oh * ow).transpose(0, 2, 1) @ km  # (b, oh*ow, ci*kh*kw)
+    gcols = gcols.reshape(b, oh, ow, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros((b, ci, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=gy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gcols[:, :, i, j]
+    return gxp[:, :, ph_lo : ph_lo + h, pw_lo : pw_lo + w]
+
+
+def _forward_and_grads(op, x, layer, gy):
+    """Output, input gradient and kernel gradient of ``op`` when the output
+    gradient is ``gy`` (the loss sum(y * gy) passes it on exactly)."""
+    xt = Tensor(x, requires_grad=True)
+    y = op(xt, layer)
+    backward(sum_all(mul(y, Tensor(gy))))
+    return y.data, xt.grad, layer.kernel.grad
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+# Batch 1 and 2, one to 16 input channels, one to 32 output channels, kernel
+# extents 1, 3 and 5 at strides 1 and 2, a 1x1 plane up to 16x16; plus the
+# bench model's largest layers.
+_GRID = [
+    (b, ci, co, k, s, hw)
+    for b in (1, 2)
+    for ci in (1, 3, 16)
+    for co in (1, 5, 32)
+    for k in (1, 3, 5)
+    for s in (1, 2)
+    for hw in ((1, 1), (3, 5), (8, 8), (16, 16))
+] + [(4, 96, 80, 1, 1, (8, 8)), (4, 27, 32, 5, 1, (8, 8)), (4, 3, 16, 5, 2, (32, 32)), (4, 16, 16, 5, 2, (16, 16))]
+
+
+class TestConvBitsMatchReference:
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["conv", "masked", "tconv"])
+    def test_forward_and_gradients_bit_identical(self, kind, batch):
+        rng = np.random.default_rng(batch)
+        cases = 0
+        for b, ci, co, k, s, (h, w) in _GRID:
+            if b != batch or (kind == "masked" and (s != 1 or k == 1)):
+                continue
+            kernel = rng.normal(size=(co, ci, k, k)).astype(np.float32)
+            bias = rng.normal(size=(1, ci if kind == "tconv" else co, 1, 1)).astype(np.float32)
+            if kind == "tconv":
+                # The adjoint of a (co, ci) convolution maps co channels to ci.
+                x = rng.normal(size=(b, co, h, w)).astype(np.float32)
+                layer = make_layer(kernel, bias, stride=s, transpose=True, grad=True)
+                y_shape = (b, ci, h * s, w * s)
+                gy = rng.normal(size=y_shape).astype(np.float32)
+                got = _forward_and_grads(transpose_conv2d, x, layer, gy)
+                want = (
+                    _ref_conv_grad_input(x, kernel, s, y_shape) + bias,
+                    _ref_conv_fwd(gy, kernel, s),
+                    _ref_conv_grad_kernel(gy, x, kernel.shape, s),
+                )
+            else:
+                x = rng.normal(size=(b, ci, h, w)).astype(np.float32)
+                mask = causal_mask(k, k) if kind == "masked" else None
+                kd = kernel if mask is None else kernel * mask
+                layer = make_layer(kernel, bias, stride=s, mask=mask, grad=True)
+                gy = rng.normal(size=(b, co, -(-h // s), -(-w // s))).astype(np.float32)
+                got = _forward_and_grads(conv2d, x, layer, gy)
+                gk = _ref_conv_grad_kernel(x, gy, kernel.shape, s)
+                want = (
+                    _ref_conv_fwd(x, kd, s) + bias,
+                    _ref_conv_grad_input(gy, kd, s, x.shape),
+                    gk if mask is None else gk * mask,
+                )
+            for name, g, r in zip(("output", "input gradient", "kernel gradient"), got, want):
+                assert g.shape == r.shape and g.dtype == r.dtype == np.float32, (name, b, ci, co, k, s, h, w)
+                np.testing.assert_array_equal(_bits(g), _bits(r), err_msg=f"{name} at {(b, ci, co, k, s, h, w)}")
+            cases += 1
+        assert cases
+
+
 class TestTransposeConv2d:
     def test_stride1_identity(self):
         rng = np.random.default_rng(2)
@@ -431,6 +554,32 @@ class TestFiniteDiff:
 
         k0 = Tensor(rng.normal(size=(3, 2, 3, 3)))
         assert finite_diff_check(fk, k0, h=1e-4) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "kind,stride", [("conv", 1), ("conv", 2), ("masked", 1), ("tconv", 1), ("tconv", 2)]
+    )
+    def test_kernel_gradients_at_batch_2(self, kind, stride):
+        # The kernel gradient sums over batch items and positions of columns
+        # shared with another pass: forward's for conv2d, the input
+        # gradient's for transpose_conv2d.
+        rng = np.random.default_rng(16 + stride)
+        mask = causal_mask(3, 3) if kind == "masked" else None
+        in_ch = 3 if kind == "tconv" else 2
+        x = Tensor(rng.normal(size=(2, in_ch, 5, 4)), dtype=np.float64)
+        bias = Tensor(np.zeros((1, 2 if kind == "tconv" else 3, 1, 1)), dtype=np.float64)
+        op = {"conv": conv2d, "masked": masked_conv2d, "tconv": transpose_conv2d}[kind]
+
+        def fk(k):
+            layer = ConvLayer(kernel=k, bias=bias, stride=stride, transpose=kind == "tconv", mask=mask)
+            return sum_all(mul(y := op(x, layer), y))
+
+        k0 = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64)
+        assert finite_diff_check(fk, k0, h=1e-4) <= 1e-3
+        if mask is not None:
+            probe = Tensor(k0.data, requires_grad=True, dtype=np.float64)
+            backward(fk(probe))
+            assert not probe.grad[:, :, mask == 0].any()
+            assert probe.grad[:, :, mask == 1].all()
 
 
 class TestLaplaceNll:

@@ -1,9 +1,18 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
-from mfvc.container import FRAME_I, FRAME_P, VIDEO_VERSION, ContainerError, DigestMismatchError
+from mfvc.container import (
+    CHUNK_HEADER_SIZE,
+    FRAME_I,
+    FRAME_P,
+    HEADER_SIZE,
+    VIDEO_VERSION,
+    ContainerError,
+    DigestMismatchError,
+)
 from mfvc.image import compress_iframe, decompress_iframe, init_autoencoder
 from mfvc.stem import StemFlags, init_stem
 from mfvc.video import (
@@ -161,6 +170,50 @@ class TestErrors:
         blob[13:17] = (2).to_bytes(4, "little")
         with pytest.raises(ContainerError, match="trailing bytes after frame 1"):
             VideoBitstream.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "start,size,value,match",
+        [
+            (5, 4, 0, "empty frame extent 0x16"),
+            (9, 4, 0, "empty frame extent 16x0"),
+            (17, 1, 0, "GOP size 0"),
+            (22, 1, 0xFF, "unknown flag bits 0xf8"),
+        ],
+        ids=["width", "height", "gop", "flags"],
+    )
+    def test_degenerate_header_rejected(self, models, start, size, value, match):
+        ae, stem = models
+        blob = bytearray(compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
+        blob[start : start + size] = value.to_bytes(size, "little")
+        with pytest.raises(ContainerError, match=match):
+            VideoBitstream.from_bytes(bytes(blob))
+
+    def test_lowered_width_rejected(self, models):
+        # Width 1 asks for one latent column per row: the streams coded for
+        # 32 columns hold bytes past the last symbol decoded.
+        ae, stem = models
+        frames = small_video(2, w=32)
+        blob = bytearray(compress_video(frames, ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
+        assert int.from_bytes(blob[5:9], "little") == 32
+        blob[5:9] = (1).to_bytes(4, "little")
+        stream = VideoBitstream.from_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="frame 0: bytes left after the last symbol"):
+            decompress_video(stream, ae, stem)
+
+    @pytest.mark.parametrize("t", [0, 1], ids=["iframe", "pframe"])
+    def test_appended_latent_byte_rejected(self, models, t):
+        ae, stem = models
+        stream = compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0)))
+        assert stream.chunks[t].frame_type == (FRAME_I, FRAME_P)[t]
+        blob = bytearray(stream.to_bytes())
+        z_len, y_len = (len(stream.chunks[t].z_stream.data), len(stream.chunks[t].y_stream.data))
+        start = HEADER_SIZE + sum(CHUNK_HEADER_SIZE + len(c.z_stream.data) + len(c.y_stream.data) for c in stream.chunks[:t])
+        assert struct.unpack_from("<BII", blob, start)[1:] == (z_len, y_len)
+        struct.pack_into("<I", blob, start + 5, y_len + 1)
+        end = start + CHUNK_HEADER_SIZE + z_len + y_len
+        blob[end:end] = b"\x00"
+        with pytest.raises(ContainerError, match=f"frame {t}: bytes left after the last symbol: 1"):
+            decompress_video(VideoBitstream.from_bytes(bytes(blob)), ae, stem)
 
     def test_rate_index_outside_lambda_set_rejected(self, models):
         ae, stem = models

@@ -502,7 +502,7 @@ def _broadcast(shape, index, offset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
-    """Range-code an int32 plane in channel-major raster order.
+    """Range-code an int32 plane in C order (channel-major raster for (C, h, w)).
 
     Symbol ``i`` is coded as ``plane[i] - offset[i]`` against grid row
     ``index[i]``, as given by :func:`grid_index`; ``index`` and ``offset``

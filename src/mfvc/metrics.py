@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .tensor import ShapeError
 
@@ -140,20 +139,49 @@ def _curve(points: Sequence[RdPoint]):
         raise ValueError(f"need at least 4 rate points per curve, got {len(q)}")
     if np.any(np.diff(q) <= 0):
         raise ValueError("curve has duplicate quality values")
-    return q, PchipInterpolator(q, r)
+    return q, r
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """The one-sided three-point slope at an end knot, zeroed if it opposes
+    the end secant and cut to three times it where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    return 3 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0) else d
+
+
+def _pchip_integral(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the monotone piecewise-cubic Hermite fit of
+    Fritsch & Carlson (1980), in closed form. Knot slopes are SciPy
+    ``PchipInterpolator``'s: the weighted harmonic mean of the neighbouring
+    secants, zero where they change sign or one is zero."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d = np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    # each segment's cubic in powers of x - x[k], integrated from a to b
+    coef = np.stack((y[:-1], d[:-1], (3 * m - 2 * d[:-1] - d[1:]) / h, (d[:-1] + d[1:] - 2 * m) / h**2))
+    a, b = (np.clip(t, x[:-1], x[1:]) - x[:-1] for t in (lo, hi))
+    p = np.arange(1, 5)[:, None]
+    return float(np.sum(coef * (b**p - a**p) / p))
 
 
 def bd_rate(anchor: Sequence[RdPoint], test: Sequence[RdPoint]) -> float:
     """Average rate difference of ``test`` against ``anchor`` in percent,
     integrated over the overlapping quality interval on monotone
     piecewise-cubic fits of log-rate versus quality."""
-    qa, fa = _curve(anchor)
-    qt, ft = _curve(test)
+    qa, ra = _curve(anchor)
+    qt, rt = _curve(test)
     lo = max(qa[0], qt[0])
     hi = min(qa[-1], qt[-1])
     if hi <= lo:
         raise ValueError(f"quality ranges do not overlap: [{qa[0]}, {qa[-1]}] vs [{qt[0]}, {qt[-1]}]")
-    diff = (ft.integrate(lo, hi) - fa.integrate(lo, hi)) / (hi - lo)
+    diff = (_pchip_integral(qt, rt, lo, hi) - _pchip_integral(qa, ra, lo, hi)) / (hi - lo)
     return float((np.exp(diff) - 1.0) * 100.0)
 
 

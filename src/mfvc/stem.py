@@ -352,10 +352,8 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     padded = np.pad(plane, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)))
     params = np.array([[pos.at(padded, r, col) for col in range(w)] for r in range(h)], np.float32).reshape(h, w, 2 * c)
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
-    enc = coder.RangeEncoder()
-    values = plane.transpose(1, 2, 0).reshape(-1)  # position-major, as the decoder reads
-    coder.encode_symbols(enc, values.tolist(), index.reshape(-1).tolist(), offset.reshape(-1).tolist())
-    return FrameChunk(FRAME_P, weights.encode_z(z_hat), coder.CodedStream(enc.finish()))
+    y_stream = coder.encode_plane(plane.transpose(1, 2, 0), index, offset)  # position-major, as the decoder reads
+    return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
 
 
 def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> np.ndarray:

@@ -11,7 +11,6 @@ step.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -252,9 +251,11 @@ def loss_p(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
 
 
 class _TrainLog:
+    """One run's CSV log: opening it truncates the file to the header."""
+
     def __init__(self, path):
         self.path = path
-        if path is not None and not os.path.exists(path):
+        if path is not None:
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerow(["iteration", "lr", "loss", "R", "D"])
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .coder import check_capacity
 from .container import (
@@ -234,10 +233,28 @@ def decompress_video(
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Float for float SciPy's ``gaussian_filter(a, (0, sigma, sigma))`` of a
+    (C, H, W) float64 array: SciPy's taps out to 4 sigma, mirrored borders
+    (d c b a | a b c d), and each output adds the mirrored pairs to the
+    centre tap outermost first, the order of SciPy's symmetric-kernel loop."""
+    r = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    taps = taps / taps.sum()
+    for axis in (1, 2):
+        n = a.shape[axis]
+        p = np.pad(np.moveaxis(a, axis, -1), ((0, 0), (0, 0), (r, r)), mode="symmetric")
+        out = p[..., r : r + n] * taps[r]
+        for j in range(r, 0, -1):
+            out += (p[..., r - j : r - j + n] + p[..., r + j : r + j + n]) * taps[r - j]
+        a = np.moveaxis(out, -1, axis)
+    return a
+
+
 def _smooth_texture(rng: np.random.Generator, h: int, w: int, cell: int = 8) -> np.ndarray:
     coarse = rng.random((3, h // cell + 2, w // cell + 2))
     up = np.repeat(np.repeat(coarse, cell, axis=1), cell, axis=2)
-    up = gaussian_filter(up, sigma=(0, cell / 2, cell / 2))
+    up = _gaussian_blur(up, cell / 2)
     up = up[:, :h, :w]
     lo, hi = up.min(), up.max()
     return (up - lo) / max(hi - lo, 1e-9)

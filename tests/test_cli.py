@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,13 @@ class TestCommands:
         h2 = VideoBitstream.from_bytes(out2.read_bytes()).header
         assert h1.gop_size == 2
         assert h2.gop_size == 4
+
+
+class TestImports:
+    def test_runtime_loads_no_scipy(self):
+        # NumPy is the only runtime dependency; a fresh interpreter shows what importing loads
+        code = "import sys, mfvc, mfvc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from mfvc.metrics import (
     RdPoint,
@@ -113,6 +114,75 @@ class TestBdRate:
         three = self.curve()[:3]
         with pytest.raises(ValueError, match="4"):
             bd_rate(three, self.curve())
+
+
+def scipy_bd_rate(anchor, test):
+    """BD-rate on SciPy's PchipInterpolator, the reference."""
+
+    def curve(points):
+        pts = sorted(points, key=lambda p: p.quality)
+        q = np.array([p.quality for p in pts])
+        return q, PchipInterpolator(q, np.log([p.bpp for p in pts]))
+
+    qa, fa = curve(anchor)
+    qt, ft = curve(test)
+    lo, hi = max(qa[0], qt[0]), min(qa[-1], qt[-1])
+    return float((np.exp((ft.integrate(lo, hi) - fa.integrate(lo, hi)) / (hi - lo)) - 1.0) * 100.0)
+
+
+def end_clamps(points):
+    """The end-slope clamps SciPy's fit applies to a curve: 'zero' where
+    the end slope is zeroed against a nonzero secant, 'three' where it is
+    cut to three times the secant."""
+    pts = sorted(points, key=lambda p: p.quality)
+    q = np.array([p.quality for p in pts])
+    r = np.log([p.bpp for p in pts])
+    slope = PchipInterpolator(q, r).derivative()
+    found = set()
+    for x, secant in ((q[0], (r[1] - r[0]) / (q[1] - q[0])), (q[-1], (r[-1] - r[-2]) / (q[-1] - q[-2]))):
+        d = slope(x)
+        if d == 0 and secant != 0:
+            found.add("zero")
+        elif d == 3 * secant:
+            found.add("three")
+    return found
+
+
+class TestBdRateMatchesScipy:
+    def test_clamped_curve(self):
+        # log-rate secants 1, -5, 4, 1: the first end is cut to 3x its
+        # secant, the last is zeroed, and the two sign changes zero the
+        # interior slopes between them
+        curve = [RdPoint(float(np.exp(r)), q) for q, r in zip((30.0, 31.0, 32.0, 33.0, 34.0), (0, 1, -4, 0, 1))]
+        assert end_clamps(curve) == {"zero", "three"}
+        other = [RdPoint(0.5 * p.bpp, p.quality + 0.4) for p in curve]
+        assert bd_rate(curve, other) == pytest.approx(scipy_bd_rate(curve, other), rel=1e-12, abs=0)
+        assert bd_rate(other, curve) == pytest.approx(scipy_bd_rate(other, curve), rel=1e-12, abs=0)
+
+    def test_random_curves(self):
+        rng = np.random.default_rng(2021)
+
+        def curve():
+            q = np.sort(rng.uniform(28.0, 40.0, int(rng.integers(4, 8)))) + rng.uniform(-4.0, 4.0)
+            return [RdPoint(float(b), float(x)) for x, b in zip(q, np.exp(rng.normal(-1.0, 0.8, len(q))))]
+
+        clamps, sign_changes, staggered, compared = set(), 0, 0, 0
+        for _ in range(400):
+            anchor, test = curve(), curve()
+            qa = [p.quality for p in anchor]
+            qt = [p.quality for p in test]
+            if min(max(qa), max(qt)) <= max(min(qa), min(qt)):
+                continue
+            for c in (anchor, test):
+                clamps |= end_clamps(c)
+                r = np.log([p.bpp for p in sorted(c, key=lambda p: p.quality)])
+                sign_changes += int(np.any(np.diff(np.sign(np.diff(r))) != 0))
+            # neither quality range holds the other: each fit is cut inside a segment
+            staggered += int((min(qa) < min(qt)) == (max(qa) < max(qt)))
+            assert bd_rate(anchor, test) == pytest.approx(scipy_bd_rate(anchor, test), rel=1e-12, abs=0)
+            compared += 1
+        assert clamps == {"zero", "three"}
+        assert sign_changes > 100 and staggered > 100 and compared > 300
 
 
 class TestHeatmap:

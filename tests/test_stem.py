@@ -311,7 +311,8 @@ class TestRowAgreement:
         # the decoder from the symbols decoded so far; the symbols that
         # reach the coder (the calls the traced benchmark counts) must pair
         # the same row with the same value, in the same order. The hyper
-        # latent's plane coding is left out.
+        # latent's plane coding (encode_z/decode_z) is left out; the y
+        # plane goes through the plane coder too.
         a, b = random_latents(np.random.default_rng(18))
         a[2, 3, 4] = b[2, 3, 4] + 1000  # beyond the support: an escape
         if outliers:
@@ -321,33 +322,35 @@ class TestRowAgreement:
             a[3, 1::3, ::3] = b[3, 1::3, ::3] - 20000
         row_ids = {id(row): i for i, row in enumerate(coder.table_grid())}
         coded = {"encode": [], "decode": []}
-        in_plane = []
-        real = {name: getattr(coder, name) for name in ("encode_symbol", "decode_symbol", "encode_plane", "decode_plane")}
+        in_hyper = []
+        real = {name: getattr(coder, name) for name in ("encode_symbol", "decode_symbol")}
 
         def encode_symbol(enc, value, row):
-            if not in_plane:
+            if not in_hyper:
                 coded["encode"].append((row_ids[id(row)], value))
             return real["encode_symbol"](enc, value, row)
 
         def decode_symbol(dec, row):
             value = real["decode_symbol"](dec, row)
-            if not in_plane:
+            if not in_hyper:
                 coded["decode"].append((row_ids[id(row)], value))
             return value
 
-        def plane_coder(name):
-            def wrapped(*args):
-                in_plane.append(name)
+        def hyper_coder(name):
+            method = getattr(type(weights), name)
+
+            def wrapped(self, *args):
+                in_hyper.append(name)
                 try:
-                    return real[name](*args)
+                    return method(self, *args)
                 finally:
-                    in_plane.pop()
+                    in_hyper.pop()
             return wrapped
 
         monkeypatch.setattr(coder, "encode_symbol", encode_symbol)
         monkeypatch.setattr(coder, "decode_symbol", decode_symbol)
-        monkeypatch.setattr(coder, "encode_plane", plane_coder("encode_plane"))
-        monkeypatch.setattr(coder, "decode_plane", plane_coder("decode_plane"))
+        monkeypatch.setattr(type(weights), "encode_z", hyper_coder("encode_z"))
+        monkeypatch.setattr(type(weights), "decode_z", hyper_coder("decode_z"))
         chunk = encode_pframe(a, b, flags, weights)
         np.testing.assert_array_equal(decode_pframe(chunk, b, flags, weights), a)
 

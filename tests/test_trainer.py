@@ -280,6 +280,21 @@ class TestTrainingLoops:
         assert lines[0] == "iteration,lr,loss,R,D"
         assert len(lines) == 6
 
+    def test_training_log_holds_one_run(self, tmp_path):
+        rng = np.random.default_rng(27)
+        frames = smooth_frames(rng, 2, 16, 16)
+        cfg = TrainConfig(
+            lambda_set=(8.0,), batch_size=1, patch_h=16, patch_w=16,
+            lr_values=(1e-3,), lr_boundaries=(), total_iters=2, seed=28,
+        )
+        log = tmp_path / "train.csv"
+        for _ in range(2):
+            w = init_autoencoder(latent_channels=4, downsample_factor=4, lambda_set=(8.0,), seed=29)
+            train_image_model(frames, cfg, weights=w, log_path=log)
+        lines = log.read_text().strip().splitlines()
+        assert lines[0] == "iteration,lr,loss,R,D"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(total_iters=1)
         with pytest.raises(Exception, match="empty"):

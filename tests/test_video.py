@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
+
+from mfvc import video
 
 from mfvc.container import (
     CHUNK_HEADER_SIZE,
@@ -308,6 +311,40 @@ class TestSynthSequences:
         assert padded.shape == (3, 4, 4)
         np.testing.assert_array_equal(padded[:, 3, :3], frame[:, 2, :])
         np.testing.assert_array_equal(padded[:, :3, 3], frame[:, :, 2])
+
+
+def scipy_smooth_texture(rng: np.random.Generator, h: int, w: int, cell: int = 8) -> np.ndarray:
+    """The SciPy texture the synthetic sequences were defined on, verbatim."""
+    coarse = rng.random((3, h // cell + 2, w // cell + 2))
+    up = np.repeat(np.repeat(coarse, cell, axis=1), cell, axis=2)
+    up = gaussian_filter(up, sigma=(0, cell / 2, cell / 2))
+    up = up[:, :h, :w]
+    lo, hi = up.min(), up.max()
+    return (up - lo) / max(hi - lo, 1e-9)
+
+
+class TestBlurMatchesScipy:
+    """The NumPy blur gives SciPy's floats, so synthetic inputs, and the
+    streams coded from them, stay what they were."""
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (7, 16), (8, 8), (16, 33), (24, 7), (64, 64), (50, 130), (256, 256)])
+    def test_texture_bits_equal(self, h, w):
+        # h or w below 8 blurs an axis of length 16, where the mirror pad equals the array
+        got = video._smooth_texture(np.random.default_rng(h * 1000 + w), h, w)
+        want = scipy_smooth_texture(np.random.default_rng(h * 1000 + w), h, w)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (3, 16, 40), (2, 5, 3), (3, 17, 31), (3, 48, 272)])
+    @pytest.mark.parametrize("sigma", [4.0, 1.5])
+    def test_blur_bits_equal(self, shape, sigma):
+        a = np.random.default_rng(sum(shape)).random(shape)
+        assert np.array_equal(video._gaussian_blur(a, sigma), gaussian_filter(a, sigma=(0, sigma, sigma)))
+
+    @pytest.mark.parametrize("kind", ["translate", "zoom", "noise_static"])
+    def test_synth_sequence_unchanged(self, kind, monkeypatch):
+        got = synth_sequence(kind, 4, 40, 56, seed=5)
+        monkeypatch.setattr(video, "_smooth_texture", scipy_smooth_texture)
+        np.testing.assert_array_equal(got, synth_sequence(kind, 4, 40, 56, seed=5))
 
 
 class TestEvaluate:

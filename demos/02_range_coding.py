@@ -1,13 +1,15 @@
 """
-Range coding with discretized Laplacians
-========================================
+Entropy coding with discretized Laplacians
+==========================================
 
 Integer symbol planes are coded against per-symbol Laplacian models. Each
 model becomes an integer frequency table (total exactly 2^16, floor 1 per
 symbol) so any integer is decodable; values outside the table's support
-escape through an overflow slot plus an Exp-Golomb bypass. The codec
-itself codes every symbol against one fixed grid of such tables, indexed
-by the quantized scale and the fractional part of the mean.
+escape through an overflow slot plus Exp-Golomb bits. The codec itself
+codes every symbol against one fixed grid of such tables, indexed by the
+quantized scale and the fractional part of the mean. The coder is rANS:
+the encoder pushes symbols last to first, and the decoder pops them in
+order. (The file keeps its old name, from the range coder rANS replaced.)
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from mfvc.coder import (
     GRID_MEANS,
     GRID_SCALES,
-    RangeEncoder,
+    RansEncoder,
     decode_plane,
     discretize_laplacian,
     encode_plane,
@@ -50,10 +52,11 @@ index, offset = grid_index(0.0, 0.5)
 stream = encode_plane(plane, index, offset)
 decoded = decode_plane(stream, plane.shape, index, offset)
 # encode_plane is a loop over encode_symbol, which returns the bypass bits
-# an escape spends (0 for a symbol inside the support).
-enc = RangeEncoder()
+# an escape spends (0 for a symbol inside the support). rANS decodes in the
+# reverse of encode order, so the loop runs from the last symbol back.
+enc = RansEncoder()
 row = grid[int(index)]
-bypass = sum(encode_symbol(enc, v - int(offset), row) for v in plane.tolist())
+bypass = sum(encode_symbol(enc, v - int(offset), row) for v in reversed(plane.tolist()))
 print("roundtrip exact:", bool(np.array_equal(decoded, plane)),
       f"({len(stream.data)} bytes, {bypass} bypass bits)")
 print("symbol loop gives the same bytes:", enc.finish() == stream.data)

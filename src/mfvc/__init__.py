@@ -2,14 +2,14 @@
 
 A unified frame auto-encoder turns every frame into quantized integer
 latents; a spatiotemporal entropy model predicts Laplacian distributions
-over P-frame residual latents; a range coder makes the latents a decodable
+over P-frame residual latents; a rANS coder makes the latents a decodable
 bitstream. Latents travel losslessly, so reference frames never degrade
 and reconstruction quality is independent of GOP position.
 
 The package is organized by stage:
 
 - :mod:`mfvc.tensor` - dense 4-D tensors with reverse-mode gradients
-- :mod:`mfvc.coder` - range coder and discretized Laplacian tables
+- :mod:`mfvc.coder` - rANS coder and discretized Laplacian tables
 - :mod:`mfvc.image` - rate-conditioned auto-encoder (I-frame codec)
 - :mod:`mfvc.stem` - spatiotemporal entropy model (P-frame codec)
 - :mod:`mfvc.trainer` - Adam, rate-distortion losses, training loops

@@ -1,10 +1,18 @@
 """Lossless coding of integer symbol planes under per-symbol Laplacian models.
 
-A carryless 32-bit range coder (byte-wise renormalization, 16-bit frequency
-precision) consumes integer frequency tables discretized from Laplacian
-distributions. Symbols outside a table's support are escaped through a
-reserved overflow slot followed by a bypass-coded Exp-Golomb magnitude and
-a side bit.
+A scalar rANS coder (Duda, arXiv:1311.2540) consumes integer frequency
+tables of total 2^16 discretized from Laplacian distributions. Its state
+lives in [2^16, 2^32) and moves in 16-bit words. Pushing the slot
+[lo, lo + f) writes the state's low word and shifts it out if the state
+is at least f * 2^16, then sets it to (x // f) * 2^16 + x % f + lo.
+Popping reads ``slot = x & 0xFFFF``, finds the slot's symbol, sets the
+state to f * (x >> 16) + slot - lo and reads one word if it fell below
+2^16: no division and no carry. rANS pops in the reverse of push order,
+so encoders push a stream's symbols last to first. The stream is the
+final state (4 bytes) followed by the words in decode order, all
+big-endian. Symbols outside a table's support are escaped through a
+reserved overflow slot followed by an Exp-Golomb magnitude and a side
+bit, each bit coded as a 2^15-of-2^16 symbol.
 
 Every symbol is coded against one fixed grid of cumulative tables over
 the default support, built once per process: ``GRID_SCALES`` log-scale
@@ -15,16 +23,10 @@ coded against that row. The grid constants are part of the bitstream
 format.
 
 Every symbol goes through one call of the module-global
-:func:`encode_symbol` or :func:`decode_symbol`. Tools that count symbols
-wrap those two functions from outside; on a 2-vCPU machine the call costs
-about 2 ms per 65,536 symbols, against 40-75 ms for coding them. Inside,
-each narrows the interval on the coder's state itself, and renormalizes
-only while the narrowed range is below 2^24: adding a range of at least
-2^24 to ``low`` changes a bit at or above bit 24, so the loop would exit
-without a byte. Below it, both call the coder's own ``_normalize``, the
-one renormalization loop per direction. Escapes take the methods: the
-overflow slot goes through :meth:`RangeEncoder.encode`, its magnitude and
-side through :meth:`RangeEncoder.encode_bit`/:meth:`RangeDecoder.decode_bit`.
+:func:`encode_symbol` or :func:`decode_symbol`, which step the coder's
+state themselves; only escape bits go through the coder's methods. Tools
+that count symbols wrap those two functions from outside; on a 2-vCPU
+machine the call costs about 2 ms per 65,536 symbols.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -33,6 +35,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -50,9 +53,7 @@ GRID_MEANS = 16
 _INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
 
-_TOP = 1 << 24
-_BOT = 1 << 16
-_MASK = 0xFFFFFFFF
+_STATE_MIN = 1 << 16  # the coder's state lives in [2^16, 2^32)
 _MAX_EG_PREFIX = 48
 
 
@@ -61,102 +62,69 @@ class CorruptStreamError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Range coder
+# rANS coder
 # ---------------------------------------------------------------------------
 
 
-class RangeEncoder:
-    """Carryless range encoder; call :meth:`finish` exactly once."""
+class RansEncoder:
+    """rANS encoder: push the symbols in reverse decode order, then call
+    :meth:`finish` exactly once."""
 
     def __init__(self):
-        self._buf = bytearray()
-        self._low = 0
-        self._range = _MASK
-
-    def _normalize(self):
-        low, rng, buf = self._low, self._range, self._buf
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            buf.append((low >> 24) & 0xFF)
-            low = (low << 8) & _MASK
-            rng = (rng << 8) & _MASK
-        self._low, self._range = low, rng
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int = TOTAL_FREQ) -> None:
-        """Narrow the coder to the interval [cum_lo, cum_hi) out of ``total``."""
-        r = self._range // total
-        self._low += r * cum_lo
-        if cum_hi < total:
-            self._range = r * (cum_hi - cum_lo)
-        else:
-            # Last interval absorbs the division slack.
-            self._range -= r * cum_lo
-        self._normalize()
+        self._state = _STATE_MIN
+        self._words: list[int] = []  # in the order written, the reverse of decode order
 
     def encode_bit(self, bit: int) -> None:
-        self.encode(bit, bit + 1, 2)
+        """Push ``bit`` as the slot [bit * 2^15, (bit + 1) * 2^15)."""
+        x = self._state
+        if x >> 31:
+            self._words.append(x & 0xFFFF)
+            x >>= 16
+        self._state = (x >> 15 << 16) | (bit << 15) | (x & 0x7FFF)
 
     def finish(self) -> bytes:
-        low = self._low
-        for _ in range(4):
-            self._buf.append((low >> 24) & 0xFF)
-            low = (low << 8) & _MASK
-        return bytes(self._buf)
+        words = self._words[::-1]
+        return struct.pack(f">I{len(words)}H", self._state, *words)
 
 
-class RangeDecoder:
-    """Mirror of :class:`RangeEncoder` over an immutable byte buffer."""
+class RansDecoder:
+    """Pops the symbols of a :class:`RansEncoder` stream in decode order."""
 
     def __init__(self, data: bytes):
         if len(data) < 4:
             raise CorruptStreamError("stream exhausted before all symbols were decoded")
-        self._data = data
-        self._pos = 4
-        self._low = 0
-        self._range = _MASK
-        self._code = int.from_bytes(data[:4], "big")
+        self._state = int.from_bytes(data[:4], "big")
+        if self._state < _STATE_MIN:
+            raise CorruptStreamError("initial coder state below 2^16")
+        self._words = struct.unpack_from(f">{(len(data) - 4) // 2}H", data, 4)
+        self._pos = 0
+        self._size = len(data)
 
-    def _normalize(self):
-        low, rng, code, pos, data = self._low, self._range, self._code, self._pos, self._data
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            if pos >= len(data):
-                raise CorruptStreamError("stream exhausted before all symbols were decoded")
-            code = ((code << 8) | data[pos]) & _MASK
-            pos += 1
-            low = (low << 8) & _MASK
-            rng = (rng << 8) & _MASK
-        self._low, self._range, self._code, self._pos = low, rng, code, pos
+    def _refill(self, x: int) -> int:
+        """A state ``x`` below 2^16 with the next word shifted in."""
+        pos = self._pos
+        if pos == len(self._words):
+            raise CorruptStreamError("stream exhausted before all symbols were decoded")
+        self._pos = pos + 1
+        return (x << 16) | self._words[pos]
+
+    def decode_bit(self) -> int:
+        """Inverse of :meth:`RansEncoder.encode_bit`."""
+        x = self._state
+        bit = (x >> 15) & 1
+        x = (x >> 16 << 15) | (x & 0x7FFF)
+        self._state = x if x >= _STATE_MIN else self._refill(x)
+        return bit
 
     def finish(self) -> None:
         """Raise :class:`CorruptStreamError` unless the symbols decoded read
-        the whole stream: 4 bytes plus one per renormalization, the bytes
-        the encoder wrote."""
-        if self._pos != len(self._data):
-            raise CorruptStreamError(f"bytes left after the last symbol: {len(self._data) - self._pos}")
-
-    def decode_bit(self) -> int:
-        """Inverse of :meth:`RangeEncoder.encode_bit`."""
-        r = self._range >> 1
-        if self._code - self._low >= r:
-            self._low += r
-            self._range -= r
-            bit = 1
-        else:
-            self._range = r
-            bit = 0
-        self._normalize()
-        return bit
+        every byte and left the encoder's initial state, 2^16. Words are
+        whole, so an odd length always leaves a byte."""
+        left = self._size - 4 - 2 * self._pos
+        if left:
+            raise CorruptStreamError(f"bytes left after the last symbol: {left}")
+        if self._state != _STATE_MIN:
+            raise CorruptStreamError(f"final coder state {self._state:#x}, not 2^16")
 
 
 # ---------------------------------------------------------------------------
@@ -363,49 +331,63 @@ def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class CodedStream:
-    """Range-coder output: the raw renormalization bytes with no internal
-    framing. Symbol counts come from the plane geometry at decode time."""
+    """rANS output: the final 4-byte state, then the 16-bit words in decode
+    order, with no internal framing. Symbol counts come from the plane
+    geometry at decode time."""
 
     data: bytes
 
 
 _OVERFLOW_SLOT = DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 1
 
-
-# Every grid row leaves frequency >= 1 to each of its other 256 slots, so a
-# symbol narrows the coder's range by a factor of at most 1 - 2^-8.
-_MIN_SYMBOL_BITS = -math.log2(1.0 - _OVERFLOW_SLOT / TOTAL_FREQ)
+# The largest frequency of one slot: a row's other 256 slots keep >= 1 each.
+_MAX_FREQ = TOTAL_FREQ - _OVERFLOW_SLOT
+_MIN_SYMBOL_BITS = math.log2(1 + (TOTAL_FREQ - _MAX_FREQ - 1) / (2 * _MAX_FREQ))
 
 
 def check_capacity(stream: CodedStream, shape) -> None:
     """Raise :class:`CorruptStreamError` if ``stream`` is too short to hold
     a plane of ``shape``, before anything is sized from ``shape``.
 
-    No symbol costs less than -log2(1 - 2^-8), about 0.00565 bits (an
-    escape costs more), and the coder's 4-byte head and tail leave at least
-    16 bits of slack, so every stream the encoder writes passes.
+    No symbol costs less than log2(1 + 255 / (2 * 65,280)), about 0.00281
+    bits, and every stream the encoder writes has at least 16 bits more.
+    Proof: let P = 16 * (words written) + log2(state). It starts at 16, and
+    the stream's 32 + 16 * words bits exceed it, as the state is below
+    2^32. A push of the slot [lo, lo + f), f <= F = 2^16 - 256 (escape bits
+    have f = 2^15), takes the state y = q * f + r left after any word
+    write, q >= 1 and r < f, to q * 2^16 + r + lo >= q * 2^16 + r.
+    Without a word, y >= 2^16 and P rises by at least
+    log2((q * 2^16 + r) / (q * f + r)) >= log2(1 + (2^16 - f) / (2 * f)).
+    With one, the state x became y = x >> 16 >= f with x < (y + 1) * 2^16,
+    so P rises by more than log2((q * 2^16 + r) / (q * f + r + 1)) >=
+    log2(1 + (q * (2^16 - f) - 1) / ((q + 1) * f)), least at q = 1. Both
+    bounds fall as f grows, so each push, and so each symbol, raises P by
+    at least log2(1 + (2^16 - F - 1) / (2 * F)).
     """
     count = math.prod(shape)
     if count * _MIN_SYMBOL_BITS > 8 * len(stream.data):
         raise CorruptStreamError(f"a {len(stream.data)}-byte stream cannot hold {count} symbols")
 
 
-def _encode_overflow(enc: RangeEncoder, value: int) -> int:
+def _encode_overflow(enc: RansEncoder, value: int) -> int:
+    """Push the escape bits of ``value`` last to first: the side bit, then
+    n = excess + 1 from its lowest bit up, then the k - 1 zeros that lead
+    n's k-bit Exp-Golomb code. Returns the 2k bits pushed."""
     if value > DEFAULT_SUPPORT_MAX:
         excess, side = value - DEFAULT_SUPPORT_MAX - 1, 1
     else:
         excess, side = DEFAULT_SUPPORT_MIN - 1 - value, 0
     n = excess + 1
     k = n.bit_length()
+    enc.encode_bit(side)
+    for i in range(k):
+        enc.encode_bit((n >> i) & 1)
     for _ in range(k - 1):
         enc.encode_bit(0)
-    for i in range(k - 1, -1, -1):
-        enc.encode_bit((n >> i) & 1)
-    enc.encode_bit(side)
     return 2 * k
 
 
-def _decode_overflow(dec: RangeDecoder) -> int:
+def _decode_overflow(dec: RansDecoder) -> int:
     zeros = 0
     while dec.decode_bit() == 0:
         zeros += 1
@@ -419,55 +401,51 @@ def _decode_overflow(dec: RangeDecoder) -> int:
     return DEFAULT_SUPPORT_MAX + 1 + excess if side else DEFAULT_SUPPORT_MIN - 1 - excess
 
 
-def encode_symbol(enc: RangeEncoder, value: int, row) -> int:
-    """Code one symbol against a cumulative row over the default support (a
+def encode_symbol(enc: RansEncoder, value: int, row) -> int:
+    """Push one symbol against a cumulative row over the default support (a
     :func:`table_grid` row); returns the bypass bit count spent on an
-    overflow escape (0 otherwise)."""
+    overflow escape (0 otherwise). The escape bits follow the overflow
+    slot in decode order, so they are pushed before it."""
     k = value - DEFAULT_SUPPORT_MIN
-    if 0 <= k < _OVERFLOW_SLOT:
-        # RangeEncoder.encode for an interval that ends below TOTAL_FREQ.
-        r = enc._range >> 16
-        lo = row[k]
-        enc._low += r * lo
-        enc._range = rng = r * (row[k + 1] - lo)
-        if rng < _TOP:
-            enc._normalize()
-        return 0
-    enc.encode(row[_OVERFLOW_SLOT], TOTAL_FREQ)
-    return _encode_overflow(enc, value)
-
-
-def decode_symbol(dec: RangeDecoder, row) -> int:
-    """Inverse of :func:`encode_symbol` for the same row."""
-    rng, low = dec._range, dec._low
-    r = rng >> 16
-    # Bisecting only the 257 slot starts maps every position from the
-    # overflow slot's start on, 2^16 and past it included, to that slot; a
-    # negative position gives slot -1.
-    k = bisect_right(row, (dec._code - low) // r, 0, _OVERFLOW_SLOT + 1) - 1
-    if k < 0:
-        raise CorruptStreamError("code below the coder's interval")
+    bits = 0
+    if not 0 <= k < _OVERFLOW_SLOT:
+        bits = _encode_overflow(enc, value)
+        k = _OVERFLOW_SLOT  # every row ends at 2^16, so the slot takes the same step
     lo = row[k]
-    dec._low = low + r * lo
+    freq = row[k + 1] - lo
+    x = enc._state
+    if x >= freq << 16:
+        enc._words.append(x & 0xFFFF)
+        x >>= 16
+    enc._state = (x // freq << 16) | (x % freq + lo)
+    return bits
+
+
+def decode_symbol(dec: RansDecoder, row) -> int:
+    """Inverse of :func:`encode_symbol` for the same row."""
+    x = dec._state
+    slot = x & 0xFFFF
+    # Bisecting only the 257 slot starts maps every slot from the overflow
+    # slot's start on to that slot; row[0] is 0, so none falls below.
+    k = bisect_right(row, slot, 0, _OVERFLOW_SLOT + 1) - 1
+    lo = row[k]
+    x = (row[k + 1] - lo) * (x >> 16) + slot - lo
+    dec._state = x if x >= _STATE_MIN else dec._refill(x)
     if k < _OVERFLOW_SLOT:
-        dec._range = rng = r * (row[k + 1] - lo)
-        if rng < _TOP:
-            dec._normalize()
         return DEFAULT_SUPPORT_MIN + k
-    dec._range = rng - r * lo  # the last interval absorbs the division slack
-    dec._normalize()
     return _decode_overflow(dec)
 
 
-def encode_symbols(enc: RangeEncoder, values, index, offset) -> None:
-    """Code ``values[i] - offset[i]`` against grid row ``index[i]``, in order
-    (sequences of Python ints)."""
+def encode_symbols(enc: RansEncoder, values, index, offset) -> None:
+    """Push ``values[i] - offset[i]`` against grid row ``index[i]``, last
+    to first, so that :func:`decode_symbols` pops them in order (sequences
+    of Python ints)."""
     grid = table_grid()
-    for v, i, o in zip(values, index, offset):
+    for v, i, o in zip(reversed(values), reversed(index), reversed(offset)):
         encode_symbol(enc, v - o, grid[i])
 
 
-def decode_symbols(dec: RangeDecoder, index, offset) -> list[int]:
+def decode_symbols(dec: RansDecoder, index, offset) -> list[int]:
     """Inverse of :func:`encode_symbols`: one value per row index."""
     grid = table_grid()
     return [decode_symbol(dec, grid[i]) + o for i, o in zip(index, offset)]
@@ -502,7 +480,7 @@ def _broadcast(shape, index, offset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
-    """Range-code an int32 plane in C order (channel-major raster for (C, h, w)).
+    """rANS-code an int32 plane in C order (channel-major raster for (C, h, w)).
 
     Symbol ``i`` is coded as ``plane[i] - offset[i]`` against grid row
     ``index[i]``, as given by :func:`grid_index`; ``index`` and ``offset``
@@ -510,7 +488,7 @@ def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
     """
     plane = to_int32(plane, ValueError)
     index, offset = _broadcast(plane.shape, index, offset)
-    enc = RangeEncoder()
+    enc = RansEncoder()
     encode_symbols(enc, plane.reshape(-1).tolist(), index.tolist(), offset.tolist())
     return CodedStream(enc.finish())
 
@@ -518,10 +496,10 @@ def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
 def decode_plane(stream: CodedStream, shape, index, offset) -> np.ndarray:
     """Exact inverse of :func:`encode_plane`: the plane of ``shape`` coded
     with the same row indices and offsets. A stream that runs out before
-    the last symbol, or has bytes left after it, raises
-    :class:`CorruptStreamError`."""
+    the last symbol, or does not end exactly there (bytes left, or a final
+    state other than 2^16), raises :class:`CorruptStreamError`."""
     index, offset = _broadcast(shape, index, offset)
-    dec = RangeDecoder(stream.data)
+    dec = RansDecoder(stream.data)
     decoded = decode_symbols(dec, index.tolist(), offset.tolist())
     dec.finish()
     return to_int32(decoded).reshape(shape)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .coder import CodedStream
 
 VIDEO_MAGIC = b"MFVC"
-VIDEO_VERSION = 2
+VIDEO_VERSION = 3
 
 FRAME_I = 0
 FRAME_P = 1

@@ -362,10 +362,12 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
 
     The module's one serial loop: positions are decoded in raster order
     into a zero-bordered int32 context, so each position's fusion reads
-    only the symbols already decoded. A y stream with bytes left after the
-    last symbol raises :class:`~mfvc.coder.CorruptStreamError`. A
-    mismatched previous latent is not detected; it yields garbage from the
-    first diverging position onward.
+    only the symbols already decoded; the encoder pushed them last to
+    first, so they pop in this order. A y stream with bytes left after the
+    last symbol, or whose coder state does not end at 2^16, raises
+    :class:`~mfvc.coder.CorruptStreamError`. A mismatched previous latent
+    is not detected; it yields garbage from the first diverging position
+    onward.
     """
     prev_latent = np.asarray(prev_latent, dtype=np.int32)
     z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
@@ -373,7 +375,7 @@ def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, 
 
     c, h, w = prev_latent.shape
     pos = _PositionParams(weights, flags, phd, tpm)
-    dec = coder.RangeDecoder(chunk.y_stream.data)
+    dec = coder.RansDecoder(chunk.y_stream.data)
     padded = np.zeros((c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
     plane = padded[:, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the context
     for r in range(h):

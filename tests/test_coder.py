@@ -17,8 +17,8 @@ from mfvc.coder import (
     TOTAL_FREQ,
     CodedStream,
     CorruptStreamError,
-    RangeDecoder,
-    RangeEncoder,
+    RansDecoder,
+    RansEncoder,
     decode_plane,
     decode_symbol,
     decode_symbols,
@@ -40,7 +40,8 @@ INT32_MAX = 2**31 - 1
 def spy_coder(monkeypatch, name: str = "encode_symbol") -> list[int]:
     """Record the return value of every call of the module-global
     ``coder.<name>``: the bypass bits of ``encode_symbol``, the value of
-    ``decode_symbol``."""
+    ``decode_symbol``. The encoder pushes symbols last to first, so its
+    record runs in reverse plane order."""
     returns = []
     real = getattr(coder, name)
 
@@ -52,48 +53,35 @@ def spy_coder(monkeypatch, name: str = "encode_symbol") -> list[int]:
     return returns
 
 
+def bypass_bits(value: int) -> int:
+    """The escape bits ``encode_symbol`` reports for one symbol."""
+    if DEFAULT_SUPPORT_MIN <= value <= DEFAULT_SUPPORT_MAX:
+        return 0
+    excess = value - DEFAULT_SUPPORT_MAX - 1 if value > DEFAULT_SUPPORT_MAX else DEFAULT_SUPPORT_MIN - 1 - value
+    return 2 * (excess + 1).bit_length()
+
+
 class ReferenceEncoder:
-    """The range encoder as a chain of methods, one narrowing and one
-    normalization per call: the reference that the per-symbol step of
-    :func:`coder.encode_symbol` must match byte for byte. It counts the
-    renormalizations that take the carry-less branch."""
+    """Textbook rANS (Duda, arXiv:1311.2540): a state in [2^16, 2^32),
+    16-bit words, one :meth:`put` per slot with a while-loop
+    renormalization. The reference that :func:`coder.encode_symbol` must
+    match byte for byte."""
 
     def __init__(self):
-        self.buf = bytearray()
-        self.low = 0
-        self.range = 0xFFFFFFFF
-        self.carryless = 0
+        self.state = 1 << 16
+        self.words = []
 
-    def normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.range)) < 1 << 24:
-                pass
-            elif self.range < 1 << 16:
-                self.range = (-self.low) & 0xFFFF
-                self.carryless += 1
-            else:
-                break
-            self.buf.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & 0xFFFFFFFF
-            self.range = (self.range << 8) & 0xFFFFFFFF
+    def put(self, lo, freq):
+        while self.state >= freq * 2**16:
+            self.words.append(self.state % 2**16)
+            self.state //= 2**16
+        self.state = self.state // freq * 2**16 + self.state % freq + lo
 
-    def encode(self, cum_lo, cum_hi, total=TOTAL_FREQ):
-        r = self.range // total
-        self.low += r * cum_lo
-        if cum_hi < total:
-            self.range = r * (cum_hi - cum_lo)
-        else:
-            self.range -= r * cum_lo
-        self.normalize()
-
-    def encode_bit(self, bit):
-        self.encode(bit, bit + 1, 2)
+    def put_bit(self, bit):
+        self.put(bit * 2**15, 2**15)
 
     def finish(self):
-        for _ in range(4):
-            self.buf.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & 0xFFFFFFFF
-        return bytes(self.buf)
+        return self.state.to_bytes(4, "big") + b"".join(w.to_bytes(2, "big") for w in reversed(self.words))
 
 
 class ReferenceDecoder:
@@ -101,68 +89,58 @@ class ReferenceDecoder:
 
     def __init__(self, data):
         self.data = data
-        self.pos = 0
-        self.low = 0
-        self.range = 0xFFFFFFFF
-        self.r = 1
-        self.code = 0
-        for _ in range(4):
-            self.code = (self.code << 8) | self.read_byte()
+        self.pos = 4
+        self.state = int.from_bytes(data[:4], "big")
 
-    def read_byte(self):
-        if self.pos >= len(self.data):
-            raise CorruptStreamError("stream exhausted")
-        self.pos += 1
-        return self.data[self.pos - 1]
+    def get(self, lo, freq):
+        self.state = freq * (self.state // 2**16) + self.state % 2**16 - lo
+        while self.state < 1 << 16:
+            if self.pos + 2 > len(self.data):
+                raise CorruptStreamError("stream exhausted")
+            self.state = self.state * 2**16 + int.from_bytes(self.data[self.pos : self.pos + 2], "big")
+            self.pos += 2
 
-    def normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.range)) < 1 << 24:
-                pass
-            elif self.range < 1 << 16:
-                self.range = (-self.low) & 0xFFFF
-            else:
-                break
-            self.code = ((self.code << 8) | self.read_byte()) & 0xFFFFFFFF
-            self.low = (self.low << 8) & 0xFFFFFFFF
-            self.range = (self.range << 8) & 0xFFFFFFFF
-
-    def decode_cum(self, total=TOTAL_FREQ):
-        self.r = self.range // total
-        return min((self.code - self.low) // self.r, total - 1)
-
-    def consume(self, cum_lo, cum_hi, total=TOTAL_FREQ):
-        self.low += self.r * cum_lo
-        if cum_hi < total:
-            self.range = self.r * (cum_hi - cum_lo)
-        else:
-            self.range -= self.r * cum_lo
-        self.normalize()
-
-    def decode_bit(self):
-        bit = 1 if self.decode_cum(2) >= 1 else 0
-        self.consume(bit, bit + 1, 2)
+    def get_bit(self):
+        bit = self.state % 2**16 // 2**15
+        self.get(bit * 2**15, 2**15)
         return bit
 
+    def done(self):
+        return self.pos == len(self.data) and self.state == 1 << 16
 
-# The escape helpers only drive encode_bit/decode_bit, so the references
-# share them with the coder.
-def reference_encode_symbol(enc: ReferenceEncoder, value: int, row) -> None:
-    slot = coder._OVERFLOW_SLOT
-    if DEFAULT_SUPPORT_MIN <= value <= DEFAULT_SUPPORT_MAX:
-        k = value - DEFAULT_SUPPORT_MIN
-        enc.encode(row[k], row[k + 1])
-    else:
-        enc.encode(row[slot], TOTAL_FREQ)
-        coder._encode_overflow(enc, value)
+
+def reference_encode(values, rows) -> bytes:
+    """Lay out every slot in decode order (an escape adds the Exp-Golomb
+    bits of excess + 1 and a side bit), then put them last to first."""
+    slots = []
+    for v, row in zip(values, rows):
+        if DEFAULT_SUPPORT_MIN <= v <= DEFAULT_SUPPORT_MAX:
+            k = v - DEFAULT_SUPPORT_MIN
+            slots.append((row[k], row[k + 1] - row[k]))
+            continue
+        slots.append((row[-2], TOTAL_FREQ - row[-2]))
+        side = v > DEFAULT_SUPPORT_MAX
+        n = v - DEFAULT_SUPPORT_MAX if side else DEFAULT_SUPPORT_MIN - v  # excess + 1
+        code = "0" * (n.bit_length() - 1) + format(n, "b") + str(int(side))
+        slots += [(int(b) * 2**15, 2**15) for b in code]
+    enc = ReferenceEncoder()
+    for lo, freq in reversed(slots):
+        enc.put(lo, freq)
+    return enc.finish()
 
 
 def reference_decode_symbol(dec: ReferenceDecoder, row) -> int:
-    k = bisect.bisect_right(row, dec.decode_cum()) - 1
-    dec.consume(row[k], row[k + 1])
-    if k == coder._OVERFLOW_SLOT:
-        return coder._decode_overflow(dec)
-    return DEFAULT_SUPPORT_MIN + k
+    k = bisect.bisect_right(row, dec.state % 2**16) - 1
+    dec.get(row[k], row[k + 1] - row[k])
+    if k < coder._OVERFLOW_SLOT:
+        return DEFAULT_SUPPORT_MIN + k
+    zeros = 0
+    while dec.get_bit() == 0:
+        zeros += 1
+    n = 1
+    for _ in range(zeros):
+        n = 2 * n + dec.get_bit()
+    return DEFAULT_SUPPORT_MAX + n if dec.get_bit() else DEFAULT_SUPPORT_MIN - n
 
 
 def row_of(freq) -> list[int]:
@@ -273,7 +251,8 @@ class TestRoundtrip:
         plane = np.array([10000, -9999, 0, 129], dtype=np.int64)
         coded = spy_coder(monkeypatch)
         stream = encode_plane(plane, index, offset)
-        assert len(coded) == 4 and sum(coded) > 0
+        assert coded[::-1] == [bypass_bits(v) for v in (plane - offset).tolist()]
+        assert sum(coded) > 0
         out = decode_plane(stream, (4,), index, offset)
         np.testing.assert_array_equal(out, plane)
 
@@ -288,7 +267,10 @@ class TestRoundtrip:
         stream = encode_plane(plane, index, offset)
         out = decode_plane(stream, plane.shape, index, offset)
         np.testing.assert_array_equal(out, plane)
+        symbols = (plane - offset).reshape(-1).tolist()
         assert len(coded) == len(decoded) == 105
+        assert decoded == symbols
+        assert coded[::-1] == [bypass_bits(v) for v in symbols]
         assert sum(coded) > 0
 
     def test_plane_shape_restored(self):
@@ -319,12 +301,11 @@ class TestRoundtrip:
 
         rng = np.random.default_rng(9)
         plane = rng.integers(-30, 31, size=64, dtype=np.int64).tolist()
-        enc = RangeEncoder()
-        prev = None
-        for v in plane:
+        enc = RansEncoder()
+        # The encoder knows every symbol, so it can push them last to first.
+        for v, prev in reversed(list(zip(plane, [None, *plane[:-1]]))):
             encode_symbol(enc, v, table(prev))
-            prev = v
-        dec = RangeDecoder(enc.finish())
+        dec = RansDecoder(enc.finish())
         out, prev = [], None
         for _ in plane:
             prev = decode_symbol(dec, table(prev))
@@ -336,11 +317,11 @@ class TestRoundtrip:
         n = 300
         plane = rng.integers(-300, 300, size=n, dtype=np.int64)
         index, offset = grid_index(rng.uniform(-40, 40, n), rng.uniform(-3, 3, n))
-        enc = RangeEncoder()
+        enc = RansEncoder()
         encode_symbols(enc, plane.tolist(), index.tolist(), offset.tolist())
         data = enc.finish()
         assert data == encode_plane(plane, index, offset).data
-        assert decode_symbols(RangeDecoder(data), index.tolist(), offset.tolist()) == plane.tolist()
+        assert decode_symbols(RansDecoder(data), index.tolist(), offset.tolist()) == plane.tolist()
 
     @given(st.lists(st.integers(-500, 500), min_size=0, max_size=120), st.floats(-5, 5), st.floats(-6, 6))
     @settings(max_examples=120, deadline=None)
@@ -362,8 +343,9 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("extra", [b"\x00", b"\xff\x80\x01"])
     def test_bytes_after_the_last_symbol_raise(self, extra):
-        # The decoder reads the 4 bytes the encoder flushes plus one per
-        # renormalization, so a whole stream leaves none over.
+        # The decoder reads the 4-byte state plus one 16-bit word per
+        # renormalization, so a whole stream leaves none over; an odd
+        # byte is never read.
         rng = np.random.default_rng(11)
         index, offset = grid_index(rng.uniform(-20, 20, 300), rng.uniform(-6, 6, 300))
         plane = rng.integers(-600, 600, size=300, dtype=np.int64)
@@ -373,13 +355,14 @@ class TestRoundtrip:
             decode_plane(CodedStream(stream.data + extra), (300,), index, offset)
 
     def test_malformed_overflow_magnitude_raises(self):
-        # A stream of coded zero bits drives the Exp-Golomb prefix past its cap.
-        enc = RangeEncoder()
+        # An escape followed by coded zero bits drives the Exp-Golomb
+        # prefix past its cap. They are put last to first.
+        enc = ReferenceEncoder()
         index, offset = grid_index(0.0, -6.0)
         row = table_grid()[int(index)]
-        enc.encode(row[-2], TOTAL_FREQ)  # escape
         for _ in range(70):
-            enc.encode_bit(0)
+            enc.put_bit(0)
+        enc.put(row[-2], TOTAL_FREQ - row[-2])  # escape
         stream = CodedStream(enc.finish())
         with pytest.raises(CorruptStreamError):
             decode_plane(stream, (1,), index, offset)
@@ -401,47 +384,60 @@ class TestReferenceCoder:
         values[at] = np.resize(edges, at.size)
         values, rows = values.tolist(), rows.tolist()
 
-        ref = ReferenceEncoder()
-        enc = RangeEncoder()
-        for v, i in zip(values, rows):
-            reference_encode_symbol(ref, v, grid[i])
+        data = reference_encode(values, [grid[i] for i in rows])
+        enc = RansEncoder()
+        for v, i in zip(reversed(values), reversed(rows)):
             encode_symbol(enc, v, grid[i])
-        data = enc.finish()
-        assert data == ref.finish()
-        assert ref.carryless > 0
+        assert enc.finish() == data
 
         ref_dec = ReferenceDecoder(data)
-        dec = RangeDecoder(data)
         assert [reference_decode_symbol(ref_dec, grid[i]) for i in rows] == values
+        assert ref_dec.done()
+        dec = RansDecoder(data)
         assert [decode_symbol(dec, grid[i]) for i in rows] == values
+        dec.finish()
 
 
 class TestDamagedStreams:
-    def test_random_streams_decode_or_raise(self, monkeypatch):
-        # Random bytes put the code register anywhere, below the coder's
-        # interval too; such a position must raise, not decode slot -1.
-        seen = []
-        real = coder.decode_symbol
+    @given(st.binary(max_size=700), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_streams_decode_or_raise(self, data, seed):
+        # Any bytes must decode to a plane or raise CorruptStreamError:
+        # every state the decoder can reach stays in [2^16, 2^32), and no
+        # slot falls below a row's start.
+        rng = np.random.default_rng(seed)
+        shape = (4, 8, 8)
+        index, offset = grid_index(rng.uniform(-20, 20, shape), rng.uniform(-6, 6, shape))
+        try:
+            out = decode_plane(CodedStream(data), shape, index, offset)
+        except CorruptStreamError:
+            return
+        assert out.shape == shape and out.dtype == np.int32
+        assert encode_plane(out, index, offset).data == data  # only the encoder's bytes decode
 
-        def spy(dec, row):
-            cum = (dec._code - dec._low) // (dec._range >> 16)
-            value = real(dec, row)
-            seen.append((cum, dec._range))
-            return value
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda d: d[:3], "exhausted"),
+            (lambda d: b"\x00\x00\xff\xff" + d[4:], "initial coder state below 2"),
+            (lambda d: d[:-2], "exhausted"),  # the last refill finds no word
+        ],
+        ids=["short", "low-state", "refill-past-end"],
+    )
+    def test_each_damage_raises(self, damage, match):
+        # Bytes left after the last symbol, odd lengths included, are
+        # TestRoundtrip::test_bytes_after_the_last_symbol_raise.
+        rng = np.random.default_rng(18)
+        index, offset = grid_index(rng.uniform(-20, 20, 300), rng.uniform(-6, 6, 300))
+        data = encode_plane(rng.integers(-600, 600, size=300, dtype=np.int64), index, offset).data
+        with pytest.raises(CorruptStreamError, match=match):
+            decode_plane(CodedStream(damage(data)), (300,), index, offset)
 
-        monkeypatch.setattr(coder, "decode_symbol", spy)
-        rng = np.random.default_rng(17)
-        shape = (4, 32, 32)
-        for _ in range(200):
-            stream = CodedStream(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
-            index, offset = grid_index(rng.uniform(-20, 20, shape), rng.uniform(-6, 6, shape))
-            try:
-                decode_plane(stream, shape, index, offset)
-            except CorruptStreamError:
-                pass
-        assert len(seen) > 10000
-        assert min(cum for cum, _ in seen) >= 0
-        assert min(rng_after for _, rng_after in seen) > 0
+    def test_final_state_must_be_the_initial_state(self):
+        index, offset = grid_index(0.0, 0.0)
+        assert encode_plane(np.zeros(0, np.int32), index, offset).data == b"\x00\x01\x00\x00"
+        with pytest.raises(CorruptStreamError, match="final coder state 0x10001, not 2"):
+            decode_plane(CodedStream(b"\x00\x01\x00\x01"), (0,), index, offset)
 
 
 class TestRates:
@@ -454,7 +450,7 @@ class TestRates:
         row = row_of([255] * 256 + [TOTAL_FREQ - 256 * 255])
         rng = np.random.default_rng(11)
         n = 8192
-        enc = RangeEncoder()
+        enc = RansEncoder()
         for v in rng.integers(-127, 129, size=n, dtype=np.int64).tolist():
             encode_symbol(enc, v, row)
         bits = 8 * len(enc.finish())
@@ -466,7 +462,7 @@ class TestRates:
         freq[-DEFAULT_SUPPORT_MIN] = TOTAL_FREQ // 2
         freq[1 - DEFAULT_SUPPORT_MIN] = TOTAL_FREQ // 2 - 255
         row = row_of(freq)
-        enc = RangeEncoder()
+        enc = RansEncoder()
         encode_symbol(enc, 0, row)
         assert 8 * len(enc.finish()) <= 1 + 32
 
@@ -535,11 +531,12 @@ class TestRangeCoderCore:
     def test_bit_roundtrip(self):
         rng = np.random.default_rng(12)
         bits = rng.integers(0, 2, size=2000).tolist()
-        enc = RangeEncoder()
-        for b in bits:
+        enc = RansEncoder()
+        for b in reversed(bits):
             enc.encode_bit(b)
-        dec = RangeDecoder(enc.finish())
+        dec = RansDecoder(enc.finish())
         assert [dec.decode_bit() for _ in bits] == bits
+        dec.finish()
 
     def test_per_symbol_tables(self):
         index, offset = grid_index(np.arange(10) * 1.3, np.linspace(-2.0, 2.0, 10))
@@ -675,6 +672,21 @@ class TestCapacity:
             coder.check_capacity(stream, (n,))
             assert n * coder._MIN_SYMBOL_BITS <= 8 * len(stream.data) - 16
 
+    def test_slot_zero_peak_fits_the_bound(self):
+        # A row whose slot 0 holds all but the other slots' floor of 1:
+        # the largest frequency a slot can have, at lo = 0. Its symbols
+        # cost less than -log2(1 - 2^-8) bits each, a floor that would
+        # reject this stream.
+        row = row_of([TOTAL_FREQ - 256] + [1] * 256)
+        n = 100_000
+        enc = RansEncoder()
+        for _ in range(n):
+            encode_symbol(enc, DEFAULT_SUPPORT_MIN, row)
+        stream = CodedStream(enc.finish())
+        coder.check_capacity(stream, (n,))
+        assert n * coder._MIN_SYMBOL_BITS <= 8 * len(stream.data) - 16
+        assert n * -math.log2(1 - 2**-8) > 8 * len(stream.data)
+
     def test_too_many_symbols_rejected(self):
         stream = CodedStream(bytes(10))
         coder.check_capacity(stream, (math.floor(80 / coder._MIN_SYMBOL_BITS),))
@@ -694,8 +706,8 @@ class TestInt32Range:
     def test_decoder_rejects_decoded_symbol_outside_int32(self):
         index, offset = grid_index(0.0, 1.0)
         row = table_grid()[int(index)]
-        enc = RangeEncoder()
-        for v in (2**40 + 5, 3):
+        enc = RansEncoder()
+        for v in (3, 2**40 + 5):  # pushed last to first
             encode_symbol(enc, v, row)
         with pytest.raises(CorruptStreamError, match="int32"):
             decode_plane(CodedStream(enc.finish()), (2,), index, offset)

@@ -1,7 +1,8 @@
 """Golden pins: fixed-seed untrained weights on a fixed sequence must code
 to exactly these bytes, a few fixed-seed training iterations must give
-exactly these weight files, and the coder's table grid must hold exactly
-these frequencies.
+exactly these weight files, the coder's table grid must hold exactly
+these frequencies, and the coder must code a fixed plane to exactly these
+bytes.
 
 The sequence covers I-frames and P-frames (GOP 3 over a translating and a
 zooming clip) and every branch ablation of the entropy model. A refactor
@@ -10,7 +11,9 @@ container version, updates the pins here and says so in CHANGES.md. The
 training pins cover both stages under both distortion measures; they hold
 at one and at two BLAS threads. The table grid is computed with libm
 ``exp``/``expm1`` and is part of the bitstream format, so a libm that
-rounds differently shows up here before it breaks a stream.
+rounds differently shows up here before it breaks a stream. The coder pin
+covers the entropy coder apart from the models, so a change to the coded
+format shows there first.
 """
 
 import hashlib
@@ -18,17 +21,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfvc.coder import table_grid
+from mfvc.coder import LOG_SCALE_MAX, LOG_SCALE_MIN, encode_plane, grid_index, table_grid
 from mfvc.image import init_autoencoder
 from mfvc.stem import StemFlags, init_stem
 from mfvc.trainer import TrainConfig, train_image_model, train_stem
 from mfvc.video import GopConfig, compress_video, synth_clips, synth_sequence
 
 GOLDEN = {
-    "all": "d28bae201a5892b6f85b502946ddaac91d61836d4eaf583c4f5f95280da96fd6",
-    "no_spm": "f7161c6bc7fd6444dae51fa5077b98eae6e9399d97d9cbe38b0bab8359fa278d",
-    "no_tpm": "27c456db13f90a91c069aaaab59c3e90516c2a0023dad03722e01321d589be17",
-    "no_residual": "fc3d655725a2c67f49d86f2a4c15e760f6368b9f7b1f705fe1920c957ac8f189",
+    "all": "c3e61c9ab348ccd0fee0a90064280d4b97014a553211aae66929179bcbca1b53",
+    "no_spm": "10444de1b09e097326ea01153cb9b30eef87c12cda2d5f5d56e60fa3505a74e3",
+    "no_tpm": "322adff41bf3d183a616f4e58bbe7e288b15b02ee2e599cbea2908f6ea6b2533",
+    "no_residual": "b0213440b7c7004995beab199929f099b7185cd5306b457be067f8bedd89e8d0",
 }
 
 FLAGS = {
@@ -94,3 +97,19 @@ GRID_SHA256 = "6c917f6a0e66839218e4f32cf87a7099418f90c9a2f760d2ddb1a8ae2cc6bedf"
 def test_table_grid_pinned():
     grid = np.asarray(table_grid(), dtype="<i8")
     assert hashlib.sha256(grid.tobytes()).hexdigest() == GRID_SHA256
+
+
+CODED = {
+    # log-scale of the grid row: sha256 of the coded plane
+    LOG_SCALE_MIN: "ed96fa238ff78c9bb5aab2c6812d6507a396a5ccd737b7823243ab41e7c386e1",
+    LOG_SCALE_MAX: "96e910e8e2b36018af044c5cf2d05df46c4c5a5dfed9ef3da14d277b00625b45",
+}
+
+
+@pytest.mark.parametrize("log_scale", sorted(CODED), ids=["sharpest", "widest"])
+def test_coded_plane_pinned(log_scale):
+    # Every in-support value step 3 around both ends, and escapes past each
+    # end: the first ones out, larger ones and the int32 limits.
+    plane = np.concatenate([np.arange(-140, 141, 3), [-128, 129, -1000, 1000, -(2**31), 2**31 - 1, 0, 1, -1]])
+    stream = encode_plane(plane, *grid_index(0.0, log_scale))
+    assert hashlib.sha256(stream.data).hexdigest() == CODED[log_scale]

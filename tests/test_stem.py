@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvc import coder
 from mfvc.stem import (
@@ -259,8 +261,8 @@ class TestPFrameRoundtrip:
         index, offset = coder.grid_index(0.0, 0.0)
         row = coder.table_grid()[int(index)]
         for first, expect_ok in ((5, True), (2**40, False)):
-            enc = coder.RangeEncoder()
-            for v in [first] + [0] * (zeros.size - 1):
+            enc = coder.RansEncoder()
+            for v in [0] * (zeros.size - 1) + [first]:  # pushed last to first
                 coder.encode_symbol(enc, v, row)
             chunk.y_stream = coder.CodedStream(enc.finish())
             if expect_ok:
@@ -270,6 +272,22 @@ class TestPFrameRoundtrip:
             else:
                 with pytest.raises(coder.CorruptStreamError, match="int32"):
                     decode_pframe(chunk, zeros, StemFlags(), w)
+
+    @given(z=st.one_of(st.none(), st.binary(max_size=64)), y=st.binary(max_size=400))
+    @settings(max_examples=100, deadline=None)
+    def test_random_streams_decode_or_raise(self, weights, z, y):
+        # Any bytes (with the encoder's z stream, or random ones) must
+        # decode to a latent or raise CorruptStreamError.
+        a, b = random_latents(np.random.default_rng(19))
+        chunk = encode_pframe(a, b, StemFlags(), weights)
+        if z is not None:
+            chunk.z_stream = coder.CodedStream(z)
+        chunk.y_stream = coder.CodedStream(y)
+        try:
+            out = decode_pframe(chunk, b, StemFlags(), weights)
+        except coder.CorruptStreamError:
+            return
+        assert out.shape == a.shape and out.dtype == np.int32
 
     def test_encoding_deterministic(self, weights):
         rng = np.random.default_rng(15)
@@ -310,7 +328,8 @@ class TestRowAgreement:
         # The encoder fuses every position from the whole known plane and
         # the decoder from the symbols decoded so far; the symbols that
         # reach the coder (the calls the traced benchmark counts) must pair
-        # the same row with the same value, in the same order. The hyper
+        # the same row with the same value, in the same order once the
+        # encoder's pushes, made last to first, are reversed. The hyper
         # latent's plane coding (encode_z/decode_z) is left out; the y
         # plane goes through the plane coder too.
         a, b = random_latents(np.random.default_rng(18))
@@ -355,7 +374,7 @@ class TestRowAgreement:
         np.testing.assert_array_equal(decode_pframe(chunk, b, flags, weights), a)
 
         assert len(coded["encode"]) == a.size
-        assert coded["encode"] == coded["decode"]
+        assert coded["encode"][::-1] == coded["decode"]
         assert any(not coder.DEFAULT_SUPPORT_MIN <= v <= coder.DEFAULT_SUPPORT_MAX for _, v in coded["encode"])
 
 

@@ -142,13 +142,22 @@ class TestErrors:
         with pytest.raises(DigestMismatchError, match="digest"):
             decompress_video(stream, other, stem)
 
-    def test_version_1_stream_rejected(self, models):
+    @staticmethod
+    def assert_version_rejected(models, version):
         ae, stem = models
         blob = bytearray(compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
-        assert blob[4] == VIDEO_VERSION == 2
-        blob[4] = 1
-        with pytest.raises(ContainerError, match="version 1"):
+        assert blob[4] == VIDEO_VERSION == 3
+        blob[4] = version
+        with pytest.raises(ContainerError, match=f"version {version}"):
             VideoBitstream.from_bytes(bytes(blob))
+
+    def test_version_1_stream_rejected(self, models):
+        self.assert_version_rejected(models, 1)
+
+    def test_version_2_stream_rejected(self, models):
+        # Version 2 coded with a range coder; its streams do not decode
+        # under rANS.
+        self.assert_version_rejected(models, 2)
 
     def test_truncated_stream_names_frame(self, models):
         ae, stem = models
@@ -193,18 +202,22 @@ class TestErrors:
 
     def test_lowered_width_rejected(self, models):
         # Width 1 asks for one latent column per row: the streams coded for
-        # 32 columns hold bytes past the last symbol decoded.
+        # 32 columns hold more than the symbols decoded. The first, the
+        # 4-byte hyper stream (a state and no words), is left with its
+        # coder state above 2^16.
         ae, stem = models
         frames = small_video(2, w=32)
         blob = bytearray(compress_video(frames, ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes())
         assert int.from_bytes(blob[5:9], "little") == 32
         blob[5:9] = (1).to_bytes(4, "little")
         stream = VideoBitstream.from_bytes(bytes(blob))
-        with pytest.raises(ContainerError, match="frame 0: bytes left after the last symbol"):
+        with pytest.raises(ContainerError, match="frame 0: final coder state 0x[0-9a-f]+, not 2"):
             decompress_video(stream, ae, stem)
 
-    @pytest.mark.parametrize("t", [0, 1], ids=["iframe", "pframe"])
-    def test_appended_latent_byte_rejected(self, models, t):
+    @staticmethod
+    def append_to_latent_stream(models, t, extra):
+        """The frame-``t`` y stream of a 2-frame stream with ``extra``
+        appended and its length field raised to match."""
         ae, stem = models
         stream = compress_video(small_video(2), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0)))
         assert stream.chunks[t].frame_type == (FRAME_I, FRAME_P)[t]
@@ -212,11 +225,24 @@ class TestErrors:
         z_len, y_len = (len(stream.chunks[t].z_stream.data), len(stream.chunks[t].y_stream.data))
         start = HEADER_SIZE + sum(CHUNK_HEADER_SIZE + len(c.z_stream.data) + len(c.y_stream.data) for c in stream.chunks[:t])
         assert struct.unpack_from("<BII", blob, start)[1:] == (z_len, y_len)
-        struct.pack_into("<I", blob, start + 5, y_len + 1)
+        struct.pack_into("<I", blob, start + 5, y_len + len(extra))
         end = start + CHUNK_HEADER_SIZE + z_len + y_len
-        blob[end:end] = b"\x00"
+        blob[end:end] = extra
+        return VideoBitstream.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("t", [0, 1], ids=["iframe", "pframe"])
+    def test_appended_latent_byte_rejected(self, models, t):
+        # A whole 16-bit word: the decoder stops before it.
+        stream = self.append_to_latent_stream(models, t, b"\x00\x00")
+        with pytest.raises(ContainerError, match=f"frame {t}: bytes left after the last symbol: 2"):
+            decompress_video(stream, *models)
+
+    @pytest.mark.parametrize("t", [0, 1], ids=["iframe", "pframe"])
+    def test_appended_odd_byte_rejected(self, models, t):
+        # The decoder reads whole words, so an odd length leaves a byte.
+        stream = self.append_to_latent_stream(models, t, b"\x00")
         with pytest.raises(ContainerError, match=f"frame {t}: bytes left after the last symbol: 1"):
-            decompress_video(VideoBitstream.from_bytes(bytes(blob)), ae, stem)
+            decompress_video(stream, *models)
 
     def test_rate_index_outside_lambda_set_rejected(self, models):
         ae, stem = models

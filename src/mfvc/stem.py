@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coder
 from .container import FRAME_P, FrameChunk
@@ -277,9 +278,14 @@ def p_frame_symbol_bits(latent: np.ndarray, prev_latent: np.ndarray, flags: Stem
 class _PositionParams:
     """Per-position fusion shared by the encoder and the serial decoder.
 
-    Both sides must produce bit-identical Laplacian parameters, so the same
-    float32 matrix-vector code runs at every position in both; a batched
-    pass over the plane would sum in another order. The fusion input
+    Both sides must produce bit-identical Laplacian parameters. The serial
+    decoder calls :meth:`at` at each position; the encoder, which knows the
+    whole plane, calls :meth:`every` once per frame. One GEMM over the plane
+    would sum each dot product in another order, but :meth:`every` stacks
+    matrix-vector products, and NumPy's matmul runs a stack as one BLAS
+    gemv per position, in a C loop: the kernel that :meth:`at` runs, on the
+    same operands. ``tests/test_stem.py::TestFrameFusion`` pins this bit for
+    bit on the installed NumPy. The fusion input
     ``[phd; spm; tpm]`` of every position is laid out once per frame with
     zeros in the SPM slot; :meth:`at` fills that slot from the
     zero-bordered plane when the SPM is on. ``spm_mat`` is ``kernel *
@@ -318,6 +324,28 @@ class _PositionParams:
             x = mat @ x + bias
         return x
 
+    def every(self, padded_plane: np.ndarray) -> np.ndarray:
+        """The ``(h, w, 2C)`` parameters of every position of a known plane,
+        equal bit for bit to :meth:`at` at each position.
+
+        Each product is a stack of one matrix-vector product per position,
+        ``mat @ x[:, :, None]``, never ``x @ mat.T``. The SPM patches take a
+        transient ``h * w * C * 25`` float32 array: 6.6 MB for a 64x64
+        plane of 16 channels.
+        """
+        h, w = self.fused.shape[:2]
+        x = self.fused.reshape(h * w, -1)
+        if self.use_spm:
+            x = x.copy()
+            windows = sliding_window_view(padded_plane.astype(np.float32), (_SPM_KERNEL, _SPM_KERNEL), axis=(1, 2))
+            patches = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, 1, -1)  # at's patch of every position
+            x[:, 2 * self.c : 4 * self.c] = (patches @ self.spm_mat)[:, 0] + self.spm_bias
+        for i, (mat, bias) in enumerate(self.epm):
+            if i:
+                x = np.maximum(x, x * self.slope)
+            x = (mat @ x[:, :, None])[:, :, 0] + bias
+        return x.reshape(h, w, -1)
+
 
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
     """Hyper-decoder and temporal features, computed once per frame; a
@@ -336,8 +364,9 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     spatial raster order, all channels of a position together, so the
     serial decoder can rebuild the causal context as it goes. The encoder
     knows every symbol, so it fuses every position's parameters from the
-    whole plane in one pass and maps the frame to grid rows in one call;
-    the serial walk is the decoder's.
+    whole plane in one :meth:`_PositionParams.every` call, bit for bit the
+    decoder's per-position :meth:`_PositionParams.at`, and maps the frame
+    to grid rows in one call; the serial walk is the decoder's.
     """
     latent = coder.to_int32(latent, ValueError)
     prev_latent = coder.to_int32(prev_latent, ValueError)
@@ -347,10 +376,9 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     plane = residual_latent(latent, prev_latent) if flags.use_residual else latent
     phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
 
-    c, h, w = plane.shape
-    pos = _PositionParams(weights, flags, phd, tpm)
+    c = plane.shape[0]
     padded = np.pad(plane, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)))
-    params = np.array([[pos.at(padded, r, col) for col in range(w)] for r in range(h)], np.float32).reshape(h, w, 2 * c)
+    params = _PositionParams(weights, flags, phd, tpm).every(padded)
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
     y_stream = coder.encode_plane(plane.transpose(1, 2, 0), index, offset)  # position-major, as the decoder reads
     return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)

@@ -378,6 +378,43 @@ class TestRowAgreement:
         assert any(not coder.DEFAULT_SUPPORT_MIN <= v <= coder.DEFAULT_SUPPORT_MAX for _, v in coded["encode"])
 
 
+
+class TestFrameFusion:
+    @pytest.mark.parametrize("c", [4, 5, 16])  # 16: the benchmark model's 96-80-64-32 chain
+    @pytest.mark.parametrize("flags", ROW_FLAGS, ids=[f"flags{i}" for i in range(len(ROW_FLAGS))])
+    def test_frame_pass_equals_every_position_bit_for_bit(self, flags, c):
+        # The encoder's one pass per frame must give the decoder's
+        # per-position bits. A GEMM in place of the stacked matrix-vector
+        # products sums in another order and fails here.
+        h, w = 6, 9
+        weights = init_stem(latent_channels=c, seed=3)
+        a, b = random_latents(np.random.default_rng(19), c=c, h=h, w=w, span=30)
+        a[0, 1, 2] = b[0, 1, 2] + 1000  # beyond the support: an escape
+        a[c - 1, 4, 7] = b[c - 1, 4, 7] - 20000
+        plane = residual_latent(a, b) if flags.use_residual else a
+        z_hat, _ = hyper_encode(a, b, weights)
+        pos = _PositionParams(weights, flags, *_frame_features(z_hat, b, flags, weights))
+        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
+        per_position = np.stack([np.stack([pos.at(padded, r, col) for col in range(w)]) for r in range(h)])
+        frame = pos.every(padded)
+        assert frame.shape == (h, w, 2 * c) and frame.dtype == np.float32
+        np.testing.assert_array_equal(frame.view(np.uint32), per_position.view(np.uint32))
+
+    def test_only_the_decoder_walks_positions(self, weights, monkeypatch):
+        calls = []
+        real_at = _PositionParams.at
+
+        def at(self, padded_plane, r, col):
+            calls.append((r, col))
+            return real_at(self, padded_plane, r, col)
+
+        monkeypatch.setattr(_PositionParams, "at", at)
+        a, b = random_latents(np.random.default_rng(20), h=5, w=7)
+        chunk = encode_pframe(a, b, StemFlags(), weights)
+        assert calls == []
+        np.testing.assert_array_equal(decode_pframe(chunk, b, StemFlags(), weights), a)
+        assert calls == [(r, col) for r in range(5) for col in range(7)]
+
 class TestRateEstimate:
     def test_eval_estimate_tracks_coded_length(self, weights):
         rng = np.random.default_rng(18)

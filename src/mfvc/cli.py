@@ -234,9 +234,9 @@ def _cmd_eval(cfg: CliConfig) -> int:
     rows = evaluate_video(stream, original, ae, stem)
     metrics.write_eval_csv(cfg.csv or cfg.output, rows)
     mean_psnr = float(np.mean([r["psnr"] for r in rows]))
-    total_bits = 8 * len(stream.to_bytes())
+    bpp = metrics.bpp(stream.total_bits, stream.header.width, stream.header.height, len(rows))
     print(
-        f"{len(rows)} frames, {metrics.bpp(total_bits, stream.header.width, stream.header.height, len(rows)):.4f} bpp, "
+        f"{len(rows)} frames, {bpp:.4f} bpp, "
         f"mean PSNR {mean_psnr:.2f} dB"
     )
     return 0
@@ -258,12 +258,12 @@ def _cmd_ablate(cfg: CliConfig) -> int:
     rate = ae.rate(cfg.rate_index)
 
     anchor = compress_video(frames, ae, stem, GopConfig(gop_size=1, rate=rate))
-    anchor_bits = 8 * len(anchor.to_bytes())
+    anchor_bits = anchor.total_bits
     print(f"anchor (all-I, GOP 1): {anchor_bits} bits")
     print(f"{'variant':<16} {'bits':>12} {'savings':>9}")
     for name, flags in _ABLATION_MATRIX:
         stream = compress_video(frames, ae, stem, GopConfig(gop_size=cfg.gop_size, rate=rate, flags=flags))
-        bits = 8 * len(stream.to_bytes())
+        bits = stream.total_bits
         saving = (1.0 - bits / anchor_bits) * 100.0
         print(f"{name:<16} {bits:>12} {saving:>8.2f}%")
     return 0

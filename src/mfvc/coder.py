@@ -35,7 +35,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-import struct
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -54,6 +55,7 @@ _INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
 
 _STATE_MIN = 1 << 16  # the coder's state lives in [2^16, 2^32)
+_SWAP_WORDS = sys.byteorder == "little"  # words are stored big-endian
 _MAX_EG_PREFIX = 48
 
 
@@ -72,7 +74,7 @@ class RansEncoder:
 
     def __init__(self):
         self._state = _STATE_MIN
-        self._words: list[int] = []  # in the order written, the reverse of decode order
+        self._words = array("H")  # in the order written, the reverse of decode order
 
     def encode_bit(self, bit: int) -> None:
         """Push ``bit`` as the slot [bit * 2^15, (bit + 1) * 2^15)."""
@@ -84,7 +86,9 @@ class RansEncoder:
 
     def finish(self) -> bytes:
         words = self._words[::-1]
-        return struct.pack(f">I{len(words)}H", self._state, *words)
+        if _SWAP_WORDS:
+            words.byteswap()
+        return self._state.to_bytes(4, "big") + words.tobytes()
 
 
 class RansDecoder:
@@ -96,7 +100,9 @@ class RansDecoder:
         self._state = int.from_bytes(data[:4], "big")
         if self._state < _STATE_MIN:
             raise CorruptStreamError("initial coder state below 2^16")
-        self._words = struct.unpack_from(f">{(len(data) - 4) // 2}H", data, 4)
+        self._words = array("H", data[4 : len(data) - len(data) % 2])
+        if _SWAP_WORDS:
+            self._words.byteswap()
         self._pos = 0
         self._size = len(data)
 

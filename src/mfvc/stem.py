@@ -6,9 +6,11 @@ joint hyper-prior over both latents, a temporal prior extracted from the
 previous latent, and a causal spatial prior over the residual itself.
 Because the spatial prior is autoregressive, decoding walks spatial
 positions serially, recomputing the causal context from already-decoded
-symbols; hyper and temporal features for a frame are computed once and may
-be prepared concurrently, while different groups of pictures decode
-independently.
+symbols; hyper and temporal features for a frame are computed once. Frames
+of different groups of pictures do not depend on each other, so one
+decoder call walks P-frames of several groups in lockstep: one fusion and
+one grid lookup per position for all of them, each frame popping its own
+symbols from its own stream.
 
 The model is rate-agnostic: one set of weights serves every rate index of
 the auto-encoder that produced the latents.
@@ -17,7 +19,7 @@ the auto-encoder that produced the latents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -279,13 +281,15 @@ class _PositionParams:
     """Per-position fusion shared by the encoder and the serial decoder.
 
     Both sides must produce bit-identical Laplacian parameters. The serial
-    decoder calls :meth:`at` at each position; the encoder, which knows the
-    whole plane, calls :meth:`every` once per frame. One GEMM over the plane
-    would sum each dot product in another order, but :meth:`every` stacks
-    matrix-vector products, and NumPy's matmul runs a stack as one BLAS
-    gemv per position, in a C loop: the kernel that :meth:`at` runs, on the
-    same operands. ``tests/test_stem.py::TestFrameFusion`` pins this bit for
-    bit on the installed NumPy. The fusion input
+    decoder calls :meth:`at` at each position, for one frame or for a stack
+    of K frames walked in lockstep; the encoder, which knows the whole
+    plane, calls :meth:`every` once per frame. One GEMM over the plane or
+    the stack would sum each dot product in another order, but :meth:`every`
+    and the stacked :meth:`at` stack matrix-vector products, and NumPy's
+    matmul runs a stack as one BLAS gemv per row, in a C loop: the kernel
+    that the one-frame :meth:`at` runs, on the same operands.
+    ``tests/test_stem.py::TestFrameFusion`` and ``TestLockstepDecode`` pin
+    this bit for bit on the installed NumPy. The fusion input
     ``[phd; spm; tpm]`` of every position is laid out once per frame with
     zeros in the SPM slot; :meth:`at` fills that slot from the
     zero-bordered plane when the SPM is on. ``spm_mat`` is ``kernel *
@@ -295,14 +299,18 @@ class _PositionParams:
     at most in the sign of a zero, which :func:`coder.grid_index` maps to
     the same row. :meth:`at` returns the position's C means then C
     log-scales, unclamped; ``grid_index`` clamps them.
+
+    ``phd_feat`` and ``tpm_feat`` are ``(2C, h, w)`` for one frame or
+    ``(K, 2C, h, w)`` for a lockstep stack; the fusion input is then
+    ``(h, w, 6C)`` or ``(K, h, w, 6C)``.
     """
 
     def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
         c = weights.latent_channels
         self.c = c
         self.use_spm = flags.use_spm
-        fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat])
-        self.fused = np.ascontiguousarray(fused.transpose(1, 2, 0))  # (h, w, 6C)
+        fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat], axis=-3)
+        self.fused = np.ascontiguousarray(np.moveaxis(fused, -3, -1))  # (..., h, w, 6C)
         kd = weights.spm.kernel.data * weights.spm.mask
         self.spm_mat = np.ascontiguousarray(kd.reshape(2 * c, -1).T)  # (C*k*k, 2C)
         self.spm_bias = weights.spm.bias.data.reshape(-1)
@@ -313,6 +321,17 @@ class _PositionParams:
         self.slope = np.float32(LEAKY_SLOPE)
 
     def at(self, padded_plane: np.ndarray, r: int, col: int) -> np.ndarray:
+        """The ``(2C,)`` parameters of position (r, col) of one frame, or the
+        ``(K, 2C)`` parameters of that position in each of K stacked frames
+        (``padded_plane`` then ``(K, C, h + 4, w + 4)``). One frame takes 1-D
+        products, which cost less per call than a stack of one."""
+        if self.fused.ndim == 4:
+            x = self.fused[:, r, col]
+            if self.use_spm:
+                x = x.copy()
+                patches = padded_plane[:, :, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
+                x[:, 2 * self.c : 4 * self.c] = (patches.reshape(len(x), 1, -1) @ self.spm_mat)[:, 0] + self.spm_bias
+            return self._stacked_epm(x)
         x = self.fused[r, col]
         if self.use_spm:
             x = x.copy()
@@ -328,10 +347,8 @@ class _PositionParams:
         """The ``(h, w, 2C)`` parameters of every position of a known plane,
         equal bit for bit to :meth:`at` at each position.
 
-        Each product is a stack of one matrix-vector product per position,
-        ``mat @ x[:, :, None]``, never ``x @ mat.T``. The SPM patches take a
-        transient ``h * w * C * 25`` float32 array: 6.6 MB for a 64x64
-        plane of 16 channels.
+        The SPM patches take a transient ``h * w * C * 25`` float32 array:
+        6.6 MB for a 64x64 plane of 16 channels.
         """
         h, w = self.fused.shape[:2]
         x = self.fused.reshape(h * w, -1)
@@ -340,20 +357,29 @@ class _PositionParams:
             windows = sliding_window_view(padded_plane.astype(np.float32), (_SPM_KERNEL, _SPM_KERNEL), axis=(1, 2))
             patches = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, 1, -1)  # at's patch of every position
             x[:, 2 * self.c : 4 * self.c] = (patches @ self.spm_mat)[:, 0] + self.spm_bias
+        return self._stacked_epm(x).reshape(h, w, -1)
+
+    def _stacked_epm(self, x: np.ndarray) -> np.ndarray:
+        """The fusion layers over ``(n, 6C)`` inputs as stacks of
+        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``."""
         for i, (mat, bias) in enumerate(self.epm):
             if i:
                 x = np.maximum(x, x * self.slope)
             x = (mat @ x[:, :, None])[:, :, 0] + bias
-        return x.reshape(h, w, -1)
+        return x
 
 
 def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
     """Hyper-decoder and temporal features, computed once per frame; a
-    disabled TPM gives zeros."""
-    h, w = prev_latent.shape[1], prev_latent.shape[2]
-    phd = weights.hyper_features(Tensor(_as_batch(z_hat)), h, w).data[0]
-    tpm = temporal_prior(prev_latent, weights).data[0] if flags.use_tpm else np.zeros_like(phd)
-    return phd, tpm
+    disabled TPM gives zeros. A ``(C, h, w)`` previous latent gives
+    ``(2C, h, w)`` features; K stacked frames, ``(K, C, h, w)`` with their
+    hyper latents stacked too, give ``(K, 2C, h, w)`` in one batched pass.
+    Every convolution multiplies each batch item's column matrix in its
+    own GEMM, so the batch gives each frame its own pass's bits."""
+    h, w = prev_latent.shape[-2:]
+    phd = weights.hyper_features(Tensor(_as_batch(z_hat)), h, w).data
+    tpm = temporal_prior(prev_latent, weights).data if flags.use_tpm else np.zeros_like(phd)
+    return (phd[0], tpm[0]) if prev_latent.ndim == 3 else (phd, tpm)
 
 
 def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:
@@ -384,32 +410,85 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
     return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
 
 
-def decode_pframe(chunk: FrameChunk, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> np.ndarray:
+class CorruptFrameError(coder.CorruptStreamError):
+    """A corrupt stream of one frame of a :func:`decode_pframe` call:
+    ``index`` is the frame's place in the call and the message is that
+    frame's own error."""
+
+    def __init__(self, index: int, cause: coder.CorruptStreamError):
+        super().__init__(str(cause))
+        self.index = index
+
+
+def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndarray, flags: StemFlags,
+                  weights: StemWeights) -> np.ndarray:
     """Exact inverse of :func:`encode_pframe` for the same weights, flags
     and previous latent.
 
-    The module's one serial loop: positions are decoded in raster order
-    into a zero-bordered int32 context, so each position's fusion reads
-    only the symbols already decoded; the encoder pushed them last to
-    first, so they pop in this order. A y stream with bytes left after the
-    last symbol, or whose coder state does not end at 2^16, raises
-    :class:`~mfvc.coder.CorruptStreamError`. A mismatched previous latent
-    is not detected; it yields garbage from the first diverging position
-    onward.
-    """
-    prev_latent = np.asarray(prev_latent, dtype=np.int32)
-    z_hat = weights.decode_z(chunk.z_stream, prev_latent.shape[1], prev_latent.shape[2])
-    phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
+    ``chunk`` is one chunk with a ``(C, h, w)`` previous latent, giving the
+    ``(C, h, w)`` latent; or a sequence of K chunks, each from its own group
+    of pictures, with their previous latents stacked as ``(K, C, h, w)``,
+    giving the ``(K, C, h, w)`` latents. The K frames' streams are
+    independent, so they are walked in lockstep: at each position one
+    :meth:`_PositionParams.at` over the stack and one
+    :func:`coder.grid_index` over the ``(K, 2C)`` parameters serve all K
+    frames, then each frame pops its C symbols from its own decoder. The
+    result equals K single-frame calls bit for bit.
 
-    c, h, w = prev_latent.shape
-    pos = _PositionParams(weights, flags, phd, tpm)
-    dec = coder.RansDecoder(chunk.y_stream.data)
-    padded = np.zeros((c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
-    plane = padded[:, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the context
-    for r in range(h):
-        for col in range(w):
-            x = pos.at(padded, r, col)
-            index, offset = coder.grid_index(x[:c], x[c:])
-            plane[:, r, col] = coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
-    dec.finish()
-    return reconstruct_latent(plane, prev_latent) if flags.use_residual else plane.copy()
+    The module's one serial loop: positions are decoded in raster order
+    into zero-bordered int32 contexts, so each position's fusion reads
+    only the symbols already decoded; the encoder pushed them last to
+    first, so they pop in this order. A frame whose stream fails to decode,
+    has bytes left after the last symbol, or whose coder state does not end
+    at 2^16, raises :class:`CorruptFrameError` naming that frame's place in
+    the call. A mismatched previous latent is not detected; it yields
+    garbage from the first diverging position onward.
+    """
+    prevs = np.asarray(prev_latent, dtype=np.int32)
+    single = prevs.ndim == 3
+    chunks = [chunk] if single else list(chunk)
+    if single:
+        prevs = prevs[None]
+    if prevs.ndim != 4 or len(chunks) != len(prevs):
+        raise ShapeError(f"{len(chunks)} chunks need ({len(chunks)}, C, h, w) previous latents, got {prevs.shape}")
+    k, c, h, w = prevs.shape
+
+    z_hats, decs = [], []
+    for j, ch in enumerate(chunks):
+        try:
+            z_hats.append(weights.decode_z(ch.z_stream, h, w))
+            decs.append(coder.RansDecoder(ch.y_stream.data))
+        except coder.CorruptStreamError as exc:
+            raise CorruptFrameError(j, exc) from exc
+    phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
+    padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
+    planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
+    if k == 1:  # the 1-D fusion and no loop over frames: per position, a stack of one costs more
+        pos = _PositionParams(weights, flags, phd[0], tpm[0])
+        context, plane, dec = padded[0], planes[0], decs[0]
+        try:
+            for r in range(h):
+                for col in range(w):
+                    x = pos.at(context, r, col)
+                    index, offset = coder.grid_index(x[:c], x[c:])
+                    plane[:, r, col] = coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
+        except coder.CorruptStreamError as exc:
+            raise CorruptFrameError(0, exc) from exc
+    else:
+        pos = _PositionParams(weights, flags, phd, tpm)
+        for r in range(h):
+            for col in range(w):
+                x = pos.at(padded, r, col)
+                index, offset = coder.grid_index(x[:, :c], x[:, c:])
+                for j, (dec, idx, off) in enumerate(zip(decs, index.tolist(), offset.tolist())):
+                    try:
+                        planes[j, :, r, col] = coder.check_int32(coder.decode_symbols(dec, idx, off))
+                    except coder.CorruptStreamError as exc:
+                        raise CorruptFrameError(j, exc) from exc
+    for j, dec in enumerate(decs):
+        try:
+            dec.finish()
+        except coder.CorruptStreamError as exc:
+            raise CorruptFrameError(j, exc) from exc
+    out = reconstruct_latent(planes, prevs) if flags.use_residual else planes.copy()
+    return out[0] if single else out

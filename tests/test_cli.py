@@ -151,9 +151,12 @@ class TestCommands:
                     "--output", str(bitstream)]) == 0
         assert run(["decompress", "--input", str(bitstream), "--weights", str(ae),
                     "--stem-weights", str(stem), "--output", str(decoded)]) == 0
+        capsys.readouterr()
         assert run(["eval", "--input", str(bitstream), "--original", str(raw),
                     "--weights", str(ae), "--stem-weights", str(stem),
                     "--csv", str(report)]) == 0
+        bpp = 8 * bitstream.stat().st_size / (16 * 16 * 6)
+        assert capsys.readouterr().out.startswith(f"6 frames, {bpp:.4f} bpp, mean PSNR ")
 
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "frame_index,frame_type,bits,bpp,psnr,ms_ssim"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mfvc import coder
 from mfvc.stem import (
+    CorruptFrameError,
     StemFlags,
     StemWeights,
     _frame_features,
@@ -414,6 +415,70 @@ class TestFrameFusion:
         assert calls == []
         np.testing.assert_array_equal(decode_pframe(chunk, b, StemFlags(), weights), a)
         assert calls == [(r, col) for r in range(5) for col in range(7)]
+
+
+class TestLockstepDecode:
+    @staticmethod
+    def frames(k, c, h=5, w=6):
+        """K previous latents and K current ones whose residuals spread
+        wider in every frame, the last with an escape."""
+        rng = np.random.default_rng(40 + k + c)
+        prevs = rng.integers(-30, 31, size=(k, c, h, w)).astype(np.int32)
+        spans = 2.0 + 6.0 * np.arange(k).reshape(k, 1, 1, 1)
+        curs = prevs + np.rint(rng.uniform(-1.0, 1.0, size=prevs.shape) * spans).astype(np.int32)
+        curs[k - 1, 0, 1, 2] = prevs[k - 1, 0, 1, 2] + 1000
+        return prevs, curs
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("c", [4, 16])  # 16: the benchmark model's 96-80-64-32 chain
+    @pytest.mark.parametrize("flags", ROW_FLAGS, ids=[f"flags{i}" for i in range(len(ROW_FLAGS))])
+    def test_k_frames_equal_k_single_frame_decodes(self, flags, c, k):
+        # One fusion and one grid lookup per position for K frames must give
+        # each frame the bits of its own walk. A GEMM in place of the
+        # stacked matrix-vector products sums in another order and fails
+        # the fusion comparison.
+        weights = init_stem(latent_channels=c, seed=3)
+        prevs, curs = self.frames(k, c)
+        chunks = [encode_pframe(a, b, flags, weights) for a, b in zip(curs, prevs)]
+        singles = np.stack([decode_pframe(ch, b, flags, weights) for ch, b in zip(chunks, prevs)])
+        out = decode_pframe(chunks, prevs, flags, weights)
+        assert out.shape == curs.shape and out.dtype == np.int32
+        np.testing.assert_array_equal(out, singles)
+        np.testing.assert_array_equal(out, curs)
+
+        z_hats = np.stack([hyper_encode(a, b, weights)[0] for a, b in zip(curs, prevs)])
+        features = [_frame_features(z, b, flags, weights) for z, b in zip(z_hats, prevs)]
+        batched = _frame_features(z_hats, prevs, flags, weights)
+        for got, want in zip(batched, zip(*features)):
+            np.testing.assert_array_equal(got.view(np.uint32), np.stack(want).view(np.uint32))
+        one = [_PositionParams(weights, flags, *f) for f in features]
+        stacked = _PositionParams(weights, flags, *batched)
+        planes = curs - prevs if flags.use_residual else curs
+        padded = np.pad(planes, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        for r in range(planes.shape[2]):
+            for col in range(planes.shape[3]):
+                want = np.stack([pos.at(p, r, col) for pos, p in zip(one, padded)])
+                got = stacked.at(padded, r, col)
+                assert got.shape == (k, 2 * c) and got.dtype == np.float32
+                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_corrupt_frame_named_by_its_place(self, weights):
+        prevs, curs = self.frames(3, 4)
+        chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        chunks[1].y_stream = coder.CodedStream(chunks[1].y_stream.data + b"\x00\x00")
+        with pytest.raises(coder.CorruptStreamError) as alone:
+            decode_pframe(chunks[1], prevs[1], StemFlags(), weights)
+        with pytest.raises(CorruptFrameError) as info:
+            decode_pframe(chunks, prevs, StemFlags(), weights)
+        assert info.value.index == 1
+        assert str(info.value) == str(alone.value) == "bytes left after the last symbol: 2"
+
+    def test_chunk_count_must_match_latents(self, weights):
+        prevs, curs = self.frames(2, 4)
+        chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        with pytest.raises(ShapeError, match="3 chunks"):
+            decode_pframe(chunks + chunks[:1], prevs, StemFlags(), weights)
+
 
 class TestRateEstimate:
     def test_eval_estimate_tracks_coded_length(self, weights):

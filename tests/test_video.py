@@ -15,10 +15,13 @@ from mfvc.container import (
     VIDEO_VERSION,
     ContainerError,
     DigestMismatchError,
+    unpack_flags,
 )
+from mfvc.coder import CorruptStreamError
 from mfvc.image import compress_iframe, decompress_iframe, init_autoencoder
-from mfvc.stem import StemFlags, init_stem
+from mfvc.stem import StemFlags, decode_pframe, init_stem
 from mfvc.video import (
+    GOPS_IN_FLIGHT,
     GopConfig,
     VideoBitstream,
     compress_video,
@@ -300,6 +303,70 @@ class TestErrors:
         ae, _ = models
         with pytest.raises(ValueError):
             GopConfig(gop_size=0, rate=ae.rate(0))
+
+
+def serial_latents(stream, ae, stem):
+    """The latents of a clean stream decoded one frame at a time."""
+    shape = (ae.latent_channels, *(-(-n // ae.downsample_factor) for n in (stream.header.height, stream.header.width)))
+    rate, flags = ae.rate(stream.header.rate_index), StemFlags(*unpack_flags(stream.header.flags))
+    latents = []
+    for chunk in stream.chunks:
+        if chunk.frame_type == FRAME_I:
+            latents.append(decompress_iframe(chunk, rate, ae, shape)[1])
+        else:
+            latents.append(decode_pframe(chunk, latents[-1], flags, stem))
+    return latents
+
+
+class TestGopWindows:
+    @pytest.mark.parametrize("bad_gops", [[1], [0], [1, 2]], ids=["gop1", "gop0", "gop1-and-gop2"])
+    def test_corrupt_pframe_stops_at_its_frame(self, models, bad_gops):
+        # The GOPs of a window decode together, but the frames before the
+        # first corrupt one in display order still come out, then its error.
+        ae, stem = models
+        stream = compress_video(small_video(9), ae, stem, GopConfig(gop_size=3, rate=ae.rate(0)))
+        clean, latents = decompress_video(stream, ae, stem, return_latents=True)
+        for g in bad_gops:
+            chunk = stream.chunks[3 * g + 2]
+            data = bytearray(chunk.y_stream.data)
+            data[len(data) // 2] ^= 0xFF
+            chunk.y_stream.data = bytes(data)
+        t = 3 * bad_gops[0] + 2
+        with pytest.raises(CorruptStreamError) as alone:
+            decode_pframe(stream.chunks[t], latents[t - 1], StemFlags(), stem)
+
+        got = []
+        with pytest.raises(ContainerError) as info:
+            for frame, _ in iter_decompress_video(stream, ae, stem):
+                got.append(frame)
+        assert str(info.value) == f"frame {t}: {alone.value}"
+        assert len(got) == t
+        np.testing.assert_array_equal(np.stack(got), clean[:t])
+
+    @pytest.mark.parametrize("frames, gop_size", [(10, 4), (20, 2)], ids=["uneven", "ten-gops"])
+    def test_latents_equal_serial_decoder(self, models, frames, gop_size):
+        # 10 frames at GOP 4 end in a 2-frame GOP; 10 GOPs take two windows.
+        assert GOPS_IN_FLIGHT < 10
+        ae, stem = models
+        stream, enc_latents = compress_video(
+            small_video(frames), ae, stem, GopConfig(gop_size=gop_size, rate=ae.rate(0)), return_latents=True
+        )
+        _, dec_latents = decompress_video(stream, ae, stem, return_latents=True)
+        assert len(dec_latents) == frames
+        for a, b, c in zip(dec_latents, serial_latents(stream, ae, stem), enc_latents):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("gop_size", [4, 2], ids=["p-only", "then-gop"])
+    def test_leading_pframe_rejected(self, models, gop_size):
+        # Without its first chunk the stream starts with P-frames: alone,
+        # or before the next GOP's I-frame.
+        ae, stem = models
+        stream = compress_video(small_video(4), ae, stem, GopConfig(gop_size=gop_size, rate=ae.rate(0)))
+        stream.chunks = stream.chunks[1:]
+        assert stream.chunks[0].frame_type == FRAME_P
+        with pytest.raises(ContainerError, match="^frame 0: P-frame without a preceding I-frame$"):
+            next(iter_decompress_video(stream, ae, stem))
 
 
 class TestSynthSequences:

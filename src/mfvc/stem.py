@@ -291,8 +291,9 @@ class _PositionParams:
     ``tests/test_stem.py::TestFrameFusion`` and ``TestLockstepDecode`` pin
     this bit for bit on the installed NumPy. The fusion input
     ``[phd; spm; tpm]`` of every position is laid out once per frame with
-    zeros in the SPM slot; :meth:`at` fills that slot from the
-    zero-bordered plane when the SPM is on. ``spm_mat`` is ``kernel *
+    zeros in the SPM slot; :meth:`at` fills that slot in place from the
+    zero-bordered plane when the SPM is on, so each call rewrites the slot
+    it reads and a position's row needs no copy. ``spm_mat`` is ``kernel *
     mask``, so every tap at or after the position multiplies a finite
     int32-valued float32 by +-0 and adds an exact zero: the encoder's full
     plane and the decoder's partly decoded one give parameters that differ
@@ -328,15 +329,14 @@ class _PositionParams:
         if self.fused.ndim == 4:
             x = self.fused[:, r, col]
             if self.use_spm:
-                x = x.copy()
                 patches = padded_plane[:, :, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
-                x[:, 2 * self.c : 4 * self.c] = (patches.reshape(len(x), 1, -1) @ self.spm_mat)[:, 0] + self.spm_bias
+                spm = (patches.reshape(len(x), 1, -1) @ self.spm_mat)[:, 0]
+                np.add(spm, self.spm_bias, out=x[:, 2 * self.c : 4 * self.c])
             return self._stacked_epm(x)
         x = self.fused[r, col]
         if self.use_spm:
-            x = x.copy()
             patch = padded_plane[:, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
-            x[2 * self.c : 4 * self.c] = patch.reshape(-1) @ self.spm_mat + self.spm_bias
+            np.add(patch.reshape(-1) @ self.spm_mat, self.spm_bias, out=x[2 * self.c : 4 * self.c])
         for i, (mat, bias) in enumerate(self.epm):
             if i:
                 x = np.maximum(x, x * self.slope)  # leaky ReLU, slope in (0, 1)
@@ -463,28 +463,22 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
     padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
     planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
-    if k == 1:  # the 1-D fusion and no loop over frames: per position, a stack of one costs more
-        pos = _PositionParams(weights, flags, phd[0], tpm[0])
-        context, plane, dec = padded[0], planes[0], decs[0]
-        try:
-            for r in range(h):
-                for col in range(w):
-                    x = pos.at(context, r, col)
-                    index, offset = coder.grid_index(x[:c], x[c:])
-                    plane[:, r, col] = coder.check_int32(coder.decode_symbols(dec, index.tolist(), offset.tolist()))
-        except coder.CorruptStreamError as exc:
-            raise CorruptFrameError(0, exc) from exc
-    else:
-        pos = _PositionParams(weights, flags, phd, tpm)
-        for r in range(h):
-            for col in range(w):
-                x = pos.at(padded, r, col)
-                index, offset = coder.grid_index(x[:, :c], x[:, c:])
-                for j, (dec, idx, off) in enumerate(zip(decs, index.tolist(), offset.tolist())):
-                    try:
-                        planes[j, :, r, col] = coder.check_int32(coder.decode_symbols(dec, idx, off))
-                    except coder.CorruptStreamError as exc:
-                        raise CorruptFrameError(j, exc) from exc
+    context = padded
+    if k == 1:  # the 1-D fusion: per position, a stack of one costs more
+        phd, tpm, context = phd[0], tpm[0], padded[0]
+    pos = _PositionParams(weights, flags, phd, tpm)
+    at, grid_index, decode_symbols, check_int32 = pos.at, coder.grid_index, coder.decode_symbols, coder.check_int32
+    for r in range(h):
+        for col in range(w):
+            x = at(context, r, col)  # (2C,) for one frame, else (K, 2C)
+            index, offset = grid_index(x[..., :c].ravel(), x[..., c:].ravel())  # 1-D runs faster than (K, C)
+            index, offset = index.tolist(), offset.tolist()
+            for j, dec in enumerate(decs):
+                lo, hi = j * c, j * c + c
+                try:
+                    planes[j, :, r, col] = check_int32(decode_symbols(dec, index[lo:hi], offset[lo:hi]))
+                except coder.CorruptStreamError as exc:
+                    raise CorruptFrameError(j, exc) from exc
     for j, dec in enumerate(decs):
         try:
             dec.finish()

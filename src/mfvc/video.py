@@ -38,9 +38,11 @@ from .tensor import ConfigError, ShapeError, Tensor, quantize_round
 # GOPs decoded in lockstep by iter_decompress_video. Each GOP in flight
 # holds its P-frame's 6C*h*w float32 fusion inputs and its (C, h + 4, w + 4)
 # int32 context plane for a (C, h, w) latent, 2.0 MB for a 64x64 latent of
-# 16 channels, plus its decoded latents until they are yielded. On a 2-vCPU
-# machine at one BLAS thread, a P-frame with a 16x16 latent of 16 channels
-# took about 13 ms alone, 7.5 ms with 8 in flight and 7 ms with 16.
+# 16 channels. Every GOP of a window but the first also holds its decoded
+# latents and its I-frame's 3*H*W float32 picture until they are yielded.
+# On a 2-vCPU machine at one BLAS thread, a P-frame with a 16x16 latent of
+# 16 channels took about 13 ms alone, 7.5 ms with 8 in flight and 7 ms with
+# 16.
 GOPS_IN_FLIGHT = 8
 
 
@@ -180,13 +182,15 @@ def iter_decompress_video(
     """Yield (uint8 frame, latent plane) pairs in display order.
 
     Every I-frame starts a GOP. GOPs are decoded in windows of up to
-    ``GOPS_IN_FLIGHT`` consecutive GOPs: step s decodes frame s of every
-    GOP of the window that has one, its P-frames in one lockstep
-    :func:`~mfvc.stem.decode_pframe` call. A window's latents, and its
-    I-frames' pictures, are buffered until the window is done; P-frames
-    are synthesized as they are yielded. Each GOP in flight costs its
-    P-frame's 6C*h*w float32 fusion inputs plus its int32 context plane,
-    and its buffered latents.
+    ``GOPS_IN_FLIGHT`` consecutive GOPs, and a GOP without P-frames starts
+    a window of its own: step s decodes frame s of every GOP of the window
+    that has one, its P-frames in one lockstep
+    :func:`~mfvc.stem.decode_pframe` call. The window's first GOP is
+    yielded as it decodes; the others are held until it is done: their
+    latents and their I-frames' pictures, with P-frames synthesized as
+    they are yielded. So a one-GOP stream, or one of I-frames only, holds
+    one frame at a time. Each GOP in flight also costs its P-frame's
+    6C*h*w float32 fusion inputs plus its int32 context plane.
 
     Raises :class:`DigestMismatchError` before yielding anything if the
     weights do not match the stream; a corrupted chunk, or one too short
@@ -216,25 +220,41 @@ def iter_decompress_video(
         if chunk.frame_type == FRAME_I or not gops:
             gops.append([])
         gops[-1].append(t)
+    windows: list[list[int]] = []  # GOP indices; a GOP without P-frames gains nothing in lockstep
+    for g, gop in enumerate(gops):
+        if windows and len(windows[-1]) < GOPS_IN_FLIGHT and len(gop) > 1:
+            windows[-1].append(g)
+        else:
+            windows.append([g])
 
-    for first in range(0, len(gops), GOPS_IN_FLIGHT):
-        window = gops[first : first + GOPS_IN_FLIGHT]
-        latents: dict[int, np.ndarray] = {}
-        pictures: dict[int, Tensor] = {}
-        failed: dict[int, ValueError] = {}  # GOP -> the error of its first frame without a latent
-        for s in range(max(map(len, window))):
+    prev: dict[int, np.ndarray] = {}  # GOP -> the latent of its last decoded frame
+    held: dict[int, tuple[Optional[Tensor], np.ndarray]] = {}  # frame -> (I-frame picture, latent) until yielded
+    failed: dict[int, ValueError] = {}  # GOP -> the error of its first frame without a latent
+
+    def emit(g: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        if t not in held:
+            raise ContainerError(f"frame {t}: {failed[g]}") from failed[g]
+        picture, latent = held.pop(t)
+        try:
+            frame_t = synthesize(latent, rate, weights) if picture is None else picture
+        except (ContainerError, ValueError) as exc:
+            raise ContainerError(f"frame {t}: {exc}") from exc
+        return _to_uint8(frame_t)[:, : header.height, : header.width], latent
+
+    for window in windows:
+        for s in range(max(len(gops[g]) for g in window)):
             pending = []  # GOPs whose frame s is a P-frame
-            for g, gop in enumerate(window):
-                if s >= len(gop) or g in failed:
+            for g in window:
+                if s >= len(gops[g]) or g in failed:
                     continue
-                t = gop[s]
-                chunk = chunks[t]
+                chunk = chunks[gops[g][s]]
                 try:
                     hyper = weights if chunk.frame_type == FRAME_I else stem_weights
                     check_capacity(chunk.z_stream, hyper.hyper_extents(lat_h, lat_w))
                     check_capacity(chunk.y_stream, latent_shape)
                     if chunk.frame_type == FRAME_I:
-                        pictures[t], latents[t] = decompress_iframe(chunk, rate, weights, latent_shape)
+                        picture, prev[g] = decompress_iframe(chunk, rate, weights, latent_shape)
+                        held[gops[g][s]] = picture, prev[g]
                     elif s == 0:
                         raise ContainerError("P-frame without a preceding I-frame")
                     else:
@@ -242,23 +262,24 @@ def iter_decompress_video(
                 except (ContainerError, ValueError) as exc:
                     failed[g] = exc
             while pending:
-                frames = [window[g][s] for g in pending]
                 try:
-                    prevs = np.stack([latents[t - 1] for t in frames])
-                    latents.update(zip(frames, decode_pframe([chunks[t] for t in frames], prevs, flags, stem_weights)))
-                    pending = []
+                    latents = decode_pframe(
+                        [chunks[gops[g][s]] for g in pending], np.stack([prev[g] for g in pending]), flags, stem_weights
+                    )
                 except CorruptFrameError as exc:  # drop that GOP and decode the others again
                     failed[pending.pop(exc.index)] = exc
-
-        for g, gop in enumerate(window):
-            for t in gop:
-                if t not in latents:
-                    raise ContainerError(f"frame {t}: {failed[g]}") from failed[g]
-                try:
-                    frame_t = pictures.pop(t) if t in pictures else synthesize(latents[t], rate, weights)
-                except (ContainerError, ValueError) as exc:
-                    raise ContainerError(f"frame {t}: {exc}") from exc
-                yield _to_uint8(frame_t)[:, : header.height, : header.width], latents.pop(t)
+                else:
+                    for g, latent in zip(pending, latents):
+                        prev[g] = latent
+                        held[gops[g][s]] = None, latent
+                    break
+            first = gops[window[0]]
+            if s < len(first):  # the window's first GOP comes first in display order: yield it as it decodes
+                yield emit(window[0], first[s])
+        for g in window[1:]:
+            for t in gops[g]:
+                yield emit(g, t)
+        prev.clear()
 
 
 def decompress_video(

@@ -357,6 +357,21 @@ class TestGopWindows:
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("gop_size", [5, 1], ids=["one-gop", "all-i"])
+    def test_first_gop_streams(self, models, monkeypatch, gop_size):
+        # A window's first GOP is yielded as it decodes, and a GOP of one
+        # I-frame is a window of its own: each frame of these streams comes
+        # out before the next one is decoded.
+        ae, stem = models
+        stream = compress_video(small_video(5), ae, stem, GopConfig(gop_size=gop_size, rate=ae.rate(0)))
+        decoded = []
+        for name in ("decompress_iframe", "decode_pframe"):
+            real = getattr(video, name)
+            monkeypatch.setattr(video, name, lambda *args, real=real: decoded.append(args[0]) or real(*args))
+        for t, _ in enumerate(iter_decompress_video(stream, ae, stem)):
+            assert len(decoded) == t + 1
+        assert t == 4
+
     @pytest.mark.parametrize("gop_size", [4, 2], ids=["p-only", "then-gop"])
     def test_leading_pframe_rejected(self, models, gop_size):
         # Without its first chunk the stream starts with P-frames: alone,

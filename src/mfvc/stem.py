@@ -6,11 +6,10 @@ joint hyper-prior over both latents, a temporal prior extracted from the
 previous latent, and a causal spatial prior over the residual itself.
 Because the spatial prior is autoregressive, decoding walks spatial
 positions serially, recomputing the causal context from already-decoded
-symbols; hyper and temporal features for a frame are computed once. Frames
-of different groups of pictures do not depend on each other, so one
-decoder call walks P-frames of several groups in lockstep: one fusion and
-one grid lookup per position for all of them, each frame popping its own
-symbols from its own stream.
+symbols; hyper and temporal features for a frame are computed once. The
+coding path works on stacks of K frames from different groups of
+pictures, one frame being a stack of one: the decoder walks them in
+lockstep, with one fusion and one grid lookup per position for all K.
 
 The model is rate-agnostic: one set of weights serves every rate index of
 the auto-encoder that produced the latents.
@@ -180,10 +179,11 @@ def _as_batch(plane: np.ndarray) -> np.ndarray:
 
 
 def hyper_encode(latent: np.ndarray, prev_latent: np.ndarray, weights: StemWeights):
-    """Quantized joint hyper latent and its prior cross entropy in bits."""
-    zt = weights.hyper_latent(concat_channels(Tensor(_as_batch(latent)), Tensor(_as_batch(prev_latent))))
-    z_hat = zt.data.astype(np.int32)
-    return (z_hat[0] if len(z_hat) == 1 else z_hat), sum_all(weights.z_prior_nll(zt)).item()
+    """Quantized joint hyper latent of one ``(C, h, w)`` frame and its
+    prior cross entropy in bits."""
+    pair = [Tensor(_as_batch(np.asarray(plane)[None])) for plane in (latent, prev_latent)]
+    zt = weights.hyper_latent(concat_channels(*pair))
+    return zt.data[0].astype(np.int32), sum_all(weights.z_prior_nll(zt)).item()
 
 
 def temporal_prior(prev_latent: np.ndarray, weights: StemWeights) -> Tensor:
@@ -278,40 +278,36 @@ def p_frame_symbol_bits(latent: np.ndarray, prev_latent: np.ndarray, flags: Stem
 
 
 class _PositionParams:
-    """Per-position fusion shared by the encoder and the serial decoder.
+    """Per-position fusion shared by the encoder and the serial decoder,
+    over a stack of K frames: ``phd_feat`` and ``tpm_feat`` are
+    ``(K, 2C, h, w)``, and the fusion input ``[phd; spm; tpm]`` is laid out
+    once as ``(K, h, w, 6C)`` with zeros in the SPM slot.
 
     Both sides must produce bit-identical Laplacian parameters. The serial
-    decoder calls :meth:`at` at each position, for one frame or for a stack
-    of K frames walked in lockstep; the encoder, which knows the whole
-    plane, calls :meth:`every` once per frame. One GEMM over the plane or
-    the stack would sum each dot product in another order, but :meth:`every`
-    and the stacked :meth:`at` stack matrix-vector products, and NumPy's
-    matmul runs a stack as one BLAS gemv per row, in a C loop: the kernel
-    that the one-frame :meth:`at` runs, on the same operands.
-    ``tests/test_stem.py::TestFrameFusion`` and ``TestLockstepDecode`` pin
-    this bit for bit on the installed NumPy. The fusion input
-    ``[phd; spm; tpm]`` of every position is laid out once per frame with
-    zeros in the SPM slot; :meth:`at` fills that slot in place from the
-    zero-bordered plane when the SPM is on, so each call rewrites the slot
-    it reads and a position's row needs no copy. ``spm_mat`` is ``kernel *
-    mask``, so every tap at or after the position multiplies a finite
-    int32-valued float32 by +-0 and adds an exact zero: the encoder's full
-    plane and the decoder's partly decoded one give parameters that differ
-    at most in the sign of a zero, which :func:`coder.grid_index` maps to
-    the same row. :meth:`at` returns the position's C means then C
-    log-scales, unclamped; ``grid_index`` clamps them.
+    decoder calls :meth:`at` at each position; the encoder, which knows the
+    whole plane, calls :meth:`every` once. Both run :meth:`_fuse`, whose
+    products are stacks of matrix-vector products: NumPy's matmul runs a
+    stack as one BLAS gemv per row, so a position's bits do not depend on
+    how many rows share the call. One GEMM would sum each dot product in
+    another order. ``tests/test_stem.py::TestFrameFusion`` and
+    ``TestLockstepDecode`` pin this bit for bit on the installed NumPy.
 
-    ``phd_feat`` and ``tpm_feat`` are ``(2C, h, w)`` for one frame or
-    ``(K, 2C, h, w)`` for a lockstep stack; the fusion input is then
-    ``(h, w, 6C)`` or ``(K, h, w, 6C)``.
+    When the SPM is on, :meth:`_fuse` fills the SPM slot in place from the
+    zero-bordered planes, so each call rewrites the slot it reads.
+    ``spm_mat`` is ``kernel * mask``, so every tap at or after the position
+    multiplies a finite int32-valued float32 by +-0 and adds an exact zero:
+    the encoder's full plane and the decoder's partly decoded one give
+    parameters that differ at most in the sign of a zero, which
+    :func:`coder.grid_index` maps to the same row. The parameters are C
+    means then C log-scales, unclamped; ``grid_index`` clamps them.
     """
 
     def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
         c = weights.latent_channels
         self.c = c
         self.use_spm = flags.use_spm
-        fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat], axis=-3)
-        self.fused = np.ascontiguousarray(np.moveaxis(fused, -3, -1))  # (..., h, w, 6C)
+        fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat], axis=1)
+        self.fused = np.ascontiguousarray(fused.transpose(0, 2, 3, 1))  # (K, h, w, 6C)
         kd = weights.spm.kernel.data * weights.spm.mask
         self.spm_mat = np.ascontiguousarray(kd.reshape(2 * c, -1).T)  # (C*k*k, 2C)
         self.spm_bias = weights.spm.bias.data.reshape(-1)
@@ -321,65 +317,49 @@ class _PositionParams:
         ]
         self.slope = np.float32(LEAKY_SLOPE)
 
-    def at(self, padded_plane: np.ndarray, r: int, col: int) -> np.ndarray:
-        """The ``(2C,)`` parameters of position (r, col) of one frame, or the
-        ``(K, 2C)`` parameters of that position in each of K stacked frames
-        (``padded_plane`` then ``(K, C, h + 4, w + 4)``). One frame takes 1-D
-        products, which cost less per call than a stack of one."""
-        if self.fused.ndim == 4:
-            x = self.fused[:, r, col]
-            if self.use_spm:
-                patches = padded_plane[:, :, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
-                spm = (patches.reshape(len(x), 1, -1) @ self.spm_mat)[:, 0]
-                np.add(spm, self.spm_bias, out=x[:, 2 * self.c : 4 * self.c])
-            return self._stacked_epm(x)
-        x = self.fused[r, col]
+    def at(self, padded_planes: np.ndarray, r: int, col: int) -> np.ndarray:
+        """The ``(K, 2C)`` parameters of position (r, col) in each frame,
+        from the ``(K, C, h + 4, w + 4)`` zero-bordered planes."""
+        windows = padded_planes[:, :, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL]
+        return self._fuse(self.fused[:, r, col], windows)
+
+    def every(self, padded_planes: np.ndarray) -> np.ndarray:
+        """The ``(K, h, w, 2C)`` parameters of every position of known
+        planes, equal bit for bit to :meth:`at` at each position.
+
+        The SPM patches take a transient ``K * h * w * C * 25`` float32
+        array: 6.6 MB for one 64x64 plane of 16 channels.
+        """
+        k, h, w = self.fused.shape[:3]
+        windows = sliding_window_view(padded_planes, (_SPM_KERNEL, _SPM_KERNEL), axis=(2, 3))
+        x = self._fuse(self.fused.reshape(k * h * w, -1), windows.transpose(0, 2, 3, 1, 4, 5))
+        return x.reshape(k, h, w, -1)
+
+    def _fuse(self, x: np.ndarray, windows: np.ndarray) -> np.ndarray:
+        """The fusion layers over the ``(n, 6C)`` inputs ``x`` of n
+        positions, after filling their SPM slot in place from the
+        positions' int32 ``(C, k, k)`` windows. Every product is a stack of
+        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``."""
         if self.use_spm:
-            patch = padded_plane[:, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL].astype(np.float32)
-            np.add(patch.reshape(-1) @ self.spm_mat, self.spm_bias, out=x[2 * self.c : 4 * self.c])
+            patches = np.ascontiguousarray(windows, dtype=np.float32).reshape(len(x), 1, -1)
+            np.add((patches @ self.spm_mat)[:, 0], self.spm_bias, out=x[:, 2 * self.c : 4 * self.c])
         for i, (mat, bias) in enumerate(self.epm):
             if i:
                 x = np.maximum(x, x * self.slope)  # leaky ReLU, slope in (0, 1)
-            x = mat @ x + bias
-        return x
-
-    def every(self, padded_plane: np.ndarray) -> np.ndarray:
-        """The ``(h, w, 2C)`` parameters of every position of a known plane,
-        equal bit for bit to :meth:`at` at each position.
-
-        The SPM patches take a transient ``h * w * C * 25`` float32 array:
-        6.6 MB for a 64x64 plane of 16 channels.
-        """
-        h, w = self.fused.shape[:2]
-        x = self.fused.reshape(h * w, -1)
-        if self.use_spm:
-            x = x.copy()
-            windows = sliding_window_view(padded_plane.astype(np.float32), (_SPM_KERNEL, _SPM_KERNEL), axis=(1, 2))
-            patches = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, 1, -1)  # at's patch of every position
-            x[:, 2 * self.c : 4 * self.c] = (patches @ self.spm_mat)[:, 0] + self.spm_bias
-        return self._stacked_epm(x).reshape(h, w, -1)
-
-    def _stacked_epm(self, x: np.ndarray) -> np.ndarray:
-        """The fusion layers over ``(n, 6C)`` inputs as stacks of
-        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``."""
-        for i, (mat, bias) in enumerate(self.epm):
-            if i:
-                x = np.maximum(x, x * self.slope)
             x = (mat @ x[:, :, None])[:, :, 0] + bias
         return x
 
 
-def _frame_features(z_hat: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights):
-    """Hyper-decoder and temporal features, computed once per frame; a
-    disabled TPM gives zeros. A ``(C, h, w)`` previous latent gives
-    ``(2C, h, w)`` features; K stacked frames, ``(K, C, h, w)`` with their
-    hyper latents stacked too, give ``(K, 2C, h, w)`` in one batched pass.
-    Every convolution multiplies each batch item's column matrix in its
-    own GEMM, so the batch gives each frame its own pass's bits."""
-    h, w = prev_latent.shape[-2:]
-    phd = weights.hyper_features(Tensor(_as_batch(z_hat)), h, w).data
-    tpm = temporal_prior(prev_latent, weights).data if flags.use_tpm else np.zeros_like(phd)
-    return (phd[0], tpm[0]) if prev_latent.ndim == 3 else (phd, tpm)
+def _frame_features(z_hats: np.ndarray, prevs: np.ndarray, flags: StemFlags, weights: StemWeights):
+    """Hyper-decoder and temporal features of K frames in one batched pass:
+    ``(K, 2C, h, w)`` each from the stacked hyper latents and ``(K, C, h,
+    w)`` previous latents; a disabled TPM gives zeros. Every convolution
+    multiplies each batch item's column matrix in its own GEMM, so each
+    frame gets the bits of a pass of its own."""
+    h, w = prevs.shape[-2:]
+    phd = weights.hyper_features(Tensor(z_hats.astype(np.float32)), h, w).data
+    tpm = temporal_prior(prevs, weights).data if flags.use_tpm else np.zeros_like(phd)
+    return phd, tpm
 
 
 def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:
@@ -400,11 +380,11 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
 
     z_hat, _ = hyper_encode(latent, prev_latent, weights)
     plane = residual_latent(latent, prev_latent) if flags.use_residual else latent
-    phd, tpm = _frame_features(z_hat, prev_latent, flags, weights)
+    phd, tpm = _frame_features(z_hat[None], prev_latent[None], flags, weights)
 
     c = plane.shape[0]
     padded = np.pad(plane, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)))
-    params = _PositionParams(weights, flags, phd, tpm).every(padded)
+    params = _PositionParams(weights, flags, phd, tpm).every(padded[None])[0]
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
     y_stream = coder.encode_plane(plane.transpose(1, 2, 0), index, offset)  # position-major, as the decoder reads
     return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
@@ -423,14 +403,14 @@ class CorruptFrameError(coder.CorruptStreamError):
 def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndarray, flags: StemFlags,
                   weights: StemWeights) -> np.ndarray:
     """Exact inverse of :func:`encode_pframe` for the same weights, flags
-    and previous latent.
+    and previous latents.
 
-    ``chunk`` is one chunk with a ``(C, h, w)`` previous latent, giving the
-    ``(C, h, w)`` latent; or a sequence of K chunks, each from its own group
-    of pictures, with their previous latents stacked as ``(K, C, h, w)``,
-    giving the ``(K, C, h, w)`` latents. The K frames' streams are
-    independent, so they are walked in lockstep: at each position one
-    :meth:`_PositionParams.at` over the stack and one
+    ``chunk`` is a sequence of K chunks, each from its own group of
+    pictures, with their previous latents stacked as ``(K, C, h, w)``,
+    giving the ``(K, C, h, w)`` latents; one :class:`FrameChunk` with a
+    ``(C, h, w)`` previous latent is the stack of one and gives ``(C, h,
+    w)``. The K frames' streams are independent, so they are walked in
+    lockstep: at each position one :meth:`_PositionParams.at` and one
     :func:`coder.grid_index` over the ``(K, 2C)`` parameters serve all K
     frames, then each frame pops its C symbols from its own decoder. The
     result equals K single-frame calls bit for bit.
@@ -444,10 +424,12 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     the call. A mismatched previous latent is not detected; it yields
     garbage from the first diverging position onward.
     """
-    prevs = np.asarray(prev_latent, dtype=np.int32)
-    single = prevs.ndim == 3
+    single = isinstance(chunk, FrameChunk)
     chunks = [chunk] if single else list(chunk)
+    prevs = np.asarray(prev_latent, dtype=np.int32)
     if single:
+        if prevs.ndim != 3:
+            raise ShapeError(f"one chunk needs a (C, h, w) previous latent, got {prevs.shape}")
         prevs = prevs[None]
     if prevs.ndim != 4 or len(chunks) != len(prevs):
         raise ShapeError(f"{len(chunks)} chunks need ({len(chunks)}, C, h, w) previous latents, got {prevs.shape}")
@@ -463,15 +445,12 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
     padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
     planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
-    context = padded
-    if k == 1:  # the 1-D fusion: per position, a stack of one costs more
-        phd, tpm, context = phd[0], tpm[0], padded[0]
-    pos = _PositionParams(weights, flags, phd, tpm)
-    at, grid_index, decode_symbols, check_int32 = pos.at, coder.grid_index, coder.decode_symbols, coder.check_int32
+    at = _PositionParams(weights, flags, phd, tpm).at
+    grid_index, decode_symbols, check_int32 = coder.grid_index, coder.decode_symbols, coder.check_int32
     for r in range(h):
         for col in range(w):
-            x = at(context, r, col)  # (2C,) for one frame, else (K, 2C)
-            index, offset = grid_index(x[..., :c].ravel(), x[..., c:].ravel())  # 1-D runs faster than (K, C)
+            x = at(padded, r, col)
+            index, offset = grid_index(x[:, :c].ravel(), x[:, c:].ravel())
             index, offset = index.tolist(), offset.tolist()
             for j, dec in enumerate(decs):
                 lo, hi = j * c, j * c + c

@@ -40,9 +40,9 @@ from .tensor import ConfigError, ShapeError, Tensor, quantize_round
 # int32 context plane for a (C, h, w) latent, 2.0 MB for a 64x64 latent of
 # 16 channels. Every GOP of a window but the first also holds its decoded
 # latents and its I-frame's 3*H*W float32 picture until they are yielded.
-# On a 2-vCPU machine at one BLAS thread, a P-frame with a 16x16 latent of
-# 16 channels took about 13 ms alone, 7.5 ms with 8 in flight and 7 ms with
-# 16.
+# On a shared 2-vCPU machine at one BLAS thread, a P-frame with a 16x16
+# latent of 16 channels took a median of about 30 ms alone, 14 ms with 8 in
+# flight and 13 ms with 16 (six runs, each the best of five decodes).
 GOPS_IN_FLIGHT = 8
 
 

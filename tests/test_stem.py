@@ -178,16 +178,16 @@ class TestSerialFusion:
         a, b = random_latents(rng)
         plane = residual_latent(a, b)
         z_hat, _ = hyper_encode(a, b, w)
-        phd, tpm = _frame_features(z_hat, b, flags, w)
+        phd, tpm = _frame_features(z_hat[None], b[None], flags, w)
         spm_out = spatial_prior(plane, w) if use_spm else None
-        tpm_out = Tensor(tpm[None]) if use_tpm else None
-        mu, log_scale = entropy_params(Tensor(phd[None]), spm_out, tpm_out, w)
+        tpm_out = Tensor(tpm) if use_tpm else None
+        mu, log_scale = entropy_params(Tensor(phd), spm_out, tpm_out, w)
 
         pos = _PositionParams(w, flags, phd, tpm)
-        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
+        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))[None]
         for r in range(plane.shape[1]):
             for col in range(plane.shape[2]):
-                fused = pos.at(padded, r, col)
+                (fused,) = pos.at(padded, r, col)
                 mu_rc, ls_rc = fused[:4], fused[4:]
                 np.testing.assert_allclose(mu_rc, mu.data[0, :, r, col], rtol=0, atol=1e-5)
                 ls_rc = np.clip(ls_rc, coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
@@ -394,11 +394,11 @@ class TestFrameFusion:
         a[c - 1, 4, 7] = b[c - 1, 4, 7] - 20000
         plane = residual_latent(a, b) if flags.use_residual else a
         z_hat, _ = hyper_encode(a, b, weights)
-        pos = _PositionParams(weights, flags, *_frame_features(z_hat, b, flags, weights))
-        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))
-        per_position = np.stack([np.stack([pos.at(padded, r, col) for col in range(w)]) for r in range(h)])
+        pos = _PositionParams(weights, flags, *_frame_features(z_hat[None], b[None], flags, weights))
+        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))[None]
+        per_position = np.stack([np.stack([pos.at(padded, r, col) for col in range(w)], 1) for r in range(h)], 1)
         frame = pos.every(padded)
-        assert frame.shape == (h, w, 2 * c) and frame.dtype == np.float32
+        assert frame.shape == (1, h, w, 2 * c) and frame.dtype == np.float32
         np.testing.assert_array_equal(frame.view(np.uint32), per_position.view(np.uint32))
 
     def test_only_the_decoder_walks_positions(self, weights, monkeypatch):
@@ -429,14 +429,14 @@ class TestLockstepDecode:
         curs[k - 1, 0, 1, 2] = prevs[k - 1, 0, 1, 2] + 1000
         return prevs, curs
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("c", [4, 16])  # 16: the benchmark model's 96-80-64-32 chain
     @pytest.mark.parametrize("flags", ROW_FLAGS, ids=[f"flags{i}" for i in range(len(ROW_FLAGS))])
     def test_k_frames_equal_k_single_frame_decodes(self, flags, c, k):
         # One fusion and one grid lookup per position for K frames must give
         # each frame the bits of its own walk. A GEMM in place of the
         # stacked matrix-vector products sums in another order and fails
-        # the fusion comparison.
+        # the fusion comparison. K = 1 is the list-of-one call.
         weights = init_stem(latent_channels=c, seed=3)
         prevs, curs = self.frames(k, c)
         chunks = [encode_pframe(a, b, flags, weights) for a, b in zip(curs, prevs)]
@@ -447,17 +447,17 @@ class TestLockstepDecode:
         np.testing.assert_array_equal(out, curs)
 
         z_hats = np.stack([hyper_encode(a, b, weights)[0] for a, b in zip(curs, prevs)])
-        features = [_frame_features(z, b, flags, weights) for z, b in zip(z_hats, prevs)]
+        features = [_frame_features(z[None], b[None], flags, weights) for z, b in zip(z_hats, prevs)]
         batched = _frame_features(z_hats, prevs, flags, weights)
         for got, want in zip(batched, zip(*features)):
-            np.testing.assert_array_equal(got.view(np.uint32), np.stack(want).view(np.uint32))
+            np.testing.assert_array_equal(got.view(np.uint32), np.concatenate(want).view(np.uint32))
         one = [_PositionParams(weights, flags, *f) for f in features]
         stacked = _PositionParams(weights, flags, *batched)
         planes = curs - prevs if flags.use_residual else curs
         padded = np.pad(planes, ((0, 0), (0, 0), (2, 2), (2, 2)))
         for r in range(planes.shape[2]):
             for col in range(planes.shape[3]):
-                want = np.stack([pos.at(p, r, col) for pos, p in zip(one, padded)])
+                want = np.concatenate([pos.at(p[None], r, col) for pos, p in zip(one, padded)])
                 got = stacked.at(padded, r, col)
                 assert got.shape == (k, 2 * c) and got.dtype == np.float32
                 np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -478,6 +478,12 @@ class TestLockstepDecode:
         chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
         with pytest.raises(ShapeError, match="3 chunks"):
             decode_pframe(chunks + chunks[:1], prevs, StemFlags(), weights)
+        # One chunk goes with one (C, h, w) latent, a list of chunks with a
+        # stack of them, even a list of one.
+        with pytest.raises(ShapeError, match="one chunk"):
+            decode_pframe(chunks[0], prevs[:1], StemFlags(), weights)
+        with pytest.raises(ShapeError, match="1 chunks"):
+            decode_pframe(chunks[:1], prevs[0], StemFlags(), weights)
 
 
 class TestRateEstimate:

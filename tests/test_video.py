@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from mfvc import video
@@ -316,6 +318,61 @@ def serial_latents(stream, ae, stem):
         else:
             latents.append(decode_pframe(chunk, latents[-1], flags, stem))
     return latents
+
+
+@pytest.fixture(scope="module")
+def fuzz_blob(models):
+    """Two GOPs of an I- and a P-frame at 16x16: the header, both frame
+    types and a lockstep pair of P-frames in 100-odd bytes."""
+    ae, stem = models
+    return compress_video(small_video(4), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes()
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    """Apply (op, place, value) edits in turn; a place wraps to the length."""
+    data = bytearray(blob)
+    for op, place, value in edits:
+        if op == "insert":
+            data.insert(place % (len(data) + 1), value)
+        elif op == "delete":
+            del data[place % len(data)]
+        else:
+            data[place % len(data)] ^= value
+    return bytes(data)
+
+
+class TestContainerFuzz:
+    """Every byte string parses and decodes to frames of the header's
+    geometry or raises ContainerError (DigestMismatchError included)."""
+
+    @staticmethod
+    def decode_or_reject(models, data: bytes) -> None:
+        ae, stem = models
+        try:
+            stream = VideoBitstream.from_bytes(data)
+            frames = decompress_video(stream, ae, stem)
+        except ContainerError:
+            return
+        header = stream.header
+        assert frames.shape == (header.frame_count, 3, header.height, header.width)
+        assert frames.dtype == np.uint8
+
+    @given(prefix=st.sampled_from([0, HEADER_SIZE]), tail=st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_random_bytes(self, models, fuzz_blob, prefix, tail):
+        # With the valid header kept, the random bytes reach the chunk parser.
+        self.decode_or_reject(models, fuzz_blob[:prefix] + tail)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 2**16), st.integers(1, 255)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_valid_stream(self, models, fuzz_blob, edits):
+        self.decode_or_reject(models, mutate(fuzz_blob, edits))
 
 
 class TestGopWindows:

@@ -14,10 +14,11 @@ caller (the trainer runs one backward pass at a time).
 Forward/backward math runs in float32 by default; reductions and the
 finite-difference oracle accumulate in float64.
 
-Convolutions are matrix products over a column matrix (im2col), one per
-convolution per pass: conv2d keeps its forward columns for the kernel
-gradient, and transpose_conv2d builds the columns of its output gradient
-once in backward for both the input and the kernel gradient.
+Convolutions are matrix products over a column matrix, one per
+convolution per pass: conv2d keeps its forward columns (im2col) for the
+kernel gradient, transpose_conv2d builds its output gradient's columns
+once in backward for both gradients, and the adjoint (col2im, the
+transpose forward and conv2d's input gradient) builds them tap-major.
 """
 
 from __future__ import annotations
@@ -217,6 +218,19 @@ def _conv_grad_kernel(cols: np.ndarray, gy: np.ndarray, kernel_shape) -> np.ndar
 
 
 def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -> np.ndarray:
+    """Adjoint of a "same"-padded strided convolution (col2im): maps ``gy``
+    (b, co, oh, ow) onto an input of ``x_shape`` (b, ci, h, w).
+
+    It is transpose_conv2d's forward (image synthesis and both hyper
+    decoders) and conv2d's input gradient (training). The columns are built
+    tap-major, ``km.T @ gy`` shaped (b, ci, kh, kw, oh, ow), so each of the
+    kh*kw strided adds reads one contiguous plane. Position-major columns
+    (``gy^T @ km``) made every add gather its plane at a stride of
+    ci*kh*kw, most of the time at synthesis sizes. Each column entry is the
+    same sum of ``co`` products in either layout and, in float32, the same
+    bits; tests/test_tensor.py pins that against the position-major helper
+    at one and at two BLAS threads. The taps are added in the same order.
+    """
     b, ci, h, w = x_shape
     co, _, kh, kw = kernel.shape
     oh, ph_lo, ph_hi = _same_pad(h, kh, stride)
@@ -224,8 +238,7 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     if gy.shape != (b, co, oh, ow):
         raise ShapeError(f"conv adjoint expects gradient shape {(b, co, oh, ow)}, got {gy.shape}")
     km = kernel.reshape(co, ci * kh * kw)
-    gcols = gy.reshape(b, co, oh * ow).transpose(0, 2, 1) @ km  # (b, oh*ow, ci*kh*kw)
-    gcols = gcols.reshape(b, oh, ow, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gcols = (km.T @ gy.reshape(b, co, oh * ow)).reshape(b, ci, kh, kw, oh, ow)
     gxp = np.zeros((b, ci, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=gy.dtype)
     for i in range(kh):
         for j in range(kw):

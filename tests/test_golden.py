@@ -1,11 +1,16 @@
 """Golden pins: fixed-seed untrained weights on a fixed sequence must code
-to exactly these bytes, a few fixed-seed training iterations must give
-exactly these weight files, the coder's table grid must hold exactly
-these frequencies, and the coder must code a fixed plane to exactly these
-bytes.
+to exactly these bytes and decode to exactly these pictures, a few
+fixed-seed training iterations must give exactly these weight files, the
+coder's table grid must hold exactly these frequencies, and the coder must
+code a fixed plane to exactly these bytes.
 
 The sequence covers I-frames and P-frames (GOP 3 over a translating and a
-zooming clip) and every branch ablation of the entropy model. A refactor
+zooming clip) and every branch ablation of the entropy model. The encoder
+never runs the synthesis transform, so the stream pins cannot see it; the
+decoded-picture pin does, on the uint8 pictures and on the float32
+synthesis output, and it holds at one and at two BLAS threads. The
+entropy model's branches change the bytes, not the latents, so every
+stream decodes to the same pictures. A refactor
 must leave these hashes unchanged; an intentional format change bumps the
 container version, updates the pins here and says so in CHANGES.md. The
 training pins cover both stages under both distortion measures; they hold
@@ -22,10 +27,10 @@ import numpy as np
 import pytest
 
 from mfvc.coder import LOG_SCALE_MAX, LOG_SCALE_MIN, encode_plane, grid_index, table_grid
-from mfvc.image import init_autoencoder
+from mfvc.image import init_autoencoder, synthesize
 from mfvc.stem import StemFlags, init_stem
 from mfvc.trainer import TrainConfig, train_image_model, train_stem
-from mfvc.video import GopConfig, compress_video, synth_clips, synth_sequence
+from mfvc.video import GopConfig, compress_video, decompress_video, synth_clips, synth_sequence
 
 GOLDEN = {
     "all": "c3e61c9ab348ccd0fee0a90064280d4b97014a553211aae66929179bcbca1b53",
@@ -58,6 +63,27 @@ def test_stream_bytes_pinned(setup, name):
     ae, stem, frames = setup
     stream = compress_video(frames, ae, stem, GopConfig(3, ae.rate(1), FLAGS[name]))
     assert hashlib.sha256(stream.to_bytes()).hexdigest() == GOLDEN[name]
+
+
+# sha256 of the decoded uint8 pictures and of the float32 synthesis output
+# they are rounded from; rounding to uint8 hides last-bit changes.
+DECODED = (
+    "c14926bf4a4d3f19a0831e89f5230ce83da82863b2b77017f5d0eca78d6db7e8",
+    "9ebc1fd535526c830ec4e58f2ac04b8ce8a36f09af6a56b660b32458a1079d75",
+)
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_decoded_pictures_pinned(setup, name):
+    ae, stem, frames = setup
+    rate = ae.rate(1)
+    stream = compress_video(frames, ae, stem, GopConfig(3, rate, FLAGS[name]))
+    decoded, latents = decompress_video(stream, ae, stem, return_latents=True)
+    assert decoded.dtype == np.uint8 and decoded.shape == frames.shape
+    synthesized = np.stack([synthesize(latent, rate, ae).data[0] for latent in latents])
+    assert synthesized.dtype == np.float32
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (decoded, synthesized))
+    assert got == DECODED
 
 
 TRAINED = {

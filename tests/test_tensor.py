@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,8 +124,9 @@ class TestConv2d:
 
 
 # The convolution helpers as they stood when every convolution built its
-# column matrix anew in forward and again in backward, kept verbatim: the
-# shared-column code must give the same floats, bit for bit.
+# column matrix anew in forward and again in backward, and when the adjoint
+# built its columns position-major, kept verbatim: the shared-column,
+# tap-major code must give the same floats, bit for bit.
 def _ref_same_pad(size, k, stride):
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)
@@ -186,7 +192,10 @@ def _bits(a):
 
 # Batch 1 and 2, one to 16 input channels, one to 32 output channels, kernel
 # extents 1, 3 and 5 at strides 1 and 2, a 1x1 plane up to 16x16; plus the
-# bench model's largest layers.
+# bench model's largest training layers, its two synthesis layers and its
+# 13-channel hyper decoder layer at the sizes a 256x256 decode runs them,
+# and the widest adjoint sum: a 1x1 layer with 1,600 output channels, the
+# full-size entropy model's first layer.
 _GRID = [
     (b, ci, co, k, s, hw)
     for b in (1, 2)
@@ -195,7 +204,10 @@ _GRID = [
     for k in (1, 3, 5)
     for s in (1, 2)
     for hw in ((1, 1), (3, 5), (8, 8), (16, 16))
-] + [(4, 96, 80, 1, 1, (8, 8)), (4, 27, 32, 5, 1, (8, 8)), (4, 3, 16, 5, 2, (32, 32)), (4, 16, 16, 5, 2, (16, 16))]
+] + [
+    (4, 96, 80, 1, 1, (8, 8)), (4, 27, 32, 5, 1, (8, 8)), (4, 3, 16, 5, 2, (32, 32)), (4, 16, 16, 5, 2, (16, 16)),
+    (1, 3, 16, 5, 2, (128, 128)), (1, 16, 16, 5, 2, (64, 64)), (1, 13, 13, 5, 2, (16, 16)), (1, 1920, 1600, 1, 1, (4, 4)),
+]
 
 
 class TestConvBitsMatchReference:
@@ -239,6 +251,35 @@ class TestConvBitsMatchReference:
                 np.testing.assert_array_equal(_bits(g), _bits(r), err_msg=f"{name} at {(b, ci, co, k, s, h, w)}")
             cases += 1
         assert cases
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS's order
+
+
+def _session_blas_threads() -> int:
+    """OpenBLAS's pool size in this process: the first positive count among
+    the variables it reads, capped at the cores it may run on."""
+    cores = len(os.sched_getaffinity(0))
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
+class TestConvBitsAtOtherThreadCount:
+    def test_reference_bits_hold_at_the_other_blas_thread_count(self):
+        # BLAS splits a product's work by thread count, so the bits above are
+        # checked again in a fresh process at one thread, or at two when this
+        # one runs at one.
+        threads = 1 if _session_blas_threads() > 1 else 2
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: str(threads) for var in _BLAS_THREAD_VARS})
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               f"{Path(__file__).resolve()}::TestConvBitsMatchReference"]
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+        assert "9 passed" in proc.stdout, proc.stdout[-2000:]
 
 
 class TestTransposeConv2d:

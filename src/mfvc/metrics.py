@@ -3,7 +3,10 @@ rate-curve comparison, and per-pixel entropy heatmaps.
 
 Frames follow the 8-bit convention (peak 255) whether stored as uint8 or
 float. PSNR is computed over all RGB channels jointly; MS-SSIM is computed
-per channel and averaged. Everything here is a pure function.
+per channel and averaged. MS-SSIM's Gaussian means are taken with the
+separable form of the 11x11 window, 11 taps down the columns and then 11
+across the rows, one float64 channel at a time, so scoring a frame takes
+O(H*W) memory. Everything here is a pure function.
 """
 
 from __future__ import annotations
@@ -38,36 +41,51 @@ class RdPoint:
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB at peak 255, capped at 99 dB."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeError(f"frames differ in shape: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
+    d = np.subtract(a, b, dtype=np.float64)
+    mse = float(np.mean(np.square(d, out=d)))
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
-def gaussian_window() -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
     x = np.arange(_WINDOW_SIZE, dtype=np.float64) - (_WINDOW_SIZE - 1) / 2
     g = np.exp(-(x**2) / (2.0 * _WINDOW_SIGMA**2))
-    g /= g.sum()
+    return g / g.sum()
+
+
+def gaussian_window() -> np.ndarray:
+    g = _gaussian_taps()
     return np.outer(g, g)
 
 
-def _valid_filter(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(img, window.shape)
-    return np.tensordot(view, window, axes=([2, 3], [0, 1]))
+def _valid_filter(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The 'valid' correlation of ``img`` with ``np.outer(taps, taps)``:
+    one pass of scaled adds down the columns, one across the rows."""
+    k = len(taps)
+    h = img.shape[0] - k + 1
+    w = img.shape[1] - k + 1
+    cols = taps[0] * img[:h]
+    for i in range(1, k):
+        cols += taps[i] * img[i : i + h]
+    out = taps[0] * cols[:, :w]
+    for j in range(1, k):
+        out += taps[j] * cols[:, j : j + w]
+    return out
 
 
-def _ssim_terms(a: np.ndarray, b: np.ndarray, window: np.ndarray):
+def _ssim_terms(a: np.ndarray, b: np.ndarray, taps: np.ndarray):
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-    mu_a = _valid_filter(a, window)
-    mu_b = _valid_filter(b, window)
-    var_a = _valid_filter(a * a, window) - mu_a**2
-    var_b = _valid_filter(b * b, window) - mu_b**2
-    cov = _valid_filter(a * b, window) - mu_a * mu_b
+    mu_a = _valid_filter(a, taps)
+    mu_b = _valid_filter(b, taps)
+    var_a = _valid_filter(a * a, taps) - mu_a**2
+    var_b = _valid_filter(b * b, taps) - mu_b**2
+    cov = _valid_filter(a * b, taps) - mu_a * mu_b
     cs = (2.0 * cov + c2) / (var_a + var_b + c2)
     lum = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
     return lum, cs
@@ -79,12 +97,12 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
 
 
 def _ms_ssim_single(a: np.ndarray, b: np.ndarray, scales: int) -> float:
-    window = gaussian_window()
+    taps = _gaussian_taps()
     weights = np.asarray(MSSSIM_WEIGHTS[:scales], dtype=np.float64)
     weights = weights / weights.sum()
     value = 1.0
     for s in range(scales):
-        lum, cs = _ssim_terms(a, b, window)
+        lum, cs = _ssim_terms(a, b, taps)
         if s == scales - 1:
             term = float(np.mean(lum * cs))
         else:
@@ -101,10 +119,11 @@ def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int = 5) -> float:
 
     The luminance term enters at the coarsest scale only; with fewer than
     five scales the leading standard weights are renormalized. RGB inputs
-    are scored per channel and averaged.
+    are scored per channel and averaged, each converted to float64 only
+    while it is scored.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeError(f"frames differ in shape: {a.shape} vs {b.shape}")
     if not 1 <= scales <= len(MSSSIM_WEIGHTS):
@@ -120,7 +139,9 @@ def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int = 5) -> float:
             f"frames of {a.shape[1]}x{a.shape[2]} are too small for {scales} scales; "
             f"the minimum extent is {minimum}"
         )
-    return float(np.mean([_ms_ssim_single(a[c], b[c], scales) for c in range(a.shape[0])]))
+    return float(np.mean([
+        _ms_ssim_single(a[c].astype(np.float64), b[c].astype(np.float64), scales) for c in range(a.shape[0])
+    ]))
 
 
 def bpp(stream_bits: int, width: int, height: int, frames: int) -> float:

@@ -379,25 +379,29 @@ def evaluate_video(
 ) -> list[dict]:
     """Per-frame rate and quality rows (the data behind quality-vs-time plots).
 
-    Bits per frame include the chunk framing; the container header is
-    reported once on the first row as header_bits.
+    Bits per frame include the chunk framing; the container header's bits
+    are in no row (``stream.total_bits`` counts them). Each frame is scored
+    as it decodes, so the decoded clip is never held whole.
     """
     from . import metrics
 
     original = np.asarray(original)
-    decoded = decompress_video(stream, weights, stem_weights)
-    if decoded.shape != original.shape:
-        raise ShapeError(f"original shape {original.shape} does not match decoded {decoded.shape}")
+    header = stream.header
+    shape = (len(stream.chunks), 3, header.height, header.width)
+    if original.shape != shape:
+        raise ShapeError(f"original shape {original.shape} does not match the stream's {shape}")
+    scales = _max_scales(header)
     rows = []
-    for t, chunk in enumerate(stream.chunks):
+    for t, (decoded, _) in enumerate(iter_decompress_video(stream, weights, stem_weights)):
+        chunk = stream.chunks[t]
         rows.append(
             {
                 "frame_index": t,
                 "frame_type": "I" if chunk.frame_type == FRAME_I else "P",
                 "bits": chunk.total_bits,
-                "bpp": metrics.bpp(chunk.total_bits, stream.header.width, stream.header.height, 1),
-                "psnr": metrics.psnr(original[t], decoded[t]),
-                "ms_ssim": metrics.ms_ssim(original[t], decoded[t], scales=_max_scales(stream.header)),
+                "bpp": metrics.bpp(chunk.total_bits, header.width, header.height, 1),
+                "psnr": metrics.psnr(original[t], decoded),
+                "ms_ssim": metrics.ms_ssim(original[t], decoded, scales=scales),
             }
         )
     return rows

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from mfvc import metrics
 from mfvc.metrics import (
     RdPoint,
     bd_rate,
@@ -38,6 +41,14 @@ class TestPsnr:
         with pytest.raises(ShapeError):
             psnr(np.zeros((3, 4, 4)), np.zeros((3, 4, 5)))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, np.float64])
+    def test_bits_equal_the_two_copy_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0, 255, size=(3, 37, 53)).astype(dtype)
+        b = rng.uniform(0, 255, size=(3, 37, 53)).astype(dtype)
+        old_mse = float(np.mean((np.asarray(a, np.float64) - np.asarray(b, np.float64)) ** 2))
+        assert psnr(a, b) == min(10.0 * np.log10(255.0**2 / old_mse), 99.0)
+
 
 class TestMsSsim:
     def test_self_similarity_is_one(self):
@@ -70,6 +81,72 @@ class TestMsSsim:
         v = ms_ssim(a, b, scales=3)
         assert 0.0 <= v <= 1.0
         assert v < 1.0
+
+
+def dense_ms_ssim(a, b, scales):
+    """MS-SSIM with every Gaussian mean summed over the full 121-tap window
+    of a sliding-window view, the reference for the separable filter."""
+    window = metrics.gaussian_window()
+
+    def mean(img):
+        view = np.lib.stride_tricks.sliding_window_view(img, window.shape)
+        return np.tensordot(view, window, axes=([2, 3], [0, 1]))
+
+    def single(x, y):
+        weights = np.asarray(metrics.MSSSIM_WEIGHTS[:scales]) / sum(metrics.MSSSIM_WEIGHTS[:scales])
+        c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+        value = 1.0
+        for s in range(scales):
+            mx, my = mean(x), mean(y)
+            cs = (2.0 * (mean(x * y) - mx * my) + c2) / (mean(x * x) - mx**2 + mean(y * y) - my**2 + c2)
+            lum = (2.0 * mx * my + c1) / (mx**2 + my**2 + c1)
+            term = float(np.mean(lum * cs if s == scales - 1 else cs))
+            value *= max(term, 0.0) ** weights[s]
+            h, w = x.shape[0] // 2, x.shape[1] // 2
+            x = x[: 2 * h, : 2 * w].reshape(h, 2, w, 2).mean(axis=(1, 3))
+            y = y[: 2 * h, : 2 * w].reshape(h, 2, w, 2).mean(axis=(1, 3))
+        return value
+
+    a = np.asarray(a, np.float64).reshape((-1,) + np.shape(a)[-2:])
+    b = np.asarray(b, np.float64).reshape(a.shape)
+    return float(np.mean([single(a[c], b[c]) for c in range(a.shape[0])]))
+
+
+class TestSeparableFilter:
+    def test_window_is_the_outer_product_of_the_taps(self):
+        taps = metrics._gaussian_taps()
+        assert np.array_equal(metrics.gaussian_window(), np.outer(taps, taps))
+        assert metrics.gaussian_window().sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_filter_matches_dense_window(self):
+        img = np.random.default_rng(6).uniform(0, 255, size=(41, 29))
+        view = np.lib.stride_tricks.sliding_window_view(img, (11, 11))
+        dense = np.tensordot(view, metrics.gaussian_window(), axes=([2, 3], [0, 1]))
+        got = metrics._valid_filter(img, metrics._gaussian_taps())
+        assert got.shape == dense.shape == (31, 19)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("scales", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(3, 181, 203), (181, 203), (3, 176, 176)])
+    def test_ms_ssim_matches_dense_oracle(self, shape, scales):
+        rng = np.random.default_rng(scales + sum(shape))
+        a = rng.integers(0, 256, size=shape).astype(np.uint8)
+        b = np.clip(a + rng.normal(0, 14, size=shape), 0, 255).astype(np.uint8)
+        assert ms_ssim(a, b, scales) == pytest.approx(dense_ms_ssim(a, b, scales), rel=1e-12, abs=0)
+
+    def test_memory_is_bounded_by_the_frame(self):
+        # One float64 512x512 plane is 2 MB; the 121-tap window view copied
+        # out (H-10)(W-10) x 121 float64 values per mean, 256 MB in all.
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 256, size=(3, 512, 512)).astype(np.uint8)
+        b = rng.integers(0, 256, size=(3, 512, 512)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            ms_ssim(a, b, scales=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestBpp:

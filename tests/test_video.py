@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
-from mfvc import video
+from mfvc import metrics, video
 
 from mfvc.container import (
     CHUNK_HEADER_SIZE,
@@ -22,6 +22,7 @@ from mfvc.container import (
 from mfvc.coder import CorruptStreamError
 from mfvc.image import compress_iframe, decompress_iframe, init_autoencoder
 from mfvc.stem import StemFlags, decode_pframe, init_stem
+from mfvc.tensor import ShapeError
 from mfvc.video import (
     GOPS_IN_FLIGHT,
     GopConfig,
@@ -523,3 +524,15 @@ class TestEvaluate:
         assert all(r["bits"] > 0 for r in rows)
         assert all(np.isfinite(r["psnr"]) for r in rows)
         assert all(0 <= r["ms_ssim"] <= 1 for r in rows)
+
+    def test_rows_score_the_decoded_frames(self, models):
+        ae, stem = models
+        frames = small_video(5, h=24, w=40)
+        stream = compress_video(frames, ae, stem, GopConfig(gop_size=3, rate=ae.rate(1)))
+        decoded = decompress_video(stream, ae, stem)
+        rows = evaluate_video(stream, frames, ae, stem)
+        assert [r["frame_index"] for r in rows] == list(range(5))
+        assert [r["psnr"] for r in rows] == [metrics.psnr(frames[t], decoded[t]) for t in range(5)]
+        assert [r["ms_ssim"] for r in rows] == [metrics.ms_ssim(frames[t], decoded[t], scales=2) for t in range(5)]
+        with pytest.raises(ShapeError, match="stream's"):
+            evaluate_video(stream, frames[:4], ae, stem)

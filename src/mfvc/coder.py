@@ -500,10 +500,11 @@ def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
 
 
 def decode_plane(stream: CodedStream, shape, index, offset) -> np.ndarray:
-    """Exact inverse of :func:`encode_plane`: the plane of ``shape`` coded
-    with the same row indices and offsets. A stream that runs out before
-    the last symbol, or does not end exactly there (bytes left, or a final
-    state other than 2^16), raises :class:`CorruptStreamError`."""
+    """Exact inverse of :func:`encode_plane` for the same row indices and
+    offsets. A stream that cannot hold a plane of ``shape`` (:func:`check_capacity`),
+    runs out before the last symbol, or does not end exactly there (bytes
+    left, or a final state other than 2^16) raises :class:`CorruptStreamError`."""
+    check_capacity(stream, shape)
     index, offset = _broadcast(shape, index, offset)
     dec = RansDecoder(stream.data)
     decoded = decode_symbols(dec, index.tolist(), offset.tolist())

@@ -351,7 +351,10 @@ def load_autoencoder(path) -> AutoencoderWeights:
     if lambda_set is None:
         raise serialize.WeightsFormatError("missing tensor 'meta.lambda_set'")
     c, f, hc = (int(v) for v in arch[:3])
-    check_arch(named, {"hyper_enc.0.kernel": (hc, c, 3, 3)})
+    # Kernels hold c*hc, hc^2, c^2 or 3c floats; a factor 2^(n + 1) has n c^2 ones in analysis and in synthesis.
+    n = f.bit_length() - 2
+    square = {f"{name}.kernel": (c, c, 5, 5) for i in range(n) for name in (f"analysis.{i + 1}", f"synthesis.{i}")}
+    check_arch(named, {"hyper_enc.0.kernel": (hc, c, 3, 3), "hyper_enc.1.kernel": (hc, hc, 5, 5), **square})
     w = init_autoencoder(
         latent_channels=c,
         downsample_factor=f,
@@ -480,8 +483,9 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
 
 
 def decompress_iframe(chunk: FrameChunk, rate: RateIndex, weights: AutoencoderWeights, latent_shape):
-    """Invert :func:`compress_iframe`; returns (frame tensor, latent_hat)."""
+    """Invert :func:`compress_iframe`, y stream capacity first; returns (frame tensor, latent_hat)."""
     c, h, w = latent_shape
+    coder.check_capacity(chunk.y_stream, latent_shape)
     z_hat = weights.decode_z(chunk.z_stream, h, w)
     zt = Tensor(z_hat[None].astype(np.float32))
     mu, log_scale = hyper_synthesis(zt, weights, h, w)

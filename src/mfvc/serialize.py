@@ -61,7 +61,10 @@ def deserialize_named_tensors(data: bytes) -> dict[str, np.ndarray]:
             raise WeightsFormatError(f"tensor {i} has a name that is not UTF-8") from exc
         shape = struct.unpack("<4I", take(16, f"tensor '{name}'"))
         payload = take(4 * math.prod(shape), f"tensor '{name}'")
-        named[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        try:
+            named[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        except ValueError as exc:  # no payload, but a zero extent beside extents too large for any array
+            raise WeightsFormatError(f"tensor '{name}' has extents {shape} too large for an array") from exc
     if pos != len(data):
         raise WeightsFormatError(f"{len(data) - pos} trailing bytes after the last tensor")
     return named

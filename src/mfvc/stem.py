@@ -149,17 +149,17 @@ def _check_planes(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def residual_latent(latent: np.ndarray, prev_latent: np.ndarray) -> np.ndarray:
-    """Exact integer difference between consecutive latent planes."""
-    latent = np.asarray(latent, dtype=np.int32)
-    prev_latent = np.asarray(prev_latent, dtype=np.int32)
+    """Exact integer difference between consecutive latent planes; values outside int32 raise ValueError."""
+    latent = coder.to_int32(latent, ValueError)
+    prev_latent = coder.to_int32(prev_latent, ValueError)
     _check_planes(latent, prev_latent)
     return latent - prev_latent
 
 
 def reconstruct_latent(residual: np.ndarray, prev_latent: np.ndarray) -> np.ndarray:
-    """Exact integer inverse of :func:`residual_latent`."""
-    residual = np.asarray(residual, dtype=np.int32)
-    prev_latent = np.asarray(prev_latent, dtype=np.int32)
+    """Exact integer inverse of :func:`residual_latent`; values outside int32 raise ValueError."""
+    residual = coder.to_int32(residual, ValueError)
+    prev_latent = coder.to_int32(prev_latent, ValueError)
     _check_planes(residual, prev_latent)
     return residual + prev_latent
 
@@ -418,15 +418,16 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     The module's one serial loop: positions are decoded in raster order
     into zero-bordered int32 contexts, so each position's fusion reads
     only the symbols already decoded; the encoder pushed them last to
-    first, so they pop in this order. A frame whose stream fails to decode,
-    has bytes left after the last symbol, or whose coder state does not end
-    at 2^16, raises :class:`CorruptFrameError` naming that frame's place in
-    the call. A mismatched previous latent is not detected; it yields
-    garbage from the first diverging position onward.
+    first, so they pop in this order. A frame whose y stream cannot hold its
+    plane (checked before its z stream is decoded), whose streams fail to
+    decode or leave bytes after the last symbol, or whose coder state does
+    not end at 2^16 raises :class:`CorruptFrameError` naming its place in
+    the call; previous latents outside int32 raise ``ValueError``. A wrong
+    previous latent goes undetected: garbage from the first diverging position on.
     """
     single = isinstance(chunk, FrameChunk)
     chunks = [chunk] if single else list(chunk)
-    prevs = np.asarray(prev_latent, dtype=np.int32)
+    prevs = coder.to_int32(prev_latent, ValueError)
     if single:
         if prevs.ndim != 3:
             raise ShapeError(f"one chunk needs a (C, h, w) previous latent, got {prevs.shape}")
@@ -436,32 +437,27 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     k, c, h, w = prevs.shape
 
     z_hats, decs = [], []
-    for j, ch in enumerate(chunks):
-        try:
+    try:  # j is the frame being decoded whenever a stream error is raised
+        for j, ch in enumerate(chunks):
+            coder.check_capacity(ch.y_stream, (c, h, w))
             z_hats.append(weights.decode_z(ch.z_stream, h, w))
             decs.append(coder.RansDecoder(ch.y_stream.data))
-        except coder.CorruptStreamError as exc:
-            raise CorruptFrameError(j, exc) from exc
-    phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
-    padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
-    planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
-    at = _PositionParams(weights, flags, phd, tpm).at
-    grid_index, decode_symbols, check_int32 = coder.grid_index, coder.decode_symbols, coder.check_int32
-    for r in range(h):
-        for col in range(w):
-            x = at(padded, r, col)
-            index, offset = grid_index(x[:, :c].ravel(), x[:, c:].ravel())
-            index, offset = index.tolist(), offset.tolist()
-            for j, dec in enumerate(decs):
-                lo, hi = j * c, j * c + c
-                try:
+        phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
+        padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
+        planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
+        at = _PositionParams(weights, flags, phd, tpm).at
+        grid_index, decode_symbols, check_int32 = coder.grid_index, coder.decode_symbols, coder.check_int32
+        for r in range(h):
+            for col in range(w):
+                x = at(padded, r, col)
+                index, offset = grid_index(x[:, :c].ravel(), x[:, c:].ravel())
+                index, offset = index.tolist(), offset.tolist()
+                for j, dec in enumerate(decs):
+                    lo, hi = j * c, j * c + c
                     planes[j, :, r, col] = check_int32(decode_symbols(dec, index[lo:hi], offset[lo:hi]))
-                except coder.CorruptStreamError as exc:
-                    raise CorruptFrameError(j, exc) from exc
-    for j, dec in enumerate(decs):
-        try:
+        for j, dec in enumerate(decs):
             dec.finish()
-        except coder.CorruptStreamError as exc:
-            raise CorruptFrameError(j, exc) from exc
+    except coder.CorruptStreamError as exc:
+        raise CorruptFrameError(j, exc) from exc
     out = reconstruct_latent(planes, prevs) if flags.use_residual else planes.copy()
     return out[0] if single else out

@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .coder import check_capacity
 from .container import (
     FRAME_I,
     FRAME_P,
@@ -193,8 +192,9 @@ def iter_decompress_video(
     6C*h*w float32 fusion inputs plus its int32 context plane.
 
     Raises :class:`DigestMismatchError` before yielding anything if the
-    weights do not match the stream; a corrupted chunk, or one too short
-    for the symbols the header's geometry promises, only stops the
+    weights do not match the stream; a corrupted chunk, one too short for
+    the symbols the header's geometry promises (the frame decoders check
+    before they size anything), or a leading P-frame only stops the
     iteration at its own frame index, after every frame before it.
     """
     header = stream.header
@@ -210,16 +210,17 @@ def iter_decompress_video(
         raise DigestMismatchError(str(exc)) from exc
     flags = StemFlags(*unpack_flags(header.flags))
     f = header.downsample_factor
-    lat_h = -(-header.height // f)
-    lat_w = -(-header.width // f)
-    latent_shape = (header.latent_channels, lat_h, lat_w)
+    latent_shape = (header.latent_channels, -(-header.height // f), -(-header.width // f))
     chunks = stream.chunks
 
+    failed: dict[int, ValueError] = {}  # GOP -> the error of its first frame without a latent
     gops: list[list[int]] = []  # frame indices; leading P-frames form a GOP that fails at its first frame
     for t, chunk in enumerate(chunks):
         if chunk.frame_type == FRAME_I or not gops:
             gops.append([])
         gops[-1].append(t)
+    if chunks and chunks[0].frame_type != FRAME_I:
+        failed[0] = ContainerError("P-frame without a preceding I-frame")
     windows: list[list[int]] = []  # GOP indices; a GOP without P-frames gains nothing in lockstep
     for g, gop in enumerate(gops):
         if windows and len(windows[-1]) < GOPS_IN_FLIGHT and len(gop) > 1:
@@ -229,7 +230,6 @@ def iter_decompress_video(
 
     prev: dict[int, np.ndarray] = {}  # GOP -> the latent of its last decoded frame
     held: dict[int, tuple[Optional[Tensor], np.ndarray]] = {}  # frame -> (I-frame picture, latent) until yielded
-    failed: dict[int, ValueError] = {}  # GOP -> the error of its first frame without a latent
 
     def emit(g: int, t: int) -> tuple[np.ndarray, np.ndarray]:
         if t not in held:
@@ -248,18 +248,13 @@ def iter_decompress_video(
                 if s >= len(gops[g]) or g in failed:
                     continue
                 chunk = chunks[gops[g][s]]
+                if chunk.frame_type != FRAME_I:
+                    pending.append(g)
+                    continue
                 try:
-                    hyper = weights if chunk.frame_type == FRAME_I else stem_weights
-                    check_capacity(chunk.z_stream, hyper.hyper_extents(lat_h, lat_w))
-                    check_capacity(chunk.y_stream, latent_shape)
-                    if chunk.frame_type == FRAME_I:
-                        picture, prev[g] = decompress_iframe(chunk, rate, weights, latent_shape)
-                        held[gops[g][s]] = picture, prev[g]
-                    elif s == 0:
-                        raise ContainerError("P-frame without a preceding I-frame")
-                    else:
-                        pending.append(g)
-                except (ContainerError, ValueError) as exc:
+                    picture, prev[g] = decompress_iframe(chunk, rate, weights, latent_shape)
+                    held[gops[g][s]] = picture, prev[g]
+                except ValueError as exc:
                     failed[g] = exc
             while pending:
                 try:

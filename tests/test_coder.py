@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -694,6 +695,18 @@ class TestCapacity:
             coder.check_capacity(stream, (math.floor(80 / coder._MIN_SYMBOL_BITS) + 1,))
         with pytest.raises(CorruptStreamError):
             coder.check_capacity(stream, (16, 2**27, 2**27))
+
+    def test_decode_plane_checks_before_sizing(self):
+        # The plane's rows and offsets alone would take 24 MiB; at
+        # 16 x 3000 x 3000 they ran out of memory.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError, match="4-byte stream cannot hold 640000 symbols"):
+                decode_plane(CodedStream(b"\x00\x01\x00\x00"), (4, 400, 400), 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestInt32Range:

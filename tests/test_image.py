@@ -185,6 +185,16 @@ class TestIFrameCoding:
         latents = [compress_iframe(frame, weights.rate(i), weights)[1] for i in range(2)]
         assert latents[0].shape == latents[1].shape
 
+    def test_short_latent_stream_rejected_before_the_hyper_path(self, weights, monkeypatch):
+        # A 4096 x 4096 latent promises 2^27 symbols, far more than the
+        # coded stream can hold; the hyper plane must not be decoded for it.
+        chunk, _ = compress_iframe(random_frame(np.random.default_rng(9)), weights.rate(0), weights)
+        calls = []
+        monkeypatch.setattr(weights, "decode_z", lambda *args: calls.append(args))
+        with pytest.raises(coder.CorruptStreamError, match="cannot hold 134217728 symbols"):
+            decompress_iframe(chunk, weights.rate(0), weights, (8, 4096, 4096))
+        assert calls == []
+
 
 class TestWeightsFile:
     def test_save_load_roundtrip(self, tmp_path, weights):

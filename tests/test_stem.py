@@ -36,6 +36,12 @@ def random_latents(rng, c=4, h=8, w=8, span=8):
     return a, b
 
 
+def flip_middle_byte(data: bytes) -> bytes:
+    out = bytearray(data)
+    out[len(out) // 2] ^= 0xFF
+    return bytes(out)
+
+
 ALL_FLAGS = [
     StemFlags(True, True, True),
     StemFlags(False, True, True),
@@ -70,6 +76,15 @@ class TestResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             residual_latent(np.zeros((1, 2, 2), np.int32), np.zeros((1, 2, 3), np.int32))
+
+    def test_residual_of_value_outside_int32_rejected(self):
+        # An int32 cast wraps 2^40 to 0.
+        with pytest.raises(ValueError, match="symbol outside int32"):
+            residual_latent(np.array([[[2**40]]]), np.zeros((1, 1, 1), np.int32))
+
+    def test_reconstruct_from_value_outside_int32_rejected(self):
+        with pytest.raises(ValueError, match="symbol outside int32"):
+            reconstruct_latent(1, 2**40)
 
 
 class TestBranches:
@@ -229,6 +244,14 @@ class TestPFrameRoundtrip:
         a[0, 0, 0] = 2**40 + 5
         with pytest.raises(ValueError, match="int32"):
             encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
+
+    def test_previous_latent_outside_int32_rejected(self, weights):
+        # The decoder takes the encoder's rule: an int32 cast would decode
+        # against prev + 2^32 as if it were prev.
+        a, b = random_latents(np.random.default_rng(21))
+        chunk = encode_pframe(a, b, StemFlags(), weights)
+        with pytest.raises(ValueError, match="symbol outside int32"):
+            decode_pframe(chunk, b.astype(np.int64) + 2**32, StemFlags(), weights)
 
     def test_nonfinite_hyper_latent_rejected(self):
         # A NaN hyper latent has no codable integer; rounding it must fail
@@ -462,16 +485,31 @@ class TestLockstepDecode:
                 assert got.shape == (k, 2 * c) and got.dtype == np.float32
                 np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    def test_corrupt_frame_named_by_its_place(self, weights):
+    @pytest.mark.parametrize(
+        "stage, damage, match",
+        [
+            ("z", lambda d: d[:3], "stream exhausted"),
+            ("y", lambda d: b"", "0-byte stream cannot hold 120 symbols"),  # checked before the z decode
+            ("y", lambda d: d[:-2], "stream exhausted"),  # found in the walk
+            ("y", flip_middle_byte, None),
+            ("y", lambda d: d + b"\x00\x00", "bytes left after the last symbol: 2"),  # found by finish
+        ],
+        ids=["truncated-z", "short-y", "cut-y", "flipped-y", "trailing-y"],
+    )
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_corrupt_frame_named_by_its_place(self, weights, place, stage, damage, match):
+        # One error path for every stage: the frame's own error, with its
+        # place in the call, whichever frame and stage it comes from.
         prevs, curs = self.frames(3, 4)
         chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
-        chunks[1].y_stream = coder.CodedStream(chunks[1].y_stream.data + b"\x00\x00")
-        with pytest.raises(coder.CorruptStreamError) as alone:
-            decode_pframe(chunks[1], prevs[1], StemFlags(), weights)
+        name = f"{stage}_stream"
+        setattr(chunks[place], name, coder.CodedStream(damage(getattr(chunks[place], name).data)))
+        with pytest.raises(coder.CorruptStreamError, match=match) as alone:
+            decode_pframe(chunks[place], prevs[place], StemFlags(), weights)
         with pytest.raises(CorruptFrameError) as info:
             decode_pframe(chunks, prevs, StemFlags(), weights)
-        assert info.value.index == 1
-        assert str(info.value) == str(alone.value) == "bytes left after the last symbol: 2"
+        assert info.value.index == place
+        assert str(info.value) == str(alone.value)
 
     def test_chunk_count_must_match_latents(self, weights):
         prevs, curs = self.frames(2, 4)

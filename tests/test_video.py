@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from fuzzing import EDITS, mutate
+
 from mfvc import metrics, video
 
 from mfvc.container import (
@@ -329,19 +331,6 @@ def fuzz_blob(models):
     return compress_video(small_video(4), ae, stem, GopConfig(gop_size=2, rate=ae.rate(0))).to_bytes()
 
 
-def mutate(blob: bytes, edits) -> bytes:
-    """Apply (op, place, value) edits in turn; a place wraps to the length."""
-    data = bytearray(blob)
-    for op, place, value in edits:
-        if op == "insert":
-            data.insert(place % (len(data) + 1), value)
-        elif op == "delete":
-            del data[place % len(data)]
-        else:
-            data[place % len(data)] ^= value
-    return bytes(data)
-
-
 class TestContainerFuzz:
     """Every byte string parses and decodes to frames of the header's
     geometry or raises ContainerError (DigestMismatchError included)."""
@@ -364,13 +353,7 @@ class TestContainerFuzz:
         # With the valid header kept, the random bytes reach the chunk parser.
         self.decode_or_reject(models, fuzz_blob[:prefix] + tail)
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 2**16), st.integers(1, 255)),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    @given(EDITS)
     @settings(max_examples=300, deadline=None)
     def test_mutated_valid_stream(self, models, fuzz_blob, edits):
         self.decode_or_reject(models, mutate(fuzz_blob, edits))

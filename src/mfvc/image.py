@@ -11,7 +11,7 @@ be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     _make_node,
-    add_uniform_noise,
+    add_row_noise,
     clamp,
     conv2d,
     crop_hw,
     expand_param,
+    expand_params,
     laplace_nll_bits,
     leaky_relu,
     mul,
@@ -145,12 +146,13 @@ class CodecWeights:
     def save(self, path) -> None:
         serialize.save_named_tensors(path, self.to_named())
 
-    def hyper_latent(self, x: Tensor, noise_seed: Optional[int] = None) -> Tensor:
+    def hyper_latent(self, x: Tensor, noise_seeds: Optional[Sequence[int]] = None) -> Tensor:
         """Hyper-encoded ``x``, rounded half away from zero, or with the
-        uniform-noise surrogate of rounding when a training seed is given."""
+        uniform-noise surrogate of rounding when training seeds are given,
+        one per batch item (see :func:`~mfvc.tensor.add_row_noise`)."""
         z = _run_chain(x, self.hyper_encoder())
-        if noise_seed is not None:
-            return add_uniform_noise(z, noise_seed)
+        if noise_seeds is not None:
+            return add_row_noise(z, noise_seeds)
         return Tensor(round_half_away(z.data).astype(z.dtype), dtype=z.dtype)
 
     def hyper_features(self, z: Tensor, h: int, w: int) -> Tensor:
@@ -371,13 +373,19 @@ def load_autoencoder(path) -> AutoencoderWeights:
 # ---------------------------------------------------------------------------
 
 
-def conditional_scale(features: Tensor, rate: RateIndex, layer_id: str, weights: AutoencoderWeights) -> Tensor:
-    """Per-channel softplus(scale) * features + bias, selected by rate index."""
+def conditional_scale(features: Tensor, rates: Sequence[RateIndex], layer_id: str,
+                      weights: AutoencoderWeights) -> Tensor:
+    """Per-channel softplus(scale) * features + bias, batch item k taking the
+    pair of ``rates[k]``; a rate no item takes stays out of the graph."""
     if layer_id not in weights.lambda_table:
         raise ConfigError(f"no conditional table for layer '{layer_id}'")
-    scale, bias = weights.lambda_table[layer_id][rate.index]
-    gain = expand_param(softplus(scale), features)
-    return mul(gain, features) + expand_param(bias, features)
+    if len(rates) != features.shape[0]:
+        raise ShapeError(f"{len(rates)} rates for a batch of {features.shape[0]}")
+    present = sorted({r.index for r in rates})
+    rows = [present.index(r.index) for r in rates]
+    pairs = [weights.lambda_table[layer_id][j] for j in present]
+    gain = expand_params([softplus(scale) for scale, _ in pairs], rows, features)
+    return mul(gain, features) + expand_params([bias for _, bias in pairs], rows, features)
 
 
 def _run_chain(x: Tensor, layers: list[ConvLayer]) -> Tensor:
@@ -389,8 +397,9 @@ def _run_chain(x: Tensor, layers: list[ConvLayer]) -> Tensor:
     return x
 
 
-def analyze(frame: Tensor, rate: RateIndex, weights: AutoencoderWeights) -> Tensor:
-    """Frame (b, 3, H, W) in [0, 1] to latent (b, C, H/f, W/f)."""
+def analyze(frame: Tensor, rates: Sequence[RateIndex], weights: AutoencoderWeights) -> Tensor:
+    """Frames (b, 3, H, W) in [0, 1] to latents (b, C, H/f, W/f), item k at
+    ``rates[k]``."""
     if frame.shape[1] != 3:
         raise ShapeError(f"frames have 3 channels, got {frame.shape[1]}")
     weights.latent_extents(frame.shape[2], frame.shape[3])
@@ -400,17 +409,17 @@ def analyze(frame: Tensor, rate: RateIndex, weights: AutoencoderWeights) -> Tens
     for i, layer in enumerate(weights.analysis):
         x = conv2d(x, layer)
         x = leaky_relu(x, LEAKY_SLOPE)
-        x = conditional_scale(x, rate, f"analysis.{i}", weights)
+        x = conditional_scale(x, rates, f"analysis.{i}", weights)
     return x
 
 
-def synthesis_transform(latent: Tensor, rate: RateIndex, weights: AutoencoderWeights) -> Tensor:
-    """Latent tensor to a frame tensor clamped to [0, 1]."""
+def synthesis_transform(latent: Tensor, rates: Sequence[RateIndex], weights: AutoencoderWeights) -> Tensor:
+    """Latents (b, C, h, w) to frames clamped to [0, 1], item k at ``rates[k]``."""
     x = latent
     for i, layer in enumerate(weights.synthesis):
         x = transpose_conv2d(x, layer)
         x = leaky_relu(x, LEAKY_SLOPE)
-        x = conditional_scale(x, rate, f"synthesis.{i}", weights)
+        x = conditional_scale(x, rates, f"synthesis.{i}", weights)
     return clamp(x, 0.0, 1.0)
 
 
@@ -421,7 +430,7 @@ def synthesize(latent: np.ndarray, rate: RateIndex, weights: AutoencoderWeights)
         raise ShapeError(
             f"latent plane must be ({weights.latent_channels}, h, w), got {latent.shape}"
         )
-    return synthesis_transform(Tensor(latent[None].astype(np.float32)), rate, weights)
+    return synthesis_transform(Tensor(latent[None].astype(np.float32)), [rate], weights)
 
 
 def hyper_synthesis(z: Tensor, weights: AutoencoderWeights, latent_h: int, latent_w: int) -> tuple[Tensor, Tensor]:
@@ -474,7 +483,7 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
     frame = np.asarray(frame, dtype=np.float32)
     if frame.ndim != 3:
         raise ShapeError(f"frame must be (3, H, W), got {frame.shape}")
-    latent = analyze(Tensor(frame[None]), rate, weights)
+    latent = analyze(Tensor(frame[None]), [rate], weights)
     latent_hat = quantize_round(latent)
     mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, weights)
     z_stream = weights.encode_z(z_hat)

@@ -232,7 +232,8 @@ def _rate_forward(latent, prev_latent, flags: StemFlags, weights: StemWeights,
         raise ShapeError(f"latent extents differ: {lt.shape} vs {pv.shape}")
     _, _, h, w = lt.shape
 
-    z_tilde = weights.hyper_latent(concat_channels(lt, pv), noise_seed if training else None)
+    seeds = [noise_seed] * lt.shape[0] if training else None
+    z_tilde = weights.hyper_latent(concat_channels(lt, pv), seeds)
     z_nll = weights.z_prior_nll(z_tilde)
 
     phd_out = weights.hyper_features(z_tilde, h, w)

@@ -489,16 +489,36 @@ def powp(x: Tensor, p: float) -> Tensor:
 
 def expand_param(p: Tensor, like: Tensor) -> Tensor:
     """Broadcast a (1, C, 1, 1) parameter to the shape of ``like``."""
-    if p.shape[0] != 1 or p.shape[2] != 1 or p.shape[3] != 1:
-        raise ShapeError(f"expand_param needs a (1, C, 1, 1) parameter, got {p.shape}")
-    if p.shape[1] != like.shape[1]:
-        raise ShapeError(f"channel extent {p.shape[1]} does not match target {like.shape[1]}")
-    y = np.broadcast_to(p.data, like.shape).copy()
+    return expand_params([p], [0] * like.shape[0], like)
+
+
+def expand_params(params: Sequence[Tensor], index: Sequence[int], like: Tensor) -> Tensor:
+    """Broadcast (1, C, 1, 1) parameters to the shape of ``like``, batch item
+    k taking ``params[index[k]]``. Each parameter's gradient sums its own
+    items only; a parameter no item takes gets none."""
+    for p in params:
+        if p.shape[0] != 1 or p.shape[2] != 1 or p.shape[3] != 1:
+            raise ShapeError(f"expand_params needs (1, C, 1, 1) parameters, got {p.shape}")
+        if p.shape[1] != like.shape[1]:
+            raise ShapeError(f"channel extent {p.shape[1]} does not match target {like.shape[1]}")
+    if len(index) != like.shape[0]:
+        raise ShapeError(f"{len(index)} parameter indices for a batch of {like.shape[0]}")
+    y = np.empty(like.shape, dtype=_result_dtype(*params))
+    y[...] = np.concatenate([params[j].data for j in index])
+    index = np.asarray(index)
 
     def bwd(gy):
-        return (gy.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64),)
+        grads = []
+        for j in range(len(params)):
+            rows = index == j
+            if not rows.any():
+                grads.append(None)
+                continue
+            g = gy if rows.all() else gy[rows]
+            grads.append(g.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64))
+        return grads
 
-    return _make_node(y, (p,), bwd)
+    return _make_node(y, tuple(params), bwd)
 
 
 def crop_hw(x: Tensor, h: int, w: int) -> Tensor:
@@ -513,6 +533,18 @@ def crop_hw(x: Tensor, h: int, w: int) -> Tensor:
         return (g,)
 
     return _make_node(y, (x,), bwd)
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Batch items ``rows`` (distinct indices) of ``x``, in that order."""
+    rows = np.asarray(rows)
+
+    def bwd(gy):
+        g = np.zeros(x.shape, dtype=gy.dtype)
+        g[rows] = gy
+        return (g,)
+
+    return _make_node(x.data[rows], (x,), bwd)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -576,8 +608,20 @@ def round_half_away(values: np.ndarray) -> np.ndarray:
 
 def add_uniform_noise(x: Tensor, rng_seed: int) -> Tensor:
     """Add i.i.d. uniform noise on [-0.5, 0.5); deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
-    u = (rng.random(x.shape, dtype=np.float64) - 0.5).astype(x.dtype)
+    return add_row_noise(x, [rng_seed] * x.shape[0])
+
+
+def add_row_noise(x: Tensor, seeds: Sequence[int]) -> Tensor:
+    """Add i.i.d. uniform noise on [-0.5, 0.5), batch item k's drawn from
+    ``seeds[k]``. The items that share a seed take one draw in batch order,
+    so their noise does not depend on the other items in the batch."""
+    if len(seeds) != x.shape[0]:
+        raise ShapeError(f"{len(seeds)} noise seeds for a batch of {x.shape[0]}")
+    u = np.empty(x.shape, dtype=x.dtype)
+    for seed in dict.fromkeys(seeds):
+        rows = [k for k, s in enumerate(seeds) if s == seed]
+        rng = np.random.default_rng(seed)
+        u[rows] = (rng.random((len(rows),) + x.shape[1:], dtype=np.float64) - 0.5).astype(x.dtype)
 
     def bwd(gy):
         return (gy,)
@@ -608,7 +652,6 @@ def laplace_nll_bits(value: Tensor, mu: Tensor, log_scale: Tensor) -> Tensor:
     d = v - m
     a = np.abs(d)
     tail = a >= 0.5
-    sgn = np.sign(d)
 
     # Tail: log p = log(1/2) - (a - 1/2)/b + log(1 - e^{-1/b})
     w = np.exp(-1.0 / b)
@@ -618,25 +661,24 @@ def laplace_nll_bits(value: Tensor, mu: Tensor, log_scale: Tensor) -> Tensor:
     # Center: p = -1/2 (expm1(-(1/2 - d)/b) + expm1(-(1/2 + d)/b)).
     # d is pinned to the center interval so the unused branch cannot overflow.
     dc = np.clip(d, -0.5, 0.5)
-    e1 = np.exp(-(0.5 - dc) / b)
-    e2 = np.exp(-(0.5 + dc) / b)
     p_center = -0.5 * (np.expm1(-(0.5 - dc) / b) + np.expm1(-(0.5 + dc) / b))
     p_center = np.maximum(p_center, 1e-300)
 
     inv_ln2 = 1.0 / np.log(2.0)
     bits = np.where(tail, -logp_tail * inv_ln2, -np.log(p_center) * inv_ln2)
-
-    # d(log p)/d(d) and d(log p)/d(log_scale), split by case.
-    dlogp_dd_tail = -sgn / b
-    dlogp_ds_tail = (a - 0.5) / b - w / (b * (1.0 - w))
-    dlogp_dd_center = -0.5 * (e1 - e2) / (b * p_center)
-    dlogp_ds_center = -0.5 * (e1 * (0.5 - dc) + e2 * (0.5 + dc)) / (b * p_center)
-    dlogp_dd = np.where(tail, dlogp_dd_tail, dlogp_dd_center)
-    dlogp_ds = np.where(tail, dlogp_ds_tail, dlogp_ds_center)
-
     out_dtype = _result_dtype(value, mu, log_scale)
 
     def bwd(gy):
+        # d(log p)/d(d) and d(log p)/d(log_scale), split by case; built only
+        # when a gradient flows, so untaped calls pay for the bits alone.
+        e1 = np.exp(-(0.5 - dc) / b)
+        e2 = np.exp(-(0.5 + dc) / b)
+        dlogp_dd = np.where(tail, -np.sign(d) / b, -0.5 * (e1 - e2) / (b * p_center))
+        dlogp_ds = np.where(
+            tail,
+            (a - 0.5) / b - w / (b * (1.0 - w)),
+            -0.5 * (e1 * (0.5 - dc) + e2 * (0.5 + dc)) / (b * p_center),
+        )
         g = gy.astype(np.float64) * (-inv_ln2)
         gv = g * dlogp_dd if value.requires_grad else None
         gm = -g * dlogp_dd if mu.requires_grad else None

@@ -3,9 +3,12 @@ frames, then the spatiotemporal entropy model learns on frame pairs with
 the auto-encoder frozen.
 
 Both stages use Adam with a piecewise-constant learning-rate schedule and
-the additive-uniform-noise quantization surrogate. Data sampling may run
-concurrently with optimization, but parameter updates are serialized per
-step.
+the additive-uniform-noise quantization surrogate, and each iteration is
+one forward and one backward pass over its batch. An auto-encoder batch
+mixes rates, one per frame: the conditional scale/shift tables condition
+each frame on its own rate, and the distortion is weighted per rate group.
+Data sampling may run concurrently with optimization, but parameter
+updates are serialized per step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .tensor import (
     ConfigError,
     ConvLayer,
     Tensor,
-    add_uniform_noise,
+    add_row_noise,
     affine,
     avg_pool2,
     backward,
@@ -38,6 +41,7 @@ from .tensor import (
     round_half_away,
     sub,
     sum_all,
+    take_rows,
 )
 from .video import frames_to_float
 
@@ -61,6 +65,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.distortion not in ("mse", "ms-ssim"):
             raise ConfigError(f"distortion must be 'mse' or 'ms-ssim', got '{self.distortion}'")
+        if min(self.batch_size, self.patch_h, self.patch_w) < 1:
+            raise ConfigError("batch_size, patch_h and patch_w must be positive")
+        if self.total_iters < 0:
+            raise ConfigError(f"total_iters must be non-negative, got {self.total_iters}")
+        if not self.lr_values or not all(0.0 < v < float("inf") for v in self.lr_values):
+            raise ConfigError(f"lr_values must be finite positive learning rates, got {self.lr_values}")
         if len(self.lr_boundaries) not in (len(self.lr_values), len(self.lr_values) - 1):
             raise ConfigError("lr_boundaries must have the same length as lr_values, or one fewer")
         if any(b >= a for a, b in zip(self.lr_boundaries[1:], self.lr_boundaries)):
@@ -199,14 +209,22 @@ def msssim_index(a: Tensor, b: Tensor, scales: int = 3) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
+def loss_i(frames: np.ndarray, rates: Sequence[RateIndex], weights: AutoencoderWeights,
            distortion: str = "mse", noise_seed: int = 0, msssim_scales: int = 3):
-    """Single-frame training objective: rate plus lambda-weighted distortion.
+    """Single-frame training objective over a batch, frame k at ``rates[k]``:
+    rate plus lambda-weighted distortion, in one pass.
 
     Returns (loss, rate_bpp, distortion) as scalar graph tensors. Rate is
-    the noisy-latent cross entropy (latent plus hyper) in bits per pixel;
-    distortion is MSE on [0, 1] pixels or one minus the multiscale
-    similarity index.
+    the noisy-latent cross entropy (latent plus hyper) of the whole batch in
+    bits per pixel. Each rate present forms a group of the frames at it, and
+    its distortion D is MSE over the group's [0, 1] pixels or one minus the
+    multiscale similarity index pooled over the group. With ``share`` the
+    group's fraction of the batch, the loss adds share * lambda * D per
+    group and the returned distortion is the sum of share * D.
+
+    A group's latent noise is drawn from ``noise_seed`` plus its rate index
+    and its hyper-latent noise from one more, so the one-pass loss is the
+    share-weighted sum of the losses of each group passed on its own.
     """
     frames = np.asarray(frames)
     if frames.ndim == 3:
@@ -215,20 +233,28 @@ def loss_i(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights,
     x = Tensor(frames.astype(dtype))
     b, _, h, w = x.shape
 
-    y = analyze(x, rate, weights)
-    y_tilde = add_uniform_noise(y, noise_seed)
-    z_tilde = weights.hyper_latent(y_tilde, noise_seed + 1)
+    y = analyze(x, rates, weights)
+    seeds = [noise_seed + rate.index for rate in rates]
+    y_tilde = add_row_noise(y, seeds)
+    z_tilde = weights.hyper_latent(y_tilde, [seed + 1 for seed in seeds])
     mu, log_scale = image_mod.hyper_synthesis(z_tilde, weights, y.shape[2], y.shape[3])
     y_bits = sum_all(laplace_nll_bits(y_tilde, mu, log_scale))
     z_bits = sum_all(weights.z_prior_nll(z_tilde))
     rate_bpp = affine(y_bits + z_bits, 1.0 / (b * h * w), 0.0)
 
-    recon = synthesis_transform(y_tilde, rate, weights)
-    if distortion == "mse":
-        dist = mse_distortion(x, recon)
-    else:
-        dist = affine(msssim_index(x, recon, msssim_scales), -1.0, 1.0)
-    loss = rate_bpp + affine(dist, rate.lambda_value, 0.0)
+    recon = synthesis_transform(y_tilde, rates, weights)
+    loss, dist = rate_bpp, None
+    for rate in sorted(set(rates), key=lambda r: (r.index, r.lambda_value)):
+        rows = [k for k, r in enumerate(rates) if r == rate]
+        share = len(rows) / b
+        xg, rg = take_rows(x, rows), take_rows(recon, rows)
+        if distortion == "mse":
+            d = mse_distortion(xg, rg)
+        else:
+            d = affine(msssim_index(xg, rg, msssim_scales), -1.0, 1.0)
+        loss = loss + affine(d, share * rate.lambda_value, 0.0)
+        d = affine(d, share, 0.0)
+        dist = d if dist is None else dist + d
     return loss, rate_bpp, dist
 
 
@@ -301,7 +327,12 @@ def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWe
                       log_path=None) -> AutoencoderWeights:
     """Optimize the auto-encoder on random crops of ``dataset`` ((N, 3, H, W)
     frames or one (3, H, W) frame) with a random rate index per sample;
-    returns the trained weights."""
+    returns the trained weights.
+
+    Each iteration is one :func:`loss_i` call and one backward pass over the
+    whole mixed-rate batch, with noise seed ``(seed << 20) ^ (it * 7)``; the
+    distortion is weighted and the noise drawn per rate group as
+    :func:`loss_i` describes."""
     frames = np.asarray(dataset)
     frames = frames_to_float(frames[None] if frames.ndim == 3 else frames)
     if not len(frames):
@@ -322,26 +353,18 @@ def train_image_model(dataset, cfg: TrainConfig, weights: Optional[AutoencoderWe
             r, c = _random_crop(rng, frames.shape[2:], cfg.patch_h, cfg.patch_w)
             crops.append(frames[idx[k], :, r : r + cfg.patch_h, c : c + cfg.patch_w])
 
-        loss_val = rate_val = dist_val = 0.0
-        for lam_idx in sorted(set(int(v) for v in lams)):
-            members = [k for k in range(cfg.batch_size) if lams[k] == lam_idx]
-            batch = np.stack([crops[k] for k in members])
-            share = len(members) / cfg.batch_size
-            loss, rate, dist = loss_i(
-                batch, weights.rate(lam_idx), weights,
-                distortion=cfg.distortion, noise_seed=(cfg.seed << 20) ^ (it * 7 + lam_idx),
-            )
-            backward(affine(loss, share, 0.0))
-            loss_val += share * loss.item()
-            rate_val += share * rate.item()
-            dist_val += share * dist.item()
-        return loss_val, rate_val, dist_val
+        loss, rate, dist = loss_i(
+            np.stack(crops), [weights.rate(int(j)) for j in lams], weights,
+            distortion=cfg.distortion, noise_seed=(cfg.seed << 20) ^ (it * 7),
+        )
+        backward(loss)
+        return loss.item(), rate.item(), dist.item()
 
     return _optimize(weights, cfg, log_path, step)
 
 
 def _frozen_latents(frames: np.ndarray, rate: RateIndex, weights: AutoencoderWeights) -> np.ndarray:
-    latent = analyze(Tensor(frames.astype(np.float32)), rate, weights)
+    latent = analyze(Tensor(frames.astype(np.float32)), [rate] * len(frames), weights)
     return round_half_away(latent.data)
 
 

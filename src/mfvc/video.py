@@ -164,7 +164,7 @@ def compress_video(
         if schedule[t] == FRAME_I:
             chunk, latent = compress_iframe(padded, cfg.rate, weights)
         else:
-            latent = quantize_round(analyze(Tensor(padded[None]), cfg.rate, weights))
+            latent = quantize_round(analyze(Tensor(padded[None]), [cfg.rate], weights))
             chunk = encode_pframe(latent, prev_latent, cfg.flags, stem_weights)
         prev_latent = latent
         chunks.append(chunk)

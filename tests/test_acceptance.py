@@ -274,11 +274,11 @@ class TestCriterion5Gradients:
         ae.set_trainable(True)
         coarse = rng.random((1, 3, 4, 4))
         frame = np.repeat(np.repeat(coarse, 4, axis=2), 4, axis=3) * 0.8 + 0.1  # 16x16 patch
-        bump("loss_i/kernel", param_check(lambda: loss_i(frame, ae.rate(0), ae, noise_seed=53)[0], ae.analysis[0].kernel))
-        bump("loss_i/cond", param_check(lambda: loss_i(frame, ae.rate(0), ae, noise_seed=53)[0],
+        bump("loss_i/kernel", param_check(lambda: loss_i(frame, [ae.rate(0)], ae, noise_seed=53)[0], ae.analysis[0].kernel))
+        bump("loss_i/cond", param_check(lambda: loss_i(frame, [ae.rate(0)], ae, noise_seed=53)[0],
                                         ae.lambda_table["synthesis.0"][0][0]))
         bump("loss_i_msssim/bias", param_check(
-            lambda: loss_i(frame, ae.rate(0), ae, distortion="ms-ssim", noise_seed=53, msssim_scales=1)[0],
+            lambda: loss_i(frame, [ae.rate(0)], ae, distortion="ms-ssim", noise_seed=53, msssim_scales=1)[0],
             ae.synthesis[0].bias))
 
         stem = init_stem(latent_channels=2, seed=54)
@@ -406,7 +406,7 @@ class TestTrainedRegressions:
 
         ae, stem = trained["ae"], trained["stems"]["full"]
         frame = trained["tests"][1][0].astype(np.float32) / 255.0
-        latent = quantize_round(analyze(Tensor(frame[None]), ae.rate(1), ae))
+        latent = quantize_round(analyze(Tensor(frame[None]), [ae.rate(1)], ae))
         y_bits, _ = p_frame_rate(latent, latent, StemFlags(), stem)
         per_symbol = y_bits.item() / latent.size
         assert per_symbol < 0.15, f"zero-residual rate {per_symbol:.4f} bits/symbol"

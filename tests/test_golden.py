@@ -13,12 +13,12 @@ entropy model's branches change the bytes, not the latents, so every
 stream decodes to the same pictures. A refactor
 must leave these hashes unchanged; an intentional format change bumps the
 container version, updates the pins here and says so in CHANGES.md. The
-training pins cover both stages under both distortion measures; they hold
-at one and at two BLAS threads. The table grid is computed with libm
-``exp``/``expm1`` and is part of the bitstream format, so a libm that
-rounds differently shows up here before it breaks a stream. The coder pin
-covers the entropy coder apart from the models, so a change to the coded
-format shows there first.
+training pins cover both stages under both distortion measures, with three
+rates and with one; they hold at one and at two BLAS threads. The table
+grid is computed with libm ``exp``/``expm1`` and is part of the bitstream
+format, so a libm that rounds differently shows up here before it breaks a
+stream. The coder pin covers the entropy coder apart from the models, so a
+change to the coded format shows there first.
 """
 
 import hashlib
@@ -90,21 +90,33 @@ TRAINED = {
     # distortion: (patch side, auto-encoder sha256, entropy-model sha256)
     "mse": (
         32,
-        "b75aca38b19de805807dfe73e044685ce5435a47d03033012baf956e6a3a405d",
+        "d91118edaf65bfcc2a9c69ce23f0c31703b424859660dab7199b45ff9de887e5",
         "7597bfbda19ac309cce99bc3f5c2b3010e9b8ae350351484d961d342e25e986d",
     ),
     "ms-ssim": (
         48,
-        "042f728f1a86d5bbe9ed055febfcb047feefded28eb215b5878e08cd242b5659",
+        "0aa027b4f81e4657dc83d489baadfd2a5883627287817675cbe04d0ceb48198e",
         "95c204f7dacce9278668eb46df3d621e9f8aa1478f668e995afbb20de0fd20f8",
     ),
 }
 
+# One lambda: every batch is a single rate group, whose step is the same
+# computation whether the trainer passes a batch whole or rate by rate.
+ONE_LAMBDA = {
+    "mse": (
+        32,
+        "3d40033b3d34aac003a5e7a6b523550d76e18c284f32c1554d2b564ef2db5965",
+        "942ab27a4427df32556ea02677777e600c30c9c2d032b21b7a3c99ec974c3f52",
+    ),
+    "ms-ssim": (
+        48,
+        "6aee09536f199859accaa793a72ded800f62cf7a4b29fa3d23153c8fe3f8b916",
+        "843d6d71c4a4415f32c8eccaf11c327372d39058f8b0a461b34320fec1c52a88",
+    ),
+}
 
-@pytest.mark.parametrize("distortion", sorted(TRAINED))
-def test_trained_weights_pinned(distortion):
-    patch, ae_hash, stem_hash = TRAINED[distortion]
-    lambdas = (16.0, 64.0, 256.0)
+
+def _trained_hashes(lambdas, distortion, patch):
     cfg = TrainConfig(lambda_set=lambdas, batch_size=2, patch_h=patch, patch_w=patch, lr_values=(1e-3,),
                       lr_boundaries=(), total_iters=6, distortion=distortion, seed=3)
     frames = np.concatenate([
@@ -112,9 +124,20 @@ def test_trained_weights_pinned(distortion):
         synth_sequence("zoom", 3, 48, 48, seed=2),
     ])
     ae = train_image_model(frames, cfg, weights=init_autoencoder(8, 4, lambdas, seed=3))
-    assert hashlib.sha256(ae.to_bytes()).hexdigest() == ae_hash
     stem = train_stem(synth_clips("translate", 2, 3, 48, 48, seed=4), ae, cfg, stem_weights=init_stem(8, seed=3))
-    assert hashlib.sha256(stem.to_bytes()).hexdigest() == stem_hash
+    return tuple(hashlib.sha256(w.to_bytes()).hexdigest() for w in (ae, stem))
+
+
+@pytest.mark.parametrize("distortion", sorted(TRAINED))
+def test_trained_weights_pinned(distortion):
+    patch, *hashes = TRAINED[distortion]
+    assert _trained_hashes((16.0, 64.0, 256.0), distortion, patch) == tuple(hashes)
+
+
+@pytest.mark.parametrize("distortion", sorted(ONE_LAMBDA))
+def test_one_lambda_training_pinned(distortion):
+    patch, *hashes = ONE_LAMBDA[distortion]
+    assert _trained_hashes((64.0,), distortion, patch) == tuple(hashes)
 
 
 GRID_SHA256 = "6c917f6a0e66839218e4f32cf87a7099418f90c9a2f760d2ddb1a8ae2cc6bedf"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from mfvc.image import (
     init_autoencoder,
     load_autoencoder,
     scaled_width,
+    synthesis_transform,
     synthesize,
 )
 from mfvc.serialize import WeightsFormatError, serialize_named_tensors, weights_digest
-from mfvc.tensor import ShapeError, Tensor, finite_diff_check, sum_all, mul
+from mfvc.tensor import ShapeError, Tensor, backward, finite_diff_check, sum_all, mul
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +35,7 @@ class TestConditionalScale:
     def test_identity_at_init(self, weights):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32))
-        y = conditional_scale(x, weights.rate(0), "analysis.1", weights)
+        y = conditional_scale(x, [weights.rate(0)], "analysis.1", weights)
         np.testing.assert_allclose(y.data, x.data, rtol=1e-6)
 
     def test_rate_indices_differ_after_table_edit(self, weights):
@@ -41,15 +44,15 @@ class TestConditionalScale:
         scale.data[...] = old + 1.0
         try:
             x = Tensor(np.ones((1, 8, 4, 4), dtype=np.float32))
-            y0 = conditional_scale(x, weights.rate(0), "analysis.1", weights)
-            y1 = conditional_scale(x, weights.rate(1), "analysis.1", weights)
+            y0 = conditional_scale(x, [weights.rate(0)], "analysis.1", weights)
+            y1 = conditional_scale(x, [weights.rate(1)], "analysis.1", weights)
             assert not np.allclose(y0.data, y1.data)
         finally:
             scale.data[...] = old
 
     def test_unknown_layer_id(self, weights):
         with pytest.raises(Exception, match="conditional"):
-            conditional_scale(Tensor(np.ones((1, 8, 2, 2))), weights.rate(0), "nope.0", weights)
+            conditional_scale(Tensor(np.ones((1, 8, 2, 2))), [weights.rate(0)], "nope.0", weights)
 
     def test_scale_gradient_matches_finite_differences(self, weights):
         rng = np.random.default_rng(1)
@@ -71,38 +74,104 @@ class TestConditionalScale:
                 downsample_factor=4,
                 hyper_channels=weights.hyper_channels,
             )
-            y = conditional_scale(x, RateIndex(0, 8.0), "analysis.0", w)
+            y = conditional_scale(x, [RateIndex(0, 8.0)], "analysis.0", w)
             return sum_all(mul(y, y))
 
         assert finite_diff_check(f, scale, h=1e-4) <= 1e-3
 
 
+class TestPerItemRates:
+    """A batch mixes rates: item k uses the tables of ``rates[k]``."""
+
+    RATES = (0, 2, 2)
+
+    @staticmethod
+    def three_rate_weights(seed, dtype=np.float32):
+        w = init_autoencoder(latent_channels=8, downsample_factor=4, lambda_set=(8.0, 64.0, 256.0), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for pairs in w.lambda_table.values():
+            for scale, bias in pairs:
+                scale.data = (scale.data + rng.normal(0.0, 0.5, scale.shape)).astype(dtype)
+                bias.data = rng.normal(0.0, 0.1, bias.shape).astype(dtype)
+        return w
+
+    def test_mixed_batch_equals_batches_of_one(self):
+        w = self.three_rate_weights(21)
+        frames = np.random.default_rng(22).random((4, 3, 32, 32)).astype(np.float32)
+        rates = [w.rate(j) for j in (0, 2, 1, 2)]
+        latents = analyze(Tensor(frames), rates, w)
+        recons = synthesis_transform(latents, rates, w)
+        for k, rate in enumerate(rates):
+            one = analyze(Tensor(frames[k : k + 1]), [rate], w)
+            np.testing.assert_array_equal(latents.data[k], one.data[0])
+            np.testing.assert_array_equal(recons.data[k], synthesis_transform(one, [rate], w).data[0])
+
+    def test_mixed_batch_gradients(self):
+        w = self.three_rate_weights(23, np.float64)
+        pairs = w.lambda_table["analysis.1"]
+        for t in (t for pair in pairs for t in pair):
+            t.requires_grad = True
+        x = Tensor(np.random.default_rng(24).normal(size=(3, 8, 3, 3)), dtype=np.float64)
+        rates = [w.rate(j) for j in self.RATES]
+
+        def energy(weights, frames, frame_rates):
+            y = conditional_scale(frames, frame_rates, "analysis.1", weights)
+            return sum_all(mul(y, y))
+
+        backward(energy(w, x, rates))
+        mixed = {(j, part): pairs[j][part].grad for j in (0, 2) for part in (0, 1)}
+        assert pairs[1][0].grad is None and pairs[1][1].grad is None
+
+        for j in (0, 2):
+            rows = [k for k, r in enumerate(self.RATES) if r == j]
+            for t in pairs[j]:
+                t.grad = None
+            backward(energy(w, Tensor(x.data[rows], dtype=np.float64), [w.rate(j)] * len(rows)))
+            for part in (0, 1):
+                np.testing.assert_allclose(mixed[j, part], pairs[j][part].grad, rtol=1e-12)
+
+        for j in (0, 2):
+            for part in (0, 1):
+
+                def swapped(t, j=j, part=part):
+                    table = [list(pair) for pair in pairs]
+                    table[j][part] = t
+                    lambda_table = {"analysis.1": [tuple(pair) for pair in table]}
+                    return energy(dataclasses.replace(w, lambda_table=lambda_table), x, rates)
+
+                assert finite_diff_check(swapped, pairs[j][part], h=1e-4) <= 1e-6
+
+    def test_rate_count_must_match_batch(self, weights):
+        with pytest.raises(ShapeError, match="1 rates for a batch of 2"):
+            conditional_scale(Tensor(np.ones((2, 8, 2, 2))), [weights.rate(0)], "analysis.1", weights)
+
+
 class TestAnalyzeSynthesize:
     def test_zero_frame_zero_latent(self, weights):
-        latent = analyze(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), weights.rate(0), weights)
+        latent = analyze(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), [weights.rate(0)], weights)
         np.testing.assert_array_equal(latent.data, 0.0)
 
     def test_latent_shape_contract(self):
         w = init_autoencoder(latent_channels=32, downsample_factor=4, seed=0)
         frame = Tensor(np.random.default_rng(2).random((1, 3, 64, 64)).astype(np.float32))
-        latent = analyze(frame, w.rate(0), w)
+        latent = analyze(frame, [w.rate(0)], w)
         assert latent.shape == (1, 32, 16, 16)
 
     def test_analyze_deterministic(self, weights):
         frame = Tensor(random_frame(np.random.default_rng(3))[None])
-        a = analyze(frame, weights.rate(1), weights).data
-        b = analyze(frame, weights.rate(1), weights).data
+        a = analyze(frame, [weights.rate(1)], weights).data
+        b = analyze(frame, [weights.rate(1)], weights).data
         np.testing.assert_array_equal(a, b)
 
     def test_indivisible_dimensions_error_mentions_padding(self, weights):
         frame = Tensor(np.zeros((1, 3, 30, 32), dtype=np.float32))
         with pytest.raises(ShapeError, match="pad"):
-            analyze(frame, weights.rate(0), weights)
+            analyze(frame, [weights.rate(0)], weights)
 
     def test_out_of_range_values_rejected(self, weights):
         frame = Tensor(np.full((1, 3, 32, 32), 1.5, dtype=np.float32))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            analyze(frame, weights.rate(0), weights)
+            analyze(frame, [weights.rate(0)], weights)
 
     def test_synthesize_shape_and_clamp(self, weights):
         rng = np.random.default_rng(4)

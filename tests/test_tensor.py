@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from mfvc.tensor import (
     ConvLayer,
     ShapeError,
     Tensor,
+    add_row_noise,
     add_uniform_noise,
     avg_pool2,
     backward,
@@ -21,6 +23,7 @@ from mfvc.tensor import (
     crop_hw,
     div,
     expand_param,
+    expand_params,
     finite_diff_check,
     laplace_nll_bits,
     leaky_relu,
@@ -32,6 +35,7 @@ from mfvc.tensor import (
     softplus,
     sub,
     sum_all,
+    take_rows,
     transpose_conv2d,
 )
 
@@ -449,6 +453,13 @@ class TestUniformNoise:
         u = add_uniform_noise(x, 9).data
         assert np.max(np.abs(u)) < 0.5
 
+    def test_items_sharing_a_seed_take_one_draw(self):
+        u = add_row_noise(Tensor(np.zeros((4, 2, 3, 3))), [5, 7, 5, 5]).data
+        np.testing.assert_array_equal(u[[0, 2, 3]], add_uniform_noise(Tensor(np.zeros((3, 2, 3, 3))), 5).data)
+        np.testing.assert_array_equal(u[1:2], add_uniform_noise(Tensor(np.zeros((1, 2, 3, 3))), 7).data)
+        with pytest.raises(ShapeError, match="3 noise seeds for a batch of 4"):
+            add_row_noise(Tensor(np.zeros((4, 1, 1, 1))), [1, 2, 3])
+
     def test_mean_near_zero(self):
         # Law of large numbers: |mean| < 0.002 is ~3 sigma at 1e6 draws.
         x = Tensor(np.zeros((1, 1, 1000, 1000)))
@@ -638,12 +649,65 @@ class TestLaplaceNll:
             ).item()
             assert got == pytest.approx(-np.log2(p), rel=1e-6)
 
+    # sha256 of the bits and of the three input gradients (value, mean,
+    # log-scale) of a fixed float32 case: tails, centers and integers.
+    BITS_SHA256 = "1e3121489a52b0b2f472f0bf86f5a2fcbe70c8412e7478bcf664272995bcc557"
+    GRADS_SHA256 = "77ad24a2da3ba758b6dbcbcbd0294434b9b1b13ca0d609f50cb996688e4407a9"
+
+    def test_bits_and_gradients_pinned(self):
+        rng = np.random.default_rng(61)
+        shape = (2, 3, 6, 6)
+        v = (rng.normal(size=shape) * 3).astype(np.float32)
+        v[0, 0] = np.round(v[0, 0])
+        m = (rng.normal(size=shape) * 2).astype(np.float32)
+        s = rng.uniform(-3.0, 4.0, size=shape).astype(np.float32)
+        weights = Tensor(rng.normal(size=shape).astype(np.float32))
+        untaped = laplace_nll_bits(Tensor(v), Tensor(m), Tensor(s))
+        assert untaped._backward_fn is None
+        inputs = [Tensor(a, requires_grad=True) for a in (v, m, s)]
+        taped = laplace_nll_bits(*inputs)
+        backward(sum_all(mul(taped, weights)))
+        for out in (untaped, taped):
+            assert hashlib.sha256(out.data.tobytes()).hexdigest() == self.BITS_SHA256
+        grads = b"".join(t.grad.tobytes() for t in inputs)
+        assert hashlib.sha256(grads).hexdigest() == self.GRADS_SHA256
+
     def test_extreme_scales_stay_finite(self):
         v = Tensor(np.full((1, 1, 1, 1), 40.0))
         m = Tensor(np.zeros((1, 1, 1, 1)))
         for s in (-6.0, 6.0):
             out = laplace_nll_bits(v, m, Tensor(np.full((1, 1, 1, 1), s))).item()
             assert np.isfinite(out) and out > 0
+
+
+class TestRowOps:
+    def test_expand_params_gradients_follow_the_items(self):
+        rng = np.random.default_rng(71)
+        like = Tensor(rng.normal(size=(4, 2, 3, 3)), dtype=np.float64)
+        params = [Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=np.float64) for _ in range(3)]
+        index = np.array([2, 0, 2, 2])
+        y = expand_params(params, index, like)
+        np.testing.assert_array_equal(y.data[1], np.broadcast_to(params[0].data[0], (2, 3, 3)))
+        backward(sum_all(mul(y, like)))
+        assert params[1].grad is None
+        for j in (0, 2):
+            own = like.data[index == j].sum(axis=(0, 2, 3), keepdims=True)
+            np.testing.assert_allclose(params[j].grad, own, rtol=1e-12)
+
+        def f(t):
+            return sum_all(mul(y := expand_params([params[0], params[1], t], index, like), y))
+
+        assert finite_diff_check(f, params[2], h=1e-4) <= 1e-6
+
+    def test_expand_params_checks_the_index(self):
+        p = Tensor(np.zeros((1, 2, 1, 1)))
+        with pytest.raises(ShapeError, match="3 parameter indices for a batch of 2"):
+            expand_params([p], np.zeros(3, dtype=int), Tensor(np.zeros((2, 2, 1, 1))))
+
+    def test_take_rows(self):
+        x = Tensor(np.random.default_rng(72).normal(size=(4, 2, 3, 3)), dtype=np.float64)
+        np.testing.assert_array_equal(take_rows(x, [3, 1]).data, x.data[[3, 1]])
+        assert finite_diff_check(lambda t: sum_all(mul(y := take_rows(t, [3, 1]), y)), x, h=1e-4) <= 1e-6
 
 
 class TestMisc:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mfvc import trainer
 from mfvc.image import RateIndex, init_autoencoder
 from mfvc.stem import StemFlags, init_stem
-from mfvc.tensor import Tensor, backward
+from mfvc.tensor import ConfigError, Tensor, affine, backward
 from mfvc.trainer import (
     FULL_SCALE_LR_BOUNDARIES,
     FULL_SCALE_LR_VALUES,
@@ -78,6 +79,34 @@ class TestLrSchedule:
             TrainConfig(lr_values=(1e-3, 1e-4), lr_boundaries=(10, 5))
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0),
+        ("batch_size", -1),
+        ("patch_h", 0),
+        ("patch_w", -16),
+    ], ids=["batch-zero", "batch-negative", "patch-h-zero", "patch-w-negative"])
+    def test_extents_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match="must be positive"):
+            TrainConfig(**{field: value})
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ConfigError, match="total_iters"):
+            TrainConfig(total_iters=-3)
+
+    def test_zero_iterations_allowed(self):
+        assert TrainConfig(total_iters=0).total_iters == 0
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ConfigError, match="lr_values"):
+            TrainConfig(lr_values=(), lr_boundaries=())
+
+    @pytest.mark.parametrize("lr", [float("nan"), -1e-3, 0.0, float("inf")], ids=["nan", "negative", "zero", "inf"])
+    def test_learning_rates_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigError, match="lr_values"):
+            TrainConfig(lr_values=(1e-3, lr), lr_boundaries=(10,))
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.zeros((1, 1, 1, 3), dtype=np.float32), requires_grad=True)
@@ -125,7 +154,7 @@ def setup():
 class TestLossI:
     def test_lambda_zero_gives_pure_rate(self, setup):
         w, frames = setup
-        loss, rate, _ = loss_i(frames, RateIndex(0, 0.0), w, noise_seed=3)
+        loss, rate, _ = loss_i(frames, [RateIndex(0, 0.0)] * 2, w, noise_seed=3)
         assert loss.item() == pytest.approx(rate.item())
 
     def test_mse_of_identical_frames_is_zero(self):
@@ -134,7 +163,7 @@ class TestLossI:
 
     def test_components_positive(self, setup):
         w, frames = setup
-        loss, rate, dist = loss_i(frames, w.rate(1), w, noise_seed=4)
+        loss, rate, dist = loss_i(frames, [w.rate(1)] * 2, w, noise_seed=4)
         assert rate.item() > 0
         assert dist.item() >= 0
         assert loss.item() == pytest.approx(rate.item() + 64.0 * dist.item(), rel=1e-5)
@@ -143,9 +172,48 @@ class TestLossI:
         w = init_autoencoder(latent_channels=4, downsample_factor=4, lambda_set=(8.0,), seed=5)
         rng = np.random.default_rng(6)
         frames = smooth_frames(rng, 1, 16, 16)
-        loss, rate, dist = loss_i(frames, w.rate(0), w, distortion="ms-ssim", noise_seed=7, msssim_scales=1)
+        loss, rate, dist = loss_i(frames, [w.rate(0)], w, distortion="ms-ssim", noise_seed=7, msssim_scales=1)
         assert 0.0 <= dist.item() <= 1.0
         assert loss.item() == pytest.approx(rate.item() + 8.0 * dist.item(), rel=1e-5)
+
+    @pytest.mark.parametrize("distortion", ["mse", "ms-ssim"])
+    def test_one_pass_is_the_sum_of_group_passes(self, distortion):
+        # Each rate group's rows draw the noise they draw alone, so the
+        # mixed batch's loss, rate, distortion and gradients are the
+        # share-weighted sums of one pass per group; rate 1 is absent.
+        w = init_autoencoder(latent_channels=2, downsample_factor=2, lambda_set=(8.0, 64.0, 256.0), seed=31)
+        to_float64(w)
+        w.set_trainable(True)
+        params = w.parameters()
+        frames = smooth_frames(np.random.default_rng(32), 4, 16, 16).astype(np.float64)
+        index = [2, 0, 2, 2]
+        kwargs = dict(distortion=distortion, noise_seed=33, msssim_scales=1)
+
+        def grads_after(loss):
+            for p in params:
+                p.grad = None
+            backward(loss)
+            return [p.grad for p in params]
+
+        loss, rate, dist = loss_i(frames, [w.rate(j) for j in index], w, **kwargs)
+        one_pass = grads_after(loss)
+        totals = np.zeros(3)
+        grouped = [None] * len(params)
+        for j in (0, 2):
+            rows = [k for k, i in enumerate(index) if i == j]
+            share = len(rows) / len(index)
+            parts = loss_i(frames[rows], [w.rate(j)] * len(rows), w, **kwargs)
+            totals += share * np.array([t.item() for t in parts])
+            for i, g in enumerate(grads_after(affine(parts[0], share, 0.0))):
+                if g is not None:
+                    grouped[i] = g if grouped[i] is None else grouped[i] + g
+        np.testing.assert_allclose([loss.item(), rate.item(), dist.item()], totals, rtol=1e-12)
+        for a, b in zip(one_pass, grouped):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        absent = {id(t) for pair in (pairs[1] for pairs in w.lambda_table.values()) for t in pair}
+        assert all((g is None) == (id(p) in absent) for p, g in zip(params, one_pass))
 
     def test_msssim_index_of_identical_frames(self):
         x = Tensor(np.random.default_rng(8).random((1, 3, 48, 48)).astype(np.float32))
@@ -182,7 +250,7 @@ class TestGradients:
         rng = np.random.default_rng(15)
         frames = smooth_frames(rng, 1, 16, 16).astype(np.float64)
 
-        build = lambda: loss_i(frames, w.rate(0), w, noise_seed=16)[0]
+        build = lambda: loss_i(frames, [w.rate(0)], w, noise_seed=16)[0]
         checks = [
             w.analysis[0].kernel,
             w.synthesis[0].bias,
@@ -200,7 +268,7 @@ class TestGradients:
         rng = np.random.default_rng(25)
         frames = smooth_frames(rng, 1, 16, 16).astype(np.float64)
 
-        build = lambda: loss_i(frames, w.rate(0), w, distortion="ms-ssim", noise_seed=26, msssim_scales=1)[0]
+        build = lambda: loss_i(frames, [w.rate(0)], w, distortion="ms-ssim", noise_seed=26, msssim_scales=1)[0]
         assert param_gradcheck(build, w.synthesis[0].bias) <= 1e-3
 
     def test_loss_p_parameters_match_finite_differences(self):
@@ -233,9 +301,9 @@ class TestTrainingLoops:
             lr_values=(1e-3,), lr_boundaries=(), total_iters=300, seed=22,
         )
         probe = frames[:2]
-        before = loss_i(probe, w.rate(0), w, noise_seed=99)[0].item()
+        before = loss_i(probe, [w.rate(0)] * 2, w, noise_seed=99)[0].item()
         train_image_model(frames, cfg, weights=w)
-        after = loss_i(probe, w.rate(0), w, noise_seed=99)[0].item()
+        after = loss_i(probe, [w.rate(0)] * 2, w, noise_seed=99)[0].item()
         assert after < 0.7 * before
 
     def test_image_training_deterministic(self, tmp_path):
@@ -294,6 +362,31 @@ class TestTrainingLoops:
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "iteration,lr,loss,R,D"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+    def test_one_pass_per_iteration(self, monkeypatch):
+        calls = {"loss_i": [], "backward": 0}
+        real_loss_i, real_backward = trainer.loss_i, trainer.backward
+
+        def spy_loss_i(frames, rates, *args, **kwargs):
+            calls["loss_i"].append(rates)
+            return real_loss_i(frames, rates, *args, **kwargs)
+
+        def spy_backward(loss):
+            calls["backward"] += 1
+            return real_backward(loss)
+
+        monkeypatch.setattr(trainer, "loss_i", spy_loss_i)
+        monkeypatch.setattr(trainer, "backward", spy_backward)
+        frames = smooth_frames(np.random.default_rng(34), 4, 16, 16)
+        lambdas = (8.0, 64.0, 256.0)
+        cfg = TrainConfig(
+            lambda_set=lambdas, batch_size=4, patch_h=16, patch_w=16,
+            lr_values=(1e-3,), lr_boundaries=(), total_iters=6, seed=35,
+        )
+        train_image_model(frames, cfg, weights=init_autoencoder(4, 4, lambdas, seed=36))
+        assert len(calls["loss_i"]) == calls["backward"] == 6
+        assert all(len(rates) == 4 for rates in calls["loss_i"])
+        assert any(len({r.index for r in rates}) > 1 for rates in calls["loss_i"])
 
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(total_iters=1)

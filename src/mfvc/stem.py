@@ -7,9 +7,11 @@ previous latent, and a causal spatial prior over the residual itself.
 Because the spatial prior is autoregressive, decoding walks spatial
 positions serially, recomputing the causal context from already-decoded
 symbols; hyper and temporal features for a frame are computed once. The
-coding path works on stacks of K frames from different groups of
-pictures, one frame being a stack of one: the decoder walks them in
-lockstep, with one fusion and one grid lookup per position for all K.
+coding path works on stacks of K frames, one frame being a stack of one:
+the encoder codes any K frames whose previous latents are known in one
+hyper, feature, fusion and grid pass, and the decoder walks K frames from
+different groups of pictures in lockstep, with one fusion and one grid
+lookup per position for all K.
 
 The model is rate-agnostic: one set of weights serves every rate index of
 the auto-encoder that produced the latents.
@@ -180,10 +182,15 @@ def _as_batch(plane: np.ndarray) -> np.ndarray:
 
 def hyper_encode(latent: np.ndarray, prev_latent: np.ndarray, weights: StemWeights):
     """Quantized joint hyper latent of one ``(C, h, w)`` frame and its
-    prior cross entropy in bits."""
-    pair = [Tensor(_as_batch(np.asarray(plane)[None])) for plane in (latent, prev_latent)]
+    prior cross entropy in bits; a ``(K, C, h, w)`` stack gives the ``(K,
+    hc, h', w')`` latents and a list of K bit counts, in one batched pass
+    whose convolutions keep one GEMM per frame, so each frame gets the bits
+    of a pass of its own."""
+    pair = [Tensor(_as_batch(plane)) for plane in (latent, prev_latent)]
     zt = weights.hyper_latent(concat_channels(*pair))
-    return zt.data[0].astype(np.int32), sum_all(weights.z_prior_nll(zt)).item()
+    z_hats = zt.data.astype(np.int32)
+    bits = [sum_all(Tensor(nll[None])).item() for nll in weights.z_prior_nll(zt).data]
+    return (z_hats, bits) if np.ndim(latent) == 4 else (z_hats[0], bits[0])
 
 
 def temporal_prior(prev_latent: np.ndarray, weights: StemWeights) -> Tensor:
@@ -329,7 +336,9 @@ class _PositionParams:
         planes, equal bit for bit to :meth:`at` at each position.
 
         The SPM patches take a transient ``K * h * w * C * 25`` float32
-        array: 6.6 MB for one 64x64 plane of 16 channels.
+        array: 3.3 MB for 2,048 positions of 16 channels, the most that
+        ``video.compress_video`` stacks in one pass, or 6.6 MB for one
+        64x64 plane, which goes alone.
         """
         k, h, w = self.fused.shape[:3]
         windows = sliding_window_view(padded_planes, (_SPM_KERNEL, _SPM_KERNEL), axis=(2, 3))
@@ -363,32 +372,50 @@ def _frame_features(z_hats: np.ndarray, prevs: np.ndarray, flags: StemFlags, wei
     return phd, tpm
 
 
-def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags, weights: StemWeights) -> FrameChunk:
-    """Code one P-frame latent against the buffered previous latent.
+def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
+                  weights: StemWeights) -> FrameChunk | list[FrameChunk]:
+    """Code P-frame latents against their buffered previous latents.
+
+    A ``(C, h, w)`` latent with its ``(C, h, w)`` previous latent gives one
+    chunk; a ``(K, C, h, w)`` stack with its ``(K, C, h, w)`` previous
+    latents gives a list of K chunks, each equal to the chunk of its own
+    call, as :func:`decode_pframe` takes them.
 
     The coded plane is the integer residual (or the latent itself when
     ``use_residual`` is off); its symbols go out position by position in
     spatial raster order, all channels of a position together, so the
     serial decoder can rebuild the causal context as it goes. The encoder
-    knows every symbol, so it fuses every position's parameters from the
-    whole plane in one :meth:`_PositionParams.every` call, bit for bit the
-    decoder's per-position :meth:`_PositionParams.at`, and maps the frame
-    to grid rows in one call; the serial walk is the decoder's.
+    knows every symbol, so a pass makes one :func:`hyper_encode`, one
+    :func:`_frame_features`, one :meth:`_PositionParams.every` (bit for bit
+    the decoder's per-position :meth:`_PositionParams.at`) and one
+    :func:`coder.grid_index` call for all K frames, then codes each frame's
+    hyper latent and plane on its own. Every convolution keeps one GEMM per
+    frame and the fusion one gemv per position, so no frame's bits depend on
+    K. A pass holds about ``31 * K * h * w * C`` float32 values at once:
+    the SPM patches of :meth:`_PositionParams.every` and the fusion inputs.
     """
-    latent = coder.to_int32(latent, ValueError)
-    prev_latent = coder.to_int32(prev_latent, ValueError)
-    _check_planes(latent, prev_latent)
+    latents = coder.to_int32(latent, ValueError)
+    prevs = coder.to_int32(prev_latent, ValueError)
+    _check_planes(latents, prevs)
+    single = latents.ndim == 3
+    if single:
+        latents, prevs = latents[None], prevs[None]
+    if latents.ndim != 4:
+        raise ShapeError(f"latents must be (C, h, w) or (K, C, h, w), got {latents.shape}")
 
-    z_hat, _ = hyper_encode(latent, prev_latent, weights)
-    plane = residual_latent(latent, prev_latent) if flags.use_residual else latent
-    phd, tpm = _frame_features(z_hat[None], prev_latent[None], flags, weights)
+    z_hats, _ = hyper_encode(latents, prevs, weights)
+    planes = residual_latent(latents, prevs) if flags.use_residual else latents
+    phd, tpm = _frame_features(z_hats, prevs, flags, weights)
 
-    c = plane.shape[0]
-    padded = np.pad(plane, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)))
-    params = _PositionParams(weights, flags, phd, tpm).every(padded[None])[0]
+    c = planes.shape[1]
+    padded = np.pad(planes, ((0, 0), (0, 0), (_PAD, _PAD), (_PAD, _PAD)))
+    params = _PositionParams(weights, flags, phd, tpm).every(padded)
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
-    y_stream = coder.encode_plane(plane.transpose(1, 2, 0), index, offset)  # position-major, as the decoder reads
-    return FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream)
+    chunks = []
+    for z_hat, plane, i, o in zip(z_hats, planes, index, offset):
+        y_stream = coder.encode_plane(plane.transpose(1, 2, 0), i, o)  # position-major, as the decoder reads
+        chunks.append(FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream))
+    return chunks[0] if single else chunks
 
 
 class CorruptFrameError(coder.CorruptStreamError):

@@ -524,6 +524,66 @@ class TestLockstepDecode:
             decode_pframe(chunks[:1], prevs[0], StemFlags(), weights)
 
 
+class TestStackedEncode:
+    @staticmethod
+    def chunk_bytes(chunks):
+        return [ch.to_bytes() for ch in chunks]
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("flags", ROW_FLAGS, ids=[f"flags{i}" for i in range(len(ROW_FLAGS))])
+    def test_k_frames_equal_k_single_encodes(self, flags, k):
+        # One hyper, feature, fusion and grid pass for K frames must give
+        # each frame the bytes of its own call, and the lockstep decoder
+        # must read them back.
+        weights = init_stem(latent_channels=4, seed=3)
+        prevs, curs = TestLockstepDecode.frames(k, 4)
+        chunks = encode_pframe(curs, prevs, flags, weights)
+        assert isinstance(chunks, list) and len(chunks) == k
+        singles = [encode_pframe(a, b, flags, weights) for a, b in zip(curs, prevs)]
+        assert self.chunk_bytes(chunks) == self.chunk_bytes(singles)
+        np.testing.assert_array_equal(decode_pframe(chunks, prevs, flags, weights), curs)
+
+    @pytest.mark.parametrize("c", [4, 16])  # 16: the benchmark model's 96-80-64-32 chain
+    def test_hyper_pass_equals_single_passes(self, c):
+        weights = init_stem(latent_channels=c, seed=3)
+        prevs, curs = TestLockstepDecode.frames(5, c, h=9, w=7)
+        z_hats, bits = hyper_encode(curs, prevs, weights)
+        singles = [hyper_encode(a, b, weights) for a, b in zip(curs, prevs)]
+        assert z_hats.shape == (5, *singles[0][0].shape) and z_hats.dtype == np.int32
+        np.testing.assert_array_equal(z_hats, np.stack([z for z, _ in singles]))
+        assert bits == [b for _, b in singles]
+        chunks = encode_pframe(curs, prevs, StemFlags(), weights)
+        want = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        assert self.chunk_bytes(chunks) == self.chunk_bytes(want)
+
+    def test_zero_residual_stack(self, weights):
+        prevs, _ = TestLockstepDecode.frames(4, 4)
+        chunks = encode_pframe(prevs, prevs, StemFlags(), weights)
+        singles = [encode_pframe(b, b, StemFlags(), weights) for b in prevs]
+        assert self.chunk_bytes(chunks) == self.chunk_bytes(singles)
+        np.testing.assert_array_equal(decode_pframe(chunks, prevs, StemFlags(), weights), prevs)
+
+    def test_stack_of_one_equals_one_frame(self, weights):
+        a, b = random_latents(np.random.default_rng(41))
+        (stacked,) = encode_pframe(a[None], b[None], StemFlags(), weights)
+        assert stacked.to_bytes() == encode_pframe(a, b, StemFlags(), weights).to_bytes()
+
+    @pytest.mark.parametrize(
+        "cur_shape, prev_shape",
+        [
+            ((3, 4, 5, 6), (2, 4, 5, 6)),
+            ((2, 4, 5, 6), (2, 4, 5, 7)),
+            ((4, 5, 6), (1, 4, 5, 6)),
+            ((1, 2, 4, 5, 6), (1, 2, 4, 5, 6)),
+            ((5, 6), (5, 6)),
+        ],
+        ids=["count", "extent", "rank", "five-d", "two-d"],
+    )
+    def test_mismatched_stacks_rejected(self, weights, cur_shape, prev_shape):
+        with pytest.raises(ShapeError):
+            encode_pframe(np.zeros(cur_shape, np.int32), np.zeros(prev_shape, np.int32), StemFlags(), weights)
+
+
 class TestRateEstimate:
     def test_eval_estimate_tracks_coded_length(self, weights):
         rng = np.random.default_rng(18)

@@ -22,11 +22,12 @@ from mfvc.container import (
     unpack_flags,
 )
 from mfvc.coder import CorruptStreamError
-from mfvc.image import compress_iframe, decompress_iframe, init_autoencoder
-from mfvc.stem import StemFlags, decode_pframe, init_stem
-from mfvc.tensor import ShapeError
+from mfvc.image import analyze, compress_iframe, decompress_iframe, init_autoencoder
+from mfvc.stem import StemFlags, decode_pframe, encode_pframe, init_stem
+from mfvc.tensor import ShapeError, Tensor, quantize_round
 from mfvc.video import (
     GOPS_IN_FLIGHT,
+    PFRAME_POSITIONS,
     GopConfig,
     VideoBitstream,
     compress_video,
@@ -423,6 +424,72 @@ class TestGopWindows:
         assert stream.chunks[0].frame_type == FRAME_P
         with pytest.raises(ContainerError, match="^frame 0: P-frame without a preceding I-frame$"):
             next(iter_decompress_video(stream, ae, stem))
+
+
+def frame_by_frame_chunks(frames, ae, stem, cfg):
+    """The chunks of a clip coded one frame at a time, each P-frame against
+    the latent of the frame before it."""
+    chunks, prev = [], None
+    for t, frame in enumerate(frames):
+        padded = pad_to_multiple(frame.astype(np.float32) / 255.0, ae.downsample_factor)
+        if t % cfg.gop_size == 0:
+            chunk, prev = compress_iframe(padded, cfg.rate, ae)
+        else:
+            latent = quantize_round(analyze(Tensor(padded[None]), [cfg.rate], ae))
+            chunk, prev = encode_pframe(latent, prev, cfg.flags, stem), latent
+        chunks.append(chunk.to_bytes())
+    return chunks
+
+
+class TestStackedEncode:
+    @pytest.mark.parametrize("gop_size", [1, 3, 10])
+    @pytest.mark.parametrize("flags", [StemFlags(), StemFlags(use_spm=False, use_residual=False)], ids=["all", "ablated"])
+    def test_chunks_equal_frame_by_frame_coding(self, models, gop_size, flags):
+        # 12 frames of 50x70 (13x18 latents after padding): passes of 8
+        # P-frames span GOPs at GOP 3, and GOP 1 has no P-frames.
+        ae, stem = models
+        frames = synth_sequence("zoom", 12, 50, 70, seed=7)
+        cfg = GopConfig(gop_size=gop_size, rate=ae.rate(1), flags=flags)
+        stream = compress_video(frames, ae, stem, cfg)
+        assert [ch.to_bytes() for ch in stream.chunks] == frame_by_frame_chunks(frames, ae, stem, cfg)
+
+    @pytest.mark.parametrize("budget", [PFRAME_POSITIONS, 40, 16, 10], ids=["default", "two", "one", "below-one"])
+    def test_passes_keep_within_the_budget(self, models, monkeypatch, budget):
+        # 16x16 frames have 4x4 latents: 16 positions each.
+        ae, stem = models
+        frames = small_video(10)
+        cfg = GopConfig(gop_size=4, rate=ae.rate(0))
+        want = compress_video(frames, ae, stem, cfg).to_bytes()
+        passes = []
+
+        def spy(latents, prevs, flags, weights):
+            passes.append(latents.shape)
+            return encode_pframe(latents, prevs, flags, weights)
+
+        monkeypatch.setattr(video, "PFRAME_POSITIONS", budget)
+        monkeypatch.setattr(video, "encode_pframe", spy)
+        assert compress_video(frames, ae, stem, cfg).to_bytes() == want
+        assert sum(k for k, *_ in passes) == 7  # every P-frame once
+        for k, _, h, w in passes:
+            assert k * h * w <= budget or k == 1
+        assert len(passes) == -(-7 // max(1, budget // 16))
+
+    def test_frames_converted_one_at_a_time(self, models, monkeypatch):
+        ae, stem = models
+        seen = []
+        real = video.frames_to_float
+        monkeypatch.setattr(video, "frames_to_float", lambda f: seen.append(f.shape[0]) or real(f))
+        compress_video(small_video(5), ae, stem, GopConfig(gop_size=5, rate=ae.rate(0)))
+        assert seen == [1] * 5
+
+    def test_out_of_range_float_frame_rejected(self, models):
+        ae, stem = models
+        frames = small_video(3).astype(np.float32) / 255.0
+        frames[2, 0, 0, 0] = 1.5
+        with pytest.raises(ValueError, match=r"float frames must lie in \[0, 1\]"):
+            compress_video(frames, ae, stem, GopConfig(gop_size=3, rate=ae.rate(0)))
+        with pytest.raises(ShapeError):
+            compress_video(frames[:, :2], ae, stem, GopConfig(gop_size=3, rate=ae.rate(0)))
 
 
 class TestSynthSequences:

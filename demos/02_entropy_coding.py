@@ -9,7 +9,7 @@ escape through an overflow slot plus Exp-Golomb bits. The codec itself
 codes every symbol against one fixed grid of such tables, indexed by the
 quantized scale and the fractional part of the mean. The coder is rANS:
 the encoder pushes symbols last to first, and the decoder pops them in
-order. (The file keeps its old name, from the range coder rANS replaced.)
+order.
 """
 
 import numpy as np

@@ -33,8 +33,8 @@ res = residual_latent(cur, prev)
 print(f"residual magnitudes: mean |r| = {np.abs(res).mean():.2f} vs |latent| = {np.abs(cur).mean():.2f}")
 
 flags = StemFlags()
-chunk = encode_pframe(cur, prev, flags, weights)
-decoded = decode_pframe(chunk, prev, flags, weights)
+(chunk,) = encode_pframe(cur[None], prev[None], flags, weights)
+(decoded,) = decode_pframe([chunk], prev[None], flags, weights)
 print("serial decode reproduces the latent exactly:", bool(np.array_equal(decoded, cur)))
 print(f"coded size: {len(chunk.y_stream.data)} latent bytes + {len(chunk.z_stream.data)} hyper bytes")
 
@@ -50,13 +50,13 @@ for size in (16, 32):
     a = rng.integers(-8, 9, size=(4, size, size)).astype(np.int32)
     b = rng.integers(-8, 9, size=(4, size, size)).astype(np.int32)
     small = init_stem(latent_channels=4, seed=5)
-    ch = encode_pframe(a, b, flags, small)
+    ch = encode_pframe(a[None], b[None], flags, small)
     t0 = time.perf_counter()
-    decode_pframe(ch, b, flags, small)
+    decode_pframe(ch, b[None], flags, small)
     print(f"decode {size}x{size} latents: {1000 * (time.perf_counter() - t0):.0f} ms")
 
 # Every branch can be switched off; the coder stays lossless either way.
 for fl in (StemFlags(use_spm=False), StemFlags(use_tpm=False), StemFlags(use_residual=False)):
-    ch = encode_pframe(cur, prev, fl, weights)
-    ok = np.array_equal(decode_pframe(ch, prev, fl, weights), cur)
+    (ch,) = encode_pframe(cur[None], prev[None], fl, weights)
+    ok = np.array_equal(decode_pframe([ch], prev[None], fl, weights)[0], cur)
     print(f"{fl}: roundtrip {ok}, {len(ch.y_stream.data)} bytes")

@@ -7,11 +7,12 @@ previous latent, and a causal spatial prior over the residual itself.
 Because the spatial prior is autoregressive, decoding walks spatial
 positions serially, recomputing the causal context from already-decoded
 symbols; hyper and temporal features for a frame are computed once. The
-coding path works on stacks of K frames, one frame being a stack of one:
-the encoder codes any K frames whose previous latents are known in one
-hyper, feature, fusion and grid pass, and the decoder walks K frames from
-different groups of pictures in lockstep, with one fusion and one grid
-lookup per position for all K.
+coding path takes ``(K, C, h, w)`` stacks of K frames: the encoder codes
+any K frames whose previous latents are known in one hyper, feature,
+fusion and grid pass, and the decoder walks K frames from different groups
+of pictures in lockstep, with one fusion and one grid lookup per position
+for all K. Both sides fuse through one entry point,
+:meth:`_PositionParams.at`, over any set of positions.
 
 The model is rate-agnostic: one set of weights serves every rate index of
 the auto-encoder that produced the latents.
@@ -180,17 +181,22 @@ def _as_batch(plane: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def hyper_encode(latent: np.ndarray, prev_latent: np.ndarray, weights: StemWeights):
-    """Quantized joint hyper latent of one ``(C, h, w)`` frame and its
-    prior cross entropy in bits; a ``(K, C, h, w)`` stack gives the ``(K,
-    hc, h', w')`` latents and a list of K bit counts, in one batched pass
-    whose convolutions keep one GEMM per frame, so each frame gets the bits
-    of a pass of its own."""
-    pair = [Tensor(_as_batch(plane)) for plane in (latent, prev_latent)]
-    zt = weights.hyper_latent(concat_channels(*pair))
-    z_hats = zt.data.astype(np.int32)
+def _check_stacks(latents: np.ndarray, prev_latents: np.ndarray) -> None:
+    _check_planes(latents, prev_latents)
+    if latents.ndim != 4:
+        raise ShapeError(f"latents must be a (K, C, h, w) stack, got {latents.shape}")
+
+
+def hyper_encode(latents: np.ndarray, prev_latents: np.ndarray, weights: StemWeights):
+    """Quantized joint hyper latents of a ``(K, C, h, w)`` stack and their
+    prior cross entropies: the ``(K, hc, h', w')`` latents and a list of K
+    bit counts, in one batched pass whose convolutions keep one GEMM per
+    frame, so each frame gets the bits of a pass of its own."""
+    pair = [np.asarray(a, dtype=np.float32) for a in (latents, prev_latents)]
+    _check_stacks(*pair)
+    zt = weights.hyper_latent(concat_channels(*map(Tensor, pair)))
     bits = [sum_all(Tensor(nll[None])).item() for nll in weights.z_prior_nll(zt).data]
-    return (z_hats, bits) if np.ndim(latent) == 4 else (z_hats[0], bits[0])
+    return zt.data.astype(np.int32), bits
 
 
 def temporal_prior(prev_latent: np.ndarray, weights: StemWeights) -> Tensor:
@@ -289,19 +295,22 @@ class _PositionParams:
     """Per-position fusion shared by the encoder and the serial decoder,
     over a stack of K frames: ``phd_feat`` and ``tpm_feat`` are
     ``(K, 2C, h, w)``, and the fusion input ``[phd; spm; tpm]`` is laid out
-    once as ``(K, h, w, 6C)`` with zeros in the SPM slot.
+    once as ``(K, h, w, 6C)`` with zeros in the SPM slot. The SPM reads the
+    ``(K, C, h + 4, w + 4)`` zero-bordered int32 planes ``padded_planes``
+    through a position-major window view, so symbols the decoder writes
+    into them join the context.
 
     Both sides must produce bit-identical Laplacian parameters. The serial
     decoder calls :meth:`at` at each position; the encoder, which knows the
-    whole plane, calls :meth:`every` once. Both run :meth:`_fuse`, whose
-    products are stacks of matrix-vector products: NumPy's matmul runs a
-    stack as one BLAS gemv per row, so a position's bits do not depend on
-    how many rows share the call. One GEMM would sum each dot product in
-    another order. ``tests/test_stem.py::TestFrameFusion`` and
-    ``TestLockstepDecode`` pin this bit for bit on the installed NumPy.
+    whole plane, calls it once with slices. Its products are stacks of
+    matrix-vector products: NumPy's matmul runs a stack as one BLAS gemv
+    per row, so a position's bits do not depend on how many rows share the
+    call. One GEMM would sum each dot product in another order.
+    ``tests/test_stem.py::TestFrameFusion`` and ``TestLockstepDecode`` pin
+    this bit for bit on the installed NumPy.
 
-    When the SPM is on, :meth:`_fuse` fills the SPM slot in place from the
-    zero-bordered planes, so each call rewrites the slot it reads.
+    When the SPM is on, :meth:`at` fills the SPM slot of the positions it
+    fuses in place, so each call rewrites the slot it reads.
     ``spm_mat`` is ``kernel * mask``, so every tap at or after the position
     multiplies a finite int32-valued float32 by +-0 and adds an exact zero:
     the encoder's full plane and the decoder's partly decoded one give
@@ -310,12 +319,15 @@ class _PositionParams:
     means then C log-scales, unclamped; ``grid_index`` clamps them.
     """
 
-    def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray):
+    def __init__(self, weights: StemWeights, flags: StemFlags, phd_feat: np.ndarray, tpm_feat: np.ndarray,
+                 padded_planes: np.ndarray):
         c = weights.latent_channels
         self.c = c
         self.use_spm = flags.use_spm
         fused = np.concatenate([phd_feat, np.zeros_like(phd_feat), tpm_feat], axis=1)
         self.fused = np.ascontiguousarray(fused.transpose(0, 2, 3, 1))  # (K, h, w, 6C)
+        windows = sliding_window_view(padded_planes, (_SPM_KERNEL, _SPM_KERNEL), axis=(2, 3))
+        self.windows = windows.transpose(0, 2, 3, 1, 4, 5)  # (K, h, w, C, k, k)
         kd = weights.spm.kernel.data * weights.spm.mask
         self.spm_mat = np.ascontiguousarray(kd.reshape(2 * c, -1).T)  # (C*k*k, 2C)
         self.spm_bias = weights.spm.bias.data.reshape(-1)
@@ -325,39 +337,25 @@ class _PositionParams:
         ]
         self.slope = np.float32(LEAKY_SLOPE)
 
-    def at(self, padded_planes: np.ndarray, r: int, col: int) -> np.ndarray:
-        """The ``(K, 2C)`` parameters of position (r, col) in each frame,
-        from the ``(K, C, h + 4, w + 4)`` zero-bordered planes."""
-        windows = padded_planes[:, :, r : r + _SPM_KERNEL, col : col + _SPM_KERNEL]
-        return self._fuse(self.fused[:, r, col], windows)
-
-    def every(self, padded_planes: np.ndarray) -> np.ndarray:
-        """The ``(K, h, w, 2C)`` parameters of every position of known
-        planes, equal bit for bit to :meth:`at` at each position.
-
-        The SPM patches take a transient ``K * h * w * C * 25`` float32
-        array: 3.3 MB for 2,048 positions of 16 channels, the most that
-        ``video.compress_video`` stacks in one pass, or 6.6 MB for one
-        64x64 plane, which goes alone.
-        """
-        k, h, w = self.fused.shape[:3]
-        windows = sliding_window_view(padded_planes, (_SPM_KERNEL, _SPM_KERNEL), axis=(2, 3))
-        x = self._fuse(self.fused.reshape(k * h * w, -1), windows.transpose(0, 2, 3, 1, 4, 5))
-        return x.reshape(k, h, w, -1)
-
-    def _fuse(self, x: np.ndarray, windows: np.ndarray) -> np.ndarray:
-        """The fusion layers over the ``(n, 6C)`` inputs ``x`` of n
-        positions, after filling their SPM slot in place from the
-        positions' int32 ``(C, k, k)`` windows. Every product is a stack of
-        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``."""
+    def at(self, rs, cs) -> np.ndarray:
+        """The parameters of positions ``(rs, cs)`` of every frame, indexed
+        as ``plane[rs, cs]`` would be: ``(K, 2C)`` for one position given by
+        ints, ``(K, h, w, 2C)`` for the whole plane given by slices, ``(K,
+        n, 2C)`` for n positions given by index arrays. A position gets the
+        same bits whichever set it is fused in. Every product is a stack of
+        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``;
+        the SPM patches take a transient ``K * n * C * 25`` float32 array."""
+        x = self.fused[:, rs, cs]
+        lead = x.shape[:-1]
+        x = x.reshape(-1, x.shape[-1])
         if self.use_spm:
-            patches = np.ascontiguousarray(windows, dtype=np.float32).reshape(len(x), 1, -1)
+            patches = np.ascontiguousarray(self.windows[:, rs, cs], dtype=np.float32).reshape(len(x), 1, -1)
             np.add((patches @ self.spm_mat)[:, 0], self.spm_bias, out=x[:, 2 * self.c : 4 * self.c])
         for i, (mat, bias) in enumerate(self.epm):
             if i:
                 x = np.maximum(x, x * self.slope)  # leaky ReLU, slope in (0, 1)
             x = (mat @ x[:, :, None])[:, :, 0] + bias
-        return x
+        return x.reshape(*lead, -1)
 
 
 def _frame_features(z_hats: np.ndarray, prevs: np.ndarray, flags: StemFlags, weights: StemWeights):
@@ -372,36 +370,30 @@ def _frame_features(z_hats: np.ndarray, prevs: np.ndarray, flags: StemFlags, wei
     return phd, tpm
 
 
-def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
-                  weights: StemWeights) -> FrameChunk | list[FrameChunk]:
+def encode_pframe(latents: np.ndarray, prev_latents: np.ndarray, flags: StemFlags,
+                  weights: StemWeights) -> list[FrameChunk]:
     """Code P-frame latents against their buffered previous latents.
 
-    A ``(C, h, w)`` latent with its ``(C, h, w)`` previous latent gives one
-    chunk; a ``(K, C, h, w)`` stack with its ``(K, C, h, w)`` previous
-    latents gives a list of K chunks, each equal to the chunk of its own
-    call, as :func:`decode_pframe` takes them.
+    A ``(K, C, h, w)`` stack with its ``(K, C, h, w)`` previous latents
+    gives a list of K chunks, each equal to the chunk of a stack of its
+    own, as :func:`decode_pframe` takes them.
 
     The coded plane is the integer residual (or the latent itself when
     ``use_residual`` is off); its symbols go out position by position in
     spatial raster order, all channels of a position together, so the
     serial decoder can rebuild the causal context as it goes. The encoder
     knows every symbol, so a pass makes one :func:`hyper_encode`, one
-    :func:`_frame_features`, one :meth:`_PositionParams.every` (bit for bit
-    the decoder's per-position :meth:`_PositionParams.at`) and one
+    :func:`_frame_features`, one :meth:`_PositionParams.at` over the whole
+    plane (bit for bit the decoder's per-position calls) and one
     :func:`coder.grid_index` call for all K frames, then codes each frame's
     hyper latent and plane on its own. Every convolution keeps one GEMM per
     frame and the fusion one gemv per position, so no frame's bits depend on
     K. A pass holds about ``31 * K * h * w * C`` float32 values at once:
-    the SPM patches of :meth:`_PositionParams.every` and the fusion inputs.
+    the SPM patches of :meth:`_PositionParams.at` and the fusion inputs.
     """
-    latents = coder.to_int32(latent, ValueError)
-    prevs = coder.to_int32(prev_latent, ValueError)
-    _check_planes(latents, prevs)
-    single = latents.ndim == 3
-    if single:
-        latents, prevs = latents[None], prevs[None]
-    if latents.ndim != 4:
-        raise ShapeError(f"latents must be (C, h, w) or (K, C, h, w), got {latents.shape}")
+    latents = coder.to_int32(latents, ValueError)
+    prevs = coder.to_int32(prev_latents, ValueError)
+    _check_stacks(latents, prevs)
 
     z_hats, _ = hyper_encode(latents, prevs, weights)
     planes = residual_latent(latents, prevs) if flags.use_residual else latents
@@ -409,13 +401,13 @@ def encode_pframe(latent: np.ndarray, prev_latent: np.ndarray, flags: StemFlags,
 
     c = planes.shape[1]
     padded = np.pad(planes, ((0, 0), (0, 0), (_PAD, _PAD), (_PAD, _PAD)))
-    params = _PositionParams(weights, flags, phd, tpm).every(padded)
+    params = _PositionParams(weights, flags, phd, tpm, padded).at(slice(None), slice(None))
     index, offset = coder.grid_index(params[..., :c], params[..., c:])
     chunks = []
     for z_hat, plane, i, o in zip(z_hats, planes, index, offset):
         y_stream = coder.encode_plane(plane.transpose(1, 2, 0), i, o)  # position-major, as the decoder reads
         chunks.append(FrameChunk(FRAME_P, weights.encode_z(z_hat), y_stream))
-    return chunks[0] if single else chunks
+    return chunks
 
 
 class CorruptFrameError(coder.CorruptStreamError):
@@ -428,20 +420,19 @@ class CorruptFrameError(coder.CorruptStreamError):
         self.index = index
 
 
-def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndarray, flags: StemFlags,
+def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags: StemFlags,
                   weights: StemWeights) -> np.ndarray:
     """Exact inverse of :func:`encode_pframe` for the same weights, flags
     and previous latents.
 
-    ``chunk`` is a sequence of K chunks, each from its own group of
+    ``chunks`` is a sequence of K chunks, each from its own group of
     pictures, with their previous latents stacked as ``(K, C, h, w)``,
-    giving the ``(K, C, h, w)`` latents; one :class:`FrameChunk` with a
-    ``(C, h, w)`` previous latent is the stack of one and gives ``(C, h,
-    w)``. The K frames' streams are independent, so they are walked in
-    lockstep: at each position one :meth:`_PositionParams.at` and one
-    :func:`coder.grid_index` over the ``(K, 2C)`` parameters serve all K
-    frames, then each frame pops its C symbols from its own decoder. The
-    result equals K single-frame calls bit for bit.
+    giving the ``(K, C, h, w)`` latents. The K frames' streams are
+    independent, so they are walked in lockstep: at each position one
+    :meth:`_PositionParams.at` and one :func:`coder.grid_index` over the
+    ``(K, 2C)`` parameters serve all K frames, then each frame pops its C
+    symbols from its own decoder. The result equals K calls of one frame
+    each, bit for bit.
 
     The module's one serial loop: positions are decoded in raster order
     into zero-bordered int32 contexts, so each position's fusion reads
@@ -453,13 +444,8 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
     the call; previous latents outside int32 raise ``ValueError``. A wrong
     previous latent goes undetected: garbage from the first diverging position on.
     """
-    single = isinstance(chunk, FrameChunk)
-    chunks = [chunk] if single else list(chunk)
-    prevs = coder.to_int32(prev_latent, ValueError)
-    if single:
-        if prevs.ndim != 3:
-            raise ShapeError(f"one chunk needs a (C, h, w) previous latent, got {prevs.shape}")
-        prevs = prevs[None]
+    chunks = list(chunks)
+    prevs = coder.to_int32(prev_latents, ValueError)
     if prevs.ndim != 4 or len(chunks) != len(prevs):
         raise ShapeError(f"{len(chunks)} chunks need ({len(chunks)}, C, h, w) previous latents, got {prevs.shape}")
     k, c, h, w = prevs.shape
@@ -473,11 +459,11 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
         phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
         padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
         planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
-        at = _PositionParams(weights, flags, phd, tpm).at
+        at = _PositionParams(weights, flags, phd, tpm, padded).at
         grid_index, decode_symbols, check_int32 = coder.grid_index, coder.decode_symbols, coder.check_int32
         for r in range(h):
             for col in range(w):
-                x = at(padded, r, col)
+                x = at(r, col)
                 index, offset = grid_index(x[:, :c].ravel(), x[:, c:].ravel())
                 index, offset = index.tolist(), offset.tolist()
                 for j, dec in enumerate(decs):
@@ -487,5 +473,4 @@ def decode_pframe(chunk: FrameChunk | Sequence[FrameChunk], prev_latent: np.ndar
             dec.finish()
     except coder.CorruptStreamError as exc:
         raise CorruptFrameError(j, exc) from exc
-    out = reconstruct_latent(planes, prevs) if flags.use_residual else planes.copy()
-    return out[0] if single else out
+    return reconstruct_latent(planes, prevs) if flags.use_residual else planes.copy()

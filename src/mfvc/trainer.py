@@ -401,8 +401,7 @@ def train_stem(dataset_pairs, frozen_weights: AutoencoderWeights, cfg: TrainConf
             curs.append(clip[cur, :, r : r + cfg.patch_h, c : c + cfg.patch_w])
 
         rate = frozen_weights.rate(lam_idx)
-        prev_latents = _frozen_latents(np.stack(refs), rate, frozen_weights)
-        latents = _frozen_latents(np.stack(curs), rate, frozen_weights)
+        prev_latents, latents = np.split(_frozen_latents(np.stack(refs + curs), rate, frozen_weights), 2)
 
         loss = loss_p(latents, prev_latents, flags, stem_weights,
                       training=True, noise_seed=(cfg.seed << 20) ^ (it * 11))

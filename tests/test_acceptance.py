@@ -123,8 +123,8 @@ class TestCriterion1Losslessness:
             stem = init_stem(latent_channels=c, seed=case)
             a = rng.integers(-30, 31, size=(c, h, wd)).astype(np.int32)
             b = rng.integers(-30, 31, size=(c, h, wd)).astype(np.int32)
-            chunk = encode_pframe(a, b, flags, stem)
-            assert np.array_equal(decode_pframe(chunk, b, flags, stem), a), f"case {case}"
+            chunk = encode_pframe(a[None], b[None], flags, stem)
+            assert np.array_equal(decode_pframe(chunk, b[None], flags, stem)[0], a), f"case {case}"
 
             if case % 4 == 0:
                 ae = init_autoencoder(latent_channels=c, downsample_factor=4, lambda_set=(8.0, 64.0), seed=case)
@@ -179,7 +179,7 @@ class TestCriterion3RateEstimate:
             flags = StemFlags(bool(rng.integers(2)), bool(rng.integers(2)), True)
             y_bits, z_bits = p_frame_rate(a, b, flags, stem)
             est = y_bits.item() + z_bits.item()
-            chunk = encode_pframe(a, b, flags, stem)
+            (chunk,) = encode_pframe(a[None], b[None], flags, stem)
             actual = 8 * (len(chunk.y_stream.data) + len(chunk.z_stream.data))
             gap = abs(est - actual)
             bound = 0.02 * est + 128
@@ -411,8 +411,8 @@ class TestTrainedRegressions:
         per_symbol = y_bits.item() / latent.size
         assert per_symbol < 0.15, f"zero-residual rate {per_symbol:.4f} bits/symbol"
 
-        residual_chunk = encode_pframe(latent, latent, StemFlags(), stem)
-        direct_chunk = encode_pframe(latent, latent, StemFlags(use_residual=False), stem)
+        (residual_chunk,) = encode_pframe(latent[None], latent[None], StemFlags(), stem)
+        (direct_chunk,) = encode_pframe(latent[None], latent[None], StemFlags(use_residual=False), stem)
         assert len(residual_chunk.y_stream.data) < len(direct_chunk.y_stream.data)
 
     def test_static_sequence_p_chunks_beat_i_chunk(self, trained):
@@ -462,11 +462,11 @@ times = {}
 for size in (16, 32):
     a = rng.integers(-8, 9, size=(4, size, size)).astype(np.int32)
     b = rng.integers(-8, 9, size=(4, size, size)).astype(np.int32)
-    chunk = encode_pframe(a, b, StemFlags(), stem)
+    chunk = encode_pframe(a[None], b[None], StemFlags(), stem)
     best = np.inf
     for _ in range(7):
         t0 = time.process_time()
-        decode_pframe(chunk, b, StemFlags(), stem)
+        decode_pframe(chunk, b[None], StemFlags(), stem)
         best = min(best, time.process_time() - t0)
     times[size] = best
 print(times[32] / times[16])

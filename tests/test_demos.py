@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 QUICK_DEMOS = [
     "01_tensor_and_gradients.py",
-    "02_range_coding.py",
+    "02_entropy_coding.py",
     "03_image_codec.py",
     "04_pframe_entropy_model.py",
     "07_metrics_and_heatmaps.py",

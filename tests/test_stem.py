@@ -91,14 +91,14 @@ class TestBranches:
     def test_hyper_extents_quartered(self, weights):
         rng = np.random.default_rng(2)
         a, b = random_latents(rng, h=16, w=16)
-        z_hat, z_bits = hyper_encode(a, b, weights)
+        (z_hat,), (z_bits,) = hyper_encode(a[None], b[None], weights)
         assert z_hat.shape == (weights.hyper_channels, 4, 4)
         assert z_bits > 0
 
     def test_hyper_roundtrips_losslessly(self, weights):
         rng = np.random.default_rng(3)
         a, b = random_latents(rng)
-        z_hat, _ = hyper_encode(a, b, weights)
+        z_hat = hyper_encode(a[None], b[None], weights)[0][0]
         stream = weights.encode_z(z_hat)
         np.testing.assert_array_equal(weights.decode_z(stream, a.shape[1], a.shape[2]), z_hat)
 
@@ -109,7 +109,7 @@ class TestBranches:
             layer.bias.data[...] = 0.0
         w.phe[-1].bias.data[...] = 1.3
         a = np.zeros((4, 8, 8), np.int32)
-        z_hat, _ = hyper_encode(a, a, w)
+        z_hat, _ = hyper_encode(a[None], a[None], w)
         np.testing.assert_array_equal(z_hat, 1)
 
     def test_temporal_prior_preserves_extents(self, weights):
@@ -192,17 +192,17 @@ class TestSerialFusion:
         rng = np.random.default_rng(31)
         a, b = random_latents(rng)
         plane = residual_latent(a, b)
-        z_hat, _ = hyper_encode(a, b, w)
-        phd, tpm = _frame_features(z_hat[None], b[None], flags, w)
+        z_hat, _ = hyper_encode(a[None], b[None], w)
+        phd, tpm = _frame_features(z_hat, b[None], flags, w)
         spm_out = spatial_prior(plane, w) if use_spm else None
         tpm_out = Tensor(tpm) if use_tpm else None
         mu, log_scale = entropy_params(Tensor(phd), spm_out, tpm_out, w)
 
-        pos = _PositionParams(w, flags, phd, tpm)
         padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))[None]
+        pos = _PositionParams(w, flags, phd, tpm, padded)
         for r in range(plane.shape[1]):
             for col in range(plane.shape[2]):
-                (fused,) = pos.at(padded, r, col)
+                (fused,) = pos.at(r, col)
                 mu_rc, ls_rc = fused[:4], fused[4:]
                 np.testing.assert_allclose(mu_rc, mu.data[0, :, r, col], rtol=0, atol=1e-5)
                 ls_rc = np.clip(ls_rc, coder.LOG_SCALE_MIN, coder.LOG_SCALE_MAX)
@@ -214,8 +214,8 @@ class TestPFrameRoundtrip:
     def test_roundtrip_all_flag_combinations(self, weights, flags):
         rng = np.random.default_rng(12)
         a, b = random_latents(rng)
-        chunk = encode_pframe(a, b, flags, weights)
-        out = decode_pframe(chunk, b, flags, weights)
+        chunk = encode_pframe(a[None], b[None], flags, weights)
+        out = decode_pframe(chunk, b[None], flags, weights)[0]
         np.testing.assert_array_equal(out, a)
 
     def test_roundtrip_random_weights_and_sizes(self):
@@ -228,30 +228,30 @@ class TestPFrameRoundtrip:
             a = rng.integers(-20, 21, size=(c, h, wd)).astype(np.int32)
             b = rng.integers(-20, 21, size=(c, h, wd)).astype(np.int32)
             flags = StemFlags(bool(rng.integers(2)), bool(rng.integers(2)), bool(rng.integers(2)))
-            chunk = encode_pframe(a, b, flags, w)
-            np.testing.assert_array_equal(decode_pframe(chunk, b, flags, w), a)
+            chunk = encode_pframe(a[None], b[None], flags, w)
+            np.testing.assert_array_equal(decode_pframe(chunk, b[None], flags, w)[0], a)
 
     def test_large_outliers_roundtrip(self, weights):
         rng = np.random.default_rng(14)
         a, b = random_latents(rng)
         a[0, 0, 0] = 20000
         a[1, 2, 3] = -15000
-        chunk = encode_pframe(a, b, StemFlags(), weights)
-        np.testing.assert_array_equal(decode_pframe(chunk, b, StemFlags(), weights), a)
+        chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
+        np.testing.assert_array_equal(decode_pframe(chunk, b[None], StemFlags(), weights)[0], a)
 
     def test_latent_outside_int32_rejected(self, weights):
         a = np.zeros((4, 2, 2), dtype=np.int64)
         a[0, 0, 0] = 2**40 + 5
         with pytest.raises(ValueError, match="int32"):
-            encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
+            encode_pframe(a[None], np.zeros_like(a)[None], StemFlags(), weights)
 
     def test_previous_latent_outside_int32_rejected(self, weights):
         # The decoder takes the encoder's rule: an int32 cast would decode
         # against prev + 2^32 as if it were prev.
         a, b = random_latents(np.random.default_rng(21))
-        chunk = encode_pframe(a, b, StemFlags(), weights)
+        chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
         with pytest.raises(ValueError, match="symbol outside int32"):
-            decode_pframe(chunk, b.astype(np.int64) + 2**32, StemFlags(), weights)
+            decode_pframe(chunk, b[None].astype(np.int64) + 2**32, StemFlags(), weights)
 
     def test_nonfinite_hyper_latent_rejected(self):
         # A NaN hyper latent has no codable integer; rounding it must fail
@@ -260,18 +260,18 @@ class TestPFrameRoundtrip:
         w.phe[-1].bias.data[0, 0] = np.nan
         a, b = random_latents(np.random.default_rng(30))
         with pytest.raises(ValueError, match="finite"):
-            hyper_encode(a, b, w)
+            hyper_encode(a[None], b[None], w)
         with pytest.raises(ValueError, match="finite"):
-            encode_pframe(a, b, StemFlags(), w)
+            encode_pframe(a[None], b[None], StemFlags(), w)
 
     def test_hyper_latent_beyond_int32_rejected(self):
         w = init_stem(latent_channels=4, seed=1)
         w.phe[-1].bias.data[0, 0] = 1e10
         a, b = random_latents(np.random.default_rng(30))
         with pytest.raises(ValueError, match="int32"):
-            hyper_encode(a, b, w)
+            hyper_encode(a[None], b[None], w)
         with pytest.raises(ValueError, match="int32"):
-            encode_pframe(a, b, StemFlags(), w)
+            encode_pframe(a[None], b[None], StemFlags(), w)
 
     def test_decoded_value_outside_int32_raises(self):
         # A fusion with zero weights predicts (0, 0) everywhere, so a stream
@@ -281,7 +281,7 @@ class TestPFrameRoundtrip:
             layer.kernel.data[...] = 0.0
             layer.bias.data[...] = 0.0
         zeros = np.zeros((2, 3, 3), np.int32)
-        chunk = encode_pframe(zeros, zeros, StemFlags(), w)
+        (chunk,) = encode_pframe(zeros[None], zeros[None], StemFlags(), w)
         index, offset = coder.grid_index(0.0, 0.0)
         row = coder.table_grid()[int(index)]
         for first, expect_ok in ((5, True), (2**40, False)):
@@ -292,10 +292,10 @@ class TestPFrameRoundtrip:
             if expect_ok:
                 expected = zeros.copy()
                 expected[0, 0, 0] = 5
-                np.testing.assert_array_equal(decode_pframe(chunk, zeros, StemFlags(), w), expected)
+                np.testing.assert_array_equal(decode_pframe([chunk], zeros[None], StemFlags(), w)[0], expected)
             else:
                 with pytest.raises(coder.CorruptStreamError, match="int32"):
-                    decode_pframe(chunk, zeros, StemFlags(), w)
+                    decode_pframe([chunk], zeros[None], StemFlags(), w)
 
     @given(z=st.one_of(st.none(), st.binary(max_size=64)), y=st.binary(max_size=400))
     @settings(max_examples=100, deadline=None)
@@ -303,12 +303,12 @@ class TestPFrameRoundtrip:
         # Any bytes (with the encoder's z stream, or random ones) must
         # decode to a latent or raise CorruptStreamError.
         a, b = random_latents(np.random.default_rng(19))
-        chunk = encode_pframe(a, b, StemFlags(), weights)
+        (chunk,) = encode_pframe(a[None], b[None], StemFlags(), weights)
         if z is not None:
             chunk.z_stream = coder.CodedStream(z)
         chunk.y_stream = coder.CodedStream(y)
         try:
-            out = decode_pframe(chunk, b, StemFlags(), weights)
+            out = decode_pframe([chunk], b[None], StemFlags(), weights)[0]
         except coder.CorruptStreamError:
             return
         assert out.shape == a.shape and out.dtype == np.int32
@@ -316,17 +316,17 @@ class TestPFrameRoundtrip:
     def test_encoding_deterministic(self, weights):
         rng = np.random.default_rng(15)
         a, b = random_latents(rng)
-        c1 = encode_pframe(a, b, StemFlags(), weights)
-        c2 = encode_pframe(a, b, StemFlags(), weights)
+        (c1,) = encode_pframe(a[None], b[None], StemFlags(), weights)
+        (c2,) = encode_pframe(a[None], b[None], StemFlags(), weights)
         assert c1.to_bytes() == c2.to_bytes()
 
     def test_mismatched_context_breaks_decode(self, weights):
         rng = np.random.default_rng(16)
         a, b = random_latents(rng)
-        chunk = encode_pframe(a, b, StemFlags(), weights)
+        chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
         # Decoding under a different PMF schedule yields garbage or dies.
         try:
-            wrong_flags = decode_pframe(chunk, b, StemFlags(use_spm=False), weights)
+            wrong_flags = decode_pframe(chunk, b[None], StemFlags(use_spm=False), weights)[0]
         except coder.CorruptStreamError:
             return
         assert not np.array_equal(wrong_flags, a)
@@ -334,8 +334,8 @@ class TestPFrameRoundtrip:
     def test_identical_latents_cheap_with_residual(self, weights):
         rng = np.random.default_rng(17)
         a, _ = random_latents(rng)
-        chunk = encode_pframe(a, a, StemFlags(), weights)
-        direct = encode_pframe(a, np.zeros_like(a), StemFlags(), weights)
+        (chunk,) = encode_pframe(a[None], a[None], StemFlags(), weights)
+        (direct,) = encode_pframe(a[None], np.zeros_like(a)[None], StemFlags(), weights)
         assert len(chunk.y_stream.data) <= len(direct.y_stream.data)
 
 
@@ -394,8 +394,8 @@ class TestRowAgreement:
         monkeypatch.setattr(coder, "decode_symbol", decode_symbol)
         monkeypatch.setattr(type(weights), "encode_z", hyper_coder("encode_z"))
         monkeypatch.setattr(type(weights), "decode_z", hyper_coder("decode_z"))
-        chunk = encode_pframe(a, b, flags, weights)
-        np.testing.assert_array_equal(decode_pframe(chunk, b, flags, weights), a)
+        chunk = encode_pframe(a[None], b[None], flags, weights)
+        np.testing.assert_array_equal(decode_pframe(chunk, b[None], flags, weights)[0], a)
 
         assert len(coded["encode"]) == a.size
         assert coded["encode"][::-1] == coded["decode"]
@@ -407,36 +407,48 @@ class TestFrameFusion:
     @pytest.mark.parametrize("c", [4, 5, 16])  # 16: the benchmark model's 96-80-64-32 chain
     @pytest.mark.parametrize("flags", ROW_FLAGS, ids=[f"flags{i}" for i in range(len(ROW_FLAGS))])
     def test_frame_pass_equals_every_position_bit_for_bit(self, flags, c):
-        # The encoder's one pass per frame must give the decoder's
-        # per-position bits. A GEMM in place of the stacked matrix-vector
-        # products sums in another order and fails here.
+        # One entry point fuses any set of positions: the encoder's whole
+        # plane (slices), the decoder's single positions (ints) and any
+        # subset (index arrays) must give each position the same bits, for
+        # one frame and for a stack. A GEMM in place of the stacked
+        # matrix-vector products sums in another order and fails here.
         h, w = 6, 9
         weights = init_stem(latent_channels=c, seed=3)
-        a, b = random_latents(np.random.default_rng(19), c=c, h=h, w=w, span=30)
-        a[0, 1, 2] = b[0, 1, 2] + 1000  # beyond the support: an escape
-        a[c - 1, 4, 7] = b[c - 1, 4, 7] - 20000
-        plane = residual_latent(a, b) if flags.use_residual else a
-        z_hat, _ = hyper_encode(a, b, weights)
-        pos = _PositionParams(weights, flags, *_frame_features(z_hat[None], b[None], flags, weights))
-        padded = np.pad(plane, ((0, 0), (2, 2), (2, 2)))[None]
-        per_position = np.stack([np.stack([pos.at(padded, r, col) for col in range(w)], 1) for r in range(h)], 1)
-        frame = pos.every(padded)
-        assert frame.shape == (1, h, w, 2 * c) and frame.dtype == np.float32
-        np.testing.assert_array_equal(frame.view(np.uint32), per_position.view(np.uint32))
+        rng = np.random.default_rng(19)
+        for k in (1, 3):
+            prevs = rng.integers(-30, 31, size=(k, c, h, w)).astype(np.int32)
+            curs = rng.integers(-30, 31, size=(k, c, h, w)).astype(np.int32)
+            curs[0, 0, 1, 2] = prevs[0, 0, 1, 2] + 1000  # beyond the support: an escape
+            curs[k - 1, c - 1, 4, 7] = prevs[k - 1, c - 1, 4, 7] - 20000
+            planes = residual_latent(curs, prevs) if flags.use_residual else curs
+            z_hats, _ = hyper_encode(curs, prevs, weights)
+            padded = np.pad(planes, ((0, 0), (0, 0), (2, 2), (2, 2)))
+            pos = _PositionParams(weights, flags, *_frame_features(z_hats, prevs, flags, weights), padded)
+            per_position = np.stack([np.stack([pos.at(r, col) for col in range(w)], 1) for r in range(h)], 1)
+            frame = pos.at(slice(None), slice(None))
+            assert frame.shape == (k, h, w, 2 * c) and frame.dtype == np.float32
+            np.testing.assert_array_equal(frame.view(np.uint32), per_position.view(np.uint32))
+            for _ in range(10):
+                picked = rng.choice(h * w, size=int(rng.integers(1, h * w + 1)), replace=False)
+                rs, cs = np.divmod(picked, w)
+                subset = pos.at(rs, cs)
+                assert subset.shape == (k, len(picked), 2 * c)
+                np.testing.assert_array_equal(subset.view(np.uint32), per_position[:, rs, cs].view(np.uint32))
 
     def test_only_the_decoder_walks_positions(self, weights, monkeypatch):
         calls = []
         real_at = _PositionParams.at
 
-        def at(self, padded_plane, r, col):
+        def at(self, r, col):
             calls.append((r, col))
-            return real_at(self, padded_plane, r, col)
+            return real_at(self, r, col)
 
         monkeypatch.setattr(_PositionParams, "at", at)
         a, b = random_latents(np.random.default_rng(20), h=5, w=7)
-        chunk = encode_pframe(a, b, StemFlags(), weights)
-        assert calls == []
-        np.testing.assert_array_equal(decode_pframe(chunk, b, StemFlags(), weights), a)
+        chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
+        assert calls == [(slice(None), slice(None))]  # the encoder fuses the whole plane in one call
+        calls.clear()
+        np.testing.assert_array_equal(decode_pframe(chunk, b[None], StemFlags(), weights)[0], a)
         assert calls == [(r, col) for r in range(5) for col in range(7)]
 
 
@@ -462,26 +474,26 @@ class TestLockstepDecode:
         # the fusion comparison. K = 1 is the list-of-one call.
         weights = init_stem(latent_channels=c, seed=3)
         prevs, curs = self.frames(k, c)
-        chunks = [encode_pframe(a, b, flags, weights) for a, b in zip(curs, prevs)]
-        singles = np.stack([decode_pframe(ch, b, flags, weights) for ch, b in zip(chunks, prevs)])
+        chunks = [encode_pframe(a[None], b[None], flags, weights)[0] for a, b in zip(curs, prevs)]
+        singles = np.stack([decode_pframe([ch], b[None], flags, weights)[0] for ch, b in zip(chunks, prevs)])
         out = decode_pframe(chunks, prevs, flags, weights)
         assert out.shape == curs.shape and out.dtype == np.int32
         np.testing.assert_array_equal(out, singles)
         np.testing.assert_array_equal(out, curs)
 
-        z_hats = np.stack([hyper_encode(a, b, weights)[0] for a, b in zip(curs, prevs)])
+        z_hats = np.concatenate([hyper_encode(a[None], b[None], weights)[0] for a, b in zip(curs, prevs)])
         features = [_frame_features(z[None], b[None], flags, weights) for z, b in zip(z_hats, prevs)]
         batched = _frame_features(z_hats, prevs, flags, weights)
         for got, want in zip(batched, zip(*features)):
             np.testing.assert_array_equal(got.view(np.uint32), np.concatenate(want).view(np.uint32))
-        one = [_PositionParams(weights, flags, *f) for f in features]
-        stacked = _PositionParams(weights, flags, *batched)
         planes = curs - prevs if flags.use_residual else curs
         padded = np.pad(planes, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        one = [_PositionParams(weights, flags, *f, p[None]) for f, p in zip(features, padded)]
+        stacked = _PositionParams(weights, flags, *batched, padded)
         for r in range(planes.shape[2]):
             for col in range(planes.shape[3]):
-                want = np.concatenate([pos.at(p[None], r, col) for pos, p in zip(one, padded)])
-                got = stacked.at(padded, r, col)
+                want = np.concatenate([pos.at(r, col) for pos in one])
+                got = stacked.at(r, col)
                 assert got.shape == (k, 2 * c) and got.dtype == np.float32
                 np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -501,11 +513,11 @@ class TestLockstepDecode:
         # One error path for every stage: the frame's own error, with its
         # place in the call, whichever frame and stage it comes from.
         prevs, curs = self.frames(3, 4)
-        chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        chunks = [encode_pframe(a[None], b[None], StemFlags(), weights)[0] for a, b in zip(curs, prevs)]
         name = f"{stage}_stream"
         setattr(chunks[place], name, coder.CodedStream(damage(getattr(chunks[place], name).data)))
         with pytest.raises(coder.CorruptStreamError, match=match) as alone:
-            decode_pframe(chunks[place], prevs[place], StemFlags(), weights)
+            decode_pframe([chunks[place]], prevs[place][None], StemFlags(), weights)
         with pytest.raises(CorruptFrameError) as info:
             decode_pframe(chunks, prevs, StemFlags(), weights)
         assert info.value.index == place
@@ -513,13 +525,10 @@ class TestLockstepDecode:
 
     def test_chunk_count_must_match_latents(self, weights):
         prevs, curs = self.frames(2, 4)
-        chunks = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        chunks = encode_pframe(curs, prevs, StemFlags(), weights)
         with pytest.raises(ShapeError, match="3 chunks"):
             decode_pframe(chunks + chunks[:1], prevs, StemFlags(), weights)
-        # One chunk goes with one (C, h, w) latent, a list of chunks with a
-        # stack of them, even a list of one.
-        with pytest.raises(ShapeError, match="one chunk"):
-            decode_pframe(chunks[0], prevs[:1], StemFlags(), weights)
+        # A list of chunks goes with a stack of latents, even a list of one.
         with pytest.raises(ShapeError, match="1 chunks"):
             decode_pframe(chunks[:1], prevs[0], StemFlags(), weights)
 
@@ -539,7 +548,7 @@ class TestStackedEncode:
         prevs, curs = TestLockstepDecode.frames(k, 4)
         chunks = encode_pframe(curs, prevs, flags, weights)
         assert isinstance(chunks, list) and len(chunks) == k
-        singles = [encode_pframe(a, b, flags, weights) for a, b in zip(curs, prevs)]
+        singles = [encode_pframe(a[None], b[None], flags, weights)[0] for a, b in zip(curs, prevs)]
         assert self.chunk_bytes(chunks) == self.chunk_bytes(singles)
         np.testing.assert_array_equal(decode_pframe(chunks, prevs, flags, weights), curs)
 
@@ -548,25 +557,20 @@ class TestStackedEncode:
         weights = init_stem(latent_channels=c, seed=3)
         prevs, curs = TestLockstepDecode.frames(5, c, h=9, w=7)
         z_hats, bits = hyper_encode(curs, prevs, weights)
-        singles = [hyper_encode(a, b, weights) for a, b in zip(curs, prevs)]
+        singles = [[x[0] for x in hyper_encode(a[None], b[None], weights)] for a, b in zip(curs, prevs)]
         assert z_hats.shape == (5, *singles[0][0].shape) and z_hats.dtype == np.int32
         np.testing.assert_array_equal(z_hats, np.stack([z for z, _ in singles]))
         assert bits == [b for _, b in singles]
         chunks = encode_pframe(curs, prevs, StemFlags(), weights)
-        want = [encode_pframe(a, b, StemFlags(), weights) for a, b in zip(curs, prevs)]
+        want = [encode_pframe(a[None], b[None], StemFlags(), weights)[0] for a, b in zip(curs, prevs)]
         assert self.chunk_bytes(chunks) == self.chunk_bytes(want)
 
     def test_zero_residual_stack(self, weights):
         prevs, _ = TestLockstepDecode.frames(4, 4)
         chunks = encode_pframe(prevs, prevs, StemFlags(), weights)
-        singles = [encode_pframe(b, b, StemFlags(), weights) for b in prevs]
+        singles = [encode_pframe(b[None], b[None], StemFlags(), weights)[0] for b in prevs]
         assert self.chunk_bytes(chunks) == self.chunk_bytes(singles)
         np.testing.assert_array_equal(decode_pframe(chunks, prevs, StemFlags(), weights), prevs)
-
-    def test_stack_of_one_equals_one_frame(self, weights):
-        a, b = random_latents(np.random.default_rng(41))
-        (stacked,) = encode_pframe(a[None], b[None], StemFlags(), weights)
-        assert stacked.to_bytes() == encode_pframe(a, b, StemFlags(), weights).to_bytes()
 
     @pytest.mark.parametrize(
         "cur_shape, prev_shape",
@@ -591,7 +595,7 @@ class TestRateEstimate:
         flags = StemFlags()
         y_bits, z_bits = p_frame_rate(a, b, flags, weights)
         est = y_bits.item() + z_bits.item()
-        chunk = encode_pframe(a, b, flags, weights)
+        (chunk,) = encode_pframe(a[None], b[None], flags, weights)
         actual = 8 * (len(chunk.y_stream.data) + len(chunk.z_stream.data))
         assert abs(est - actual) <= 0.02 * est + 128
 
@@ -602,8 +606,8 @@ class TestRateEstimate:
         y_bits, z_bits = p_frame_rate(a, b, flags, weights)
         # Same latent with a different reference: only the hyper signal may differ.
         y_bits2, _ = p_frame_rate(a, np.zeros_like(b), flags, weights)
-        chunk = encode_pframe(a, b, flags, weights)
-        np.testing.assert_array_equal(decode_pframe(chunk, b, flags, weights), a)
+        chunk = encode_pframe(a[None], b[None], flags, weights)
+        np.testing.assert_array_equal(decode_pframe(chunk, b[None], flags, weights)[0], a)
         assert y_bits.item() > 0 and z_bits.item() > 0 and y_bits2.item() > 0
 
     def test_training_mode_is_seeded(self, weights):

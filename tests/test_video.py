@@ -320,7 +320,7 @@ def serial_latents(stream, ae, stem):
         if chunk.frame_type == FRAME_I:
             latents.append(decompress_iframe(chunk, rate, ae, shape)[1])
         else:
-            latents.append(decode_pframe(chunk, latents[-1], flags, stem))
+            latents.append(decode_pframe([chunk], latents[-1][None], flags, stem)[0])
     return latents
 
 
@@ -375,7 +375,7 @@ class TestGopWindows:
             chunk.y_stream.data = bytes(data)
         t = 3 * bad_gops[0] + 2
         with pytest.raises(CorruptStreamError) as alone:
-            decode_pframe(stream.chunks[t], latents[t - 1], StemFlags(), stem)
+            decode_pframe([stream.chunks[t]], latents[t - 1][None], StemFlags(), stem)
 
         got = []
         with pytest.raises(ContainerError) as info:
@@ -436,7 +436,7 @@ def frame_by_frame_chunks(frames, ae, stem, cfg):
             chunk, prev = compress_iframe(padded, cfg.rate, ae)
         else:
             latent = quantize_round(analyze(Tensor(padded[None]), [cfg.rate], ae))
-            chunk, prev = encode_pframe(latent, prev, cfg.flags, stem), latent
+            chunk, prev = encode_pframe(latent[None], prev[None], cfg.flags, stem)[0], latent
         chunks.append(chunk.to_bytes())
     return chunks
 

@@ -452,19 +452,19 @@ def decode_symbol(dec: RansDecoder, row) -> int:
     return _decode_overflow(dec)
 
 
-def encode_symbols(enc: RansEncoder, values, index, offset) -> None:
-    """Push ``values[i] - offset[i]`` against grid row ``index[i]``, last
-    to first, so that :func:`decode_symbols` pops them in order (sequences
-    of Python ints)."""
+def encode_symbols(enc: RansEncoder, symbols, index) -> None:
+    """Push ``symbols[i]`` against grid row ``index[i]`` in the order given
+    (sequences of Python ints); rANS pops them in the reverse order."""
     grid = table_grid()
-    for v, i, o in zip(reversed(values), reversed(index), reversed(offset)):
-        encode_symbol(enc, v - o, grid[i])
+    for v, i in zip(symbols, index):
+        encode_symbol(enc, v, grid[i])
 
 
-def decode_symbols(dec: RansDecoder, index, offset) -> list[int]:
-    """Inverse of :func:`encode_symbols`: one value per row index."""
+def decode_symbols(dec: RansDecoder, index) -> list[int]:
+    """Pop one symbol against each grid row ``index[i]`` in turn: what
+    :func:`encode_symbols` pushed, in reverse order."""
     grid = table_grid()
-    return [decode_symbol(dec, grid[i]) + o for i, o in zip(index, offset)]
+    return [decode_symbol(dec, grid[i]) for i in index]
 
 
 def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray:
@@ -504,8 +504,9 @@ def encode_plane(plane: np.ndarray, index, offset) -> CodedStream:
     """
     plane = to_int32(plane, ValueError)
     index, offset = _broadcast(plane.shape, index, offset)
+    symbols = plane.reshape(-1) - offset  # int64
     enc = RansEncoder()
-    encode_symbols(enc, plane.reshape(-1).tolist(), index.tolist(), offset.tolist())
+    encode_symbols(enc, symbols[::-1].tolist(), index[::-1].tolist())  # last to first
     return CodedStream(enc.finish())
 
 
@@ -517,9 +518,9 @@ def decode_plane(stream: CodedStream, shape, index, offset) -> np.ndarray:
     check_capacity(stream, shape)
     index, offset = _broadcast(shape, index, offset)
     dec = RansDecoder(stream.data)
-    decoded = decode_symbols(dec, index.tolist(), offset.tolist())
+    symbols = decode_symbols(dec, index.tolist())
     dec.finish()
-    return to_int32(decoded).reshape(shape)
+    return to_int32(offset + np.asarray(symbols, dtype=np.int64)).reshape(shape)
 
 
 def plane_cross_entropy(plane: np.ndarray, index, offset) -> float:

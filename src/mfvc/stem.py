@@ -468,7 +468,8 @@ def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags:
                 index, offset = index.tolist(), offset.tolist()
                 for j, dec in enumerate(decs):
                     lo, hi = j * c, j * c + c
-                    planes[j, :, r, col] = check_int32(decode_symbols(dec, index[lo:hi], offset[lo:hi]))
+                    symbols = decode_symbols(dec, index[lo:hi])
+                    planes[j, :, r, col] = check_int32([s + o for s, o in zip(symbols, offset[lo:hi])])
         for j, dec in enumerate(decs):
             dec.finish()
     except coder.CorruptStreamError as exc:

@@ -18,7 +18,8 @@ Convolutions are matrix products over a column matrix, one per
 convolution per pass: conv2d keeps its forward columns (im2col) for the
 kernel gradient, transpose_conv2d builds its output gradient's columns
 once in backward for both gradients, and the adjoint (col2im, the
-transpose forward and conv2d's input gradient) builds them tap-major.
+transpose forward and conv2d's input gradient) builds its own. All are
+tap-major, (b, c*kh*kw, oh*ow): ``kernel @ cols`` is already the output.
 """
 
 from __future__ import annotations
@@ -181,40 +182,35 @@ def _same_pad(size: int, k: int, stride: int) -> tuple[int, int, int]:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """Column matrix (b, oh*ow, c*kh*kw) of a "same"-padded convolution over
-    ``x``, taps in (c, kh, kw) order; returns (cols, (oh, ow))."""
+    """Tap-major column matrix (b, c*kh*kw, oh*ow) of a "same"-padded
+    convolution over ``x``, taps in (c, kh, kw) order; returns (cols, (oh, ow)).
+    A contiguous ``x`` that needs no padding (a 1x1 stride-1 layer) is its own
+    columns; any other is copied along output rows, always to C order, since
+    the products' bits follow the layout."""
     b, c, h, w = x.shape
     oh, ph_lo, ph_hi = _same_pad(h, kh, stride)
     ow, pw_lo, pw_hi = _same_pad(w, kw, stride)
-    xp = np.zeros((b, c, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=x.dtype)
-    xp[:, :, ph_lo : ph_lo + h, pw_lo : pw_lo + w] = x
+    xp = x
+    if ph_lo or ph_hi or pw_lo or pw_hi:
+        xp = np.zeros((b, c, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=x.dtype)
+        xp[:, :, ph_lo : ph_lo + h, pw_lo : pw_lo + w] = x
     sb, sc, sh, sw = xp.strides
     # Padding makes every window fit, so the bounds-free view reads only xp.
-    # The columns are copied to C order for every kernel (a 1x1 window would
-    # reshape to a strided view), since the products' bits follow the layout.
     win = np.lib.stride_tricks.as_strided(
-        xp, (b, oh, ow, c, kh, kw), (sb, sh * stride, sw * stride, sc, sh, sw), writeable=False
+        xp, (b, c, kh, kw, oh, ow), (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False
     )
-    return np.ascontiguousarray(win.reshape(b, oh * ow, c * kh * kw)), (oh, ow)
+    return np.ascontiguousarray(win.reshape(b, c * kh * kw, oh * ow)), (oh, ow)
 
 
 def _conv_fwd(cols: np.ndarray, kernel: np.ndarray, oh: int, ow: int) -> np.ndarray:
     co = kernel.shape[0]
-    out = cols @ kernel.reshape(co, -1).T  # (b, oh*ow, co)
-    return out.transpose(0, 2, 1).reshape(cols.shape[0], co, oh, ow)
+    return (kernel.reshape(co, -1) @ cols).reshape(cols.shape[0], co, oh, ow)
 
 
 def _conv_grad_kernel(cols: np.ndarray, gy: np.ndarray, kernel_shape) -> np.ndarray:
-    co = kernel_shape[0]
-    k = cols.shape[2]
-    gm = gy.reshape(gy.shape[0], co, -1)
-    # Sum over batch and positions as NumPy's einsum("bop,bpk->ok") does, so
-    # every float, signed zeros included, stays what that einsum gave: one
-    # (ci*kh*kw, co) product, transposed, or with a single term a multiply.
-    if gm.shape[0] * gm.shape[2] == 1:
-        return (gm.reshape(co, 1) * cols.reshape(1, k)).reshape(kernel_shape)
-    gk = cols.transpose(2, 0, 1).reshape(k, -1) @ gm.transpose(0, 2, 1).reshape(-1, co)
-    return gk.T.reshape(kernel_shape)
+    # One (co, c*kh*kw) product per batch item, the columns read transposed in place, summed in batch order.
+    gm = gy.reshape(gy.shape[0], kernel_shape[0], -1)
+    return (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel_shape)
 
 
 def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -> np.ndarray:
@@ -222,14 +218,14 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     (b, co, oh, ow) onto an input of ``x_shape`` (b, ci, h, w).
 
     It is transpose_conv2d's forward (image synthesis and both hyper
-    decoders) and conv2d's input gradient (training). The columns are built
-    tap-major, ``km.T @ gy`` shaped (b, ci, kh, kw, oh, ow), so each of the
-    kh*kw strided adds reads one contiguous plane. Position-major columns
-    (``gy^T @ km``) made every add gather its plane at a stride of
-    ci*kh*kw, most of the time at synthesis sizes. Each column entry is the
-    same sum of ``co`` products in either layout and, in float32, the same
-    bits; tests/test_tensor.py pins that against the position-major helper
-    at one and at two BLAS threads. The taps are added in the same order.
+    decoders) and conv2d's input gradient (training). Like every column
+    matrix here its columns are tap-major, ``km.T @ gy`` shaped (b, ci, kh,
+    kw, oh, ow), so each of the kh*kw strided adds reads one contiguous
+    plane; position-major columns (``gy^T @ km``) made every add gather its
+    plane at a stride of ci*kh*kw. Each column entry is the same sum of
+    ``co`` products in either layout and, in float32, the same bits;
+    tests/test_tensor.py pins that against the position-major helper at one
+    and at two BLAS threads. The taps are added in the same order.
     """
     b, ci, h, w = x_shape
     co, _, kh, kw = kernel.shape
@@ -316,7 +312,8 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     kernel, bias, stride = layer.kernel, layer.bias, layer.stride
     kd = kernel.data if layer.mask is None else kernel.data * layer.mask
     cols, (oh, ow) = _im2col(x.data, *kd.shape[2:], stride)
-    y = _conv_fwd(cols, kd, oh, ow) + bias.data
+    y = _conv_fwd(cols, kd, oh, ow)
+    y += bias.data
     mask = layer.mask
 
     def bwd(gy):

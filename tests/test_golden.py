@@ -18,17 +18,23 @@ rates and with one; they hold at one and at two BLAS threads. The table
 grid is computed with libm ``exp``/``expm1`` and is part of the bitstream
 format, so a libm that rounds differently shows up here before it breaks a
 stream. The coder pin covers the entropy coder apart from the models, so a
-change to the coded format shows there first.
+change to the coded format shows there first. The benchmark-model pins
+cover the trained weights in ``bench/model`` on the benchmark's seed-1
+``gop64`` and ``intra256`` clips, where the untrained models above leave
+trained kernels and larger planes unseen; they too hold at one and at two
+BLAS threads.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfvc import VideoBitstream
 from mfvc.coder import LOG_SCALE_MAX, LOG_SCALE_MIN, encode_plane, grid_index, table_grid
-from mfvc.image import init_autoencoder, synthesize
-from mfvc.stem import StemFlags, init_stem
+from mfvc.image import init_autoencoder, load_autoencoder, synthesize
+from mfvc.stem import StemFlags, init_stem, load_stem
 from mfvc.trainer import TrainConfig, train_image_model, train_stem
 from mfvc.video import GopConfig, compress_video, decompress_video, synth_clips, synth_sequence
 
@@ -86,17 +92,61 @@ def test_decoded_pictures_pinned(setup, name):
     assert got == DECODED
 
 
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "bench" / "model"
+
+BENCH_CLIPS = {
+    # workload: (clips as (kind, frames, shift), side, GOP, rate index) as bench/workloads.py has them
+    "gop64": ((("translate", 10, 2), ("translate", 10, 0), ("zoom", 10, 0)), 64, 10, 1),
+    "intra256": ((("translate", 1, 0), ("zoom", 1, 0)), 256, 1, 2),
+}
+
+BENCH_PINNED = {
+    # workload: sha256 of the stream, of the decoded uint8 pictures and of the float32 synthesis output
+    "gop64": (
+        "34e5dfd9d0ece90e69c41e96b7e8c986f5286c3ebe277c535ba238dcebebf94f",
+        "b9e858c7c674101c13a47bc6bda6d4d45aa7b2577e79cd66f43c58dfc31caa40",
+        "f9ee020493d228204363d6a911565eec90dfc98821994cd4a9e1c1d1dca3988e",
+    ),
+    "intra256": (
+        "5cda43e89af620f2241bcccdc80966ecfb5d7bc91e3345b309f35cd30a636755",
+        "36b0cbc8d434d46adf8c6d7822bbe20b9283b90ee7e2e26a0934e65fffa75fe2",
+        "441e1c77e8db01a63ea70095d9344014d00f30263a01dd8aaf1a620fc524fa19",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_model():
+    return load_autoencoder(BENCH_MODEL / "ae.mfvcw"), load_stem(BENCH_MODEL / "stem.mfvcw")
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_CLIPS))
+def test_benchmark_model_streams_pinned(bench_model, workload):
+    # The clips bench/workloads.py's make_inputs builds for seed 1.
+    ae, stem = bench_model
+    clips, side, gop, rate_index = BENCH_CLIPS[workload]
+    frames = np.concatenate([
+        synth_sequence(kind, n, side, side, seed=1000 + i, shift=shift) for i, (kind, n, shift) in enumerate(clips)
+    ])
+    rate = ae.rate(rate_index)
+    data = compress_video(frames, ae, stem, GopConfig(gop, rate, StemFlags())).to_bytes()
+    decoded, latents = decompress_video(VideoBitstream.from_bytes(data), ae, stem, return_latents=True)
+    synthesized = np.stack([synthesize(latent, rate, ae).data[0] for latent in latents])
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (data, decoded.tobytes(), synthesized.tobytes()))
+    assert got == BENCH_PINNED[workload]
+
+
 TRAINED = {
     # distortion: (patch side, auto-encoder sha256, entropy-model sha256)
     "mse": (
         32,
-        "d91118edaf65bfcc2a9c69ce23f0c31703b424859660dab7199b45ff9de887e5",
-        "7597bfbda19ac309cce99bc3f5c2b3010e9b8ae350351484d961d342e25e986d",
+        "386ce07b558f3b5238fef4034e80bdb548226eeb1e9a75667be1205d0f86de36",
+        "723842604914f2bca622111b783c57b34c6ed9b780783ec260527eb6cba2cade",
     ),
     "ms-ssim": (
         48,
-        "0aa027b4f81e4657dc83d489baadfd2a5883627287817675cbe04d0ceb48198e",
-        "95c204f7dacce9278668eb46df3d621e9f8aa1478f668e995afbb20de0fd20f8",
+        "5660bebcd14da0d8d570bed5b8da7763e66092dd68bcecdd1754d28337e2159a",
+        "f8653efcf06f0b73c64f0603619ab9e4614513d941f36449c4b5886b77fd0511",
     ),
 }
 
@@ -105,13 +155,13 @@ TRAINED = {
 ONE_LAMBDA = {
     "mse": (
         32,
-        "3d40033b3d34aac003a5e7a6b523550d76e18c284f32c1554d2b564ef2db5965",
-        "942ab27a4427df32556ea02677777e600c30c9c2d032b21b7a3c99ec974c3f52",
+        "d6e2068d3c1ea8d26ff5f9467858e5427cbddc42bb135562a4df21a3f7e38dc0",
+        "468d6cba8eb9a37f1809d0da52c0e7ee5c7dc170dd21968e28751c1658de89af",
     ),
     "ms-ssim": (
         48,
-        "6aee09536f199859accaa793a72ded800f62cf7a4b29fa3d23153c8fe3f8b916",
-        "843d6d71c4a4415f32c8eccaf11c327372d39058f8b0a461b34320fec1c52a88",
+        "22fbd16a72203fe0188a83e872e97ab932819aeedf6dbb32437f7dc6c8a64f3f",
+        "836e01706c61fcf4ea88e6fe0aed8e52ede0a98cdfb856aed92df86622f5816d",
     ),
 }
 

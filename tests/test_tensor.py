@@ -127,10 +127,15 @@ class TestConv2d:
             make_layer(np.ones((1, 1, 2, 2)), stride=1)
 
 
-# The convolution helpers as they stood when every convolution built its
-# column matrix anew in forward and again in backward, and when the adjoint
-# built its columns position-major, kept verbatim: the shared-column,
-# tap-major code must give the same floats, bit for bit.
+# Reference convolution helpers, built the plain way: every convolution pads
+# its input and copies its column matrix anew in forward and again in
+# backward. The columns are tap-major, (b, c*kh*kw, oh*ow), as in the
+# package, and the forward and kernel-gradient products are the package's
+# tap-major products; the adjoint is the position-major one the package had
+# before it built its columns tap-major, kept verbatim. The package's
+# shared, uncopied and unpadded columns must give the same floats, bit for
+# bit. Position-major forward columns (``cols @ km.T``) differ from these
+# in the last bit for some planes of at most 256 output positions.
 def _ref_same_pad(size, k, stride):
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)
@@ -145,7 +150,7 @@ def _ref_im2col(x, kh, kw, stride):
     xp = np.pad(x, ((0, 0), (0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (b, c, oh, ow, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
     return np.ascontiguousarray(cols), (oh, ow), (ph_lo, ph_hi, pw_lo, pw_hi)
 
 
@@ -153,17 +158,15 @@ def _ref_conv_fwd(x, kernel, stride):
     co, ci, kh, kw = kernel.shape
     cols, (oh, ow), _ = _ref_im2col(x, kh, kw, stride)
     km = kernel.reshape(co, ci * kh * kw)
-    out = cols @ km.T  # (b, oh*ow, co)
-    return out.transpose(0, 2, 1).reshape(x.shape[0], co, oh, ow)
+    return (km @ cols).reshape(x.shape[0], co, oh, ow)
 
 
 def _ref_conv_grad_kernel(x, gy, kernel_shape, stride):
     co, ci, kh, kw = kernel_shape
     cols, (oh, ow), _ = _ref_im2col(x, kh, kw, stride)
     gm = gy.reshape(gy.shape[0], co, oh * ow)
-    # Sum over batch and positions: (co, ci*kh*kw)
-    gk = np.einsum("bop,bpk->ok", gm, cols, optimize=True)
-    return gk.reshape(co, ci, kh, kw)
+    # Sum over positions per batch item, (co, ci*kh*kw) each, then over the batch.
+    return (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
 
 
 def _ref_conv_grad_input(gy, kernel, stride, x_shape):

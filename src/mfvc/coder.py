@@ -26,7 +26,11 @@ Every symbol goes through one call of the module-global
 :func:`encode_symbol` or :func:`decode_symbol`, which step the coder's
 state themselves; only escape bits go through the coder's methods. Tools
 that count symbols wrap those two functions from outside; on a 2-vCPU
-machine the call costs about 2 ms per 65,536 symbols.
+machine the call costs about 2 ms per 65,536 symbols. A pop finds its
+symbol through :func:`grid_buckets`, which splits the 2^16 slots into 64
+buckets and keeps, per grid row, the symbol holding each bucket's first
+slot: the slot's symbol is that one, or is bisected for from the next
+one on, so most pops read two or three row entries, not about nine.
 
 Coding of one stream is strictly serial; distinct streams may be coded
 concurrently.
@@ -277,6 +281,7 @@ def pmfs_from_rows(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GRID_STEP = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+_BUCKET_SHIFT = 10  # a pop's slot >> _BUCKET_SHIFT is its bucket
 
 
 @cache
@@ -302,6 +307,22 @@ def table_grid() -> tuple[tuple[int, ...], ...]:
         cums = pmfs_from_rows(discretize_laplacian_rows(means[level], log_scales[level]))
         rows.extend(tuple(map(ints.__getitem__, row)) for row in cums.tolist())
     return tuple(rows)
+
+
+@cache
+def grid_buckets() -> tuple[tuple[int, ...], ...]:
+    """Per :func:`table_grid` row, the slot index (0 to 256, the overflow
+    slot last) that holds the first slot of each of the 64 buckets of
+    2^``_BUCKET_SHIFT`` slots, built on first use. A pop starts its search
+    there: the slot's symbol is that one or a later one.
+
+    Entries are small ints, which Python shares, so the table keeps about
+    0.56 MiB; it is built a row at a time, with no array of the grid.
+    """
+    starts = range(0, TOTAL_FREQ, 1 << _BUCKET_SHIFT)
+    # row[0] is 0, so the last of the 257 slot starts at or below a
+    # bucket's start is the slot holding it.
+    return tuple(tuple([bisect_right(row, s, 0, _OVERFLOW_SLOT + 1) - 1 for s in starts]) for row in table_grid())
 
 
 @cache
@@ -437,13 +458,16 @@ def encode_symbol(enc: RansEncoder, value: int, row) -> int:
     return bits
 
 
-def decode_symbol(dec: RansDecoder, row) -> int:
-    """Inverse of :func:`encode_symbol` for the same row."""
+def decode_symbol(dec: RansDecoder, row, buckets) -> int:
+    """Inverse of :func:`encode_symbol` for the same row; ``buckets`` is
+    that row's :func:`grid_buckets` entry."""
     x = dec._state
     slot = x & 0xFFFF
-    # Bisecting only the 257 slot starts maps every slot from the overflow
-    # slot's start on to that slot; row[0] is 0, so none falls below.
-    k = bisect_right(row, slot, 0, _OVERFLOW_SLOT + 1) - 1
+    k = buckets[slot >> _BUCKET_SHIFT]
+    if row[k + 1] <= slot:
+        # Bisecting only up to the 257th slot start maps every slot from the
+        # overflow slot's start on to that slot.
+        k = bisect_right(row, slot, k + 1, _OVERFLOW_SLOT + 1) - 1
     lo = row[k]
     x = (row[k + 1] - lo) * (x >> 16) + slot - lo
     dec._state = x if x >= _STATE_MIN else dec._refill(x)
@@ -463,8 +487,8 @@ def encode_symbols(enc: RansEncoder, symbols, index) -> None:
 def decode_symbols(dec: RansDecoder, index) -> list[int]:
     """Pop one symbol against each grid row ``index[i]`` in turn: what
     :func:`encode_symbols` pushed, in reverse order."""
-    grid = table_grid()
-    return [decode_symbol(dec, grid[i]) for i in index]
+    grid, buckets = table_grid(), grid_buckets()
+    return [decode_symbol(dec, grid[i], buckets[i]) for i in index]
 
 
 def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray:

@@ -485,8 +485,10 @@ def compress_iframe(frame: np.ndarray, rate: RateIndex, weights: AutoencoderWeig
         raise ShapeError(f"frame must be (3, H, W), got {frame.shape}")
     latent = analyze(Tensor(frame[None]), [rate], weights)
     latent_hat = quantize_round(latent)
-    mu, log_scale, z_hat, _ = i_entropy_params(latent_hat, weights)
-    z_stream = weights.encode_z(z_hat)
+    # i_entropy_params without the hyper latent's rate, which coding does not need.
+    zt = weights.hyper_latent(Tensor(latent_hat[None].astype(np.float32)))
+    mu, log_scale = hyper_synthesis(zt, weights, *latent_hat.shape[1:])
+    z_stream = weights.encode_z(zt.data[0].astype(np.int32))
     y_stream = coder.encode_plane(latent_hat, *coder.grid_index(mu.data[0], log_scale.data[0]))
     return FrameChunk(FRAME_I, z_stream, y_stream), latent_hat
 

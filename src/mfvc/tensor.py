@@ -218,14 +218,18 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     (b, co, oh, ow) onto an input of ``x_shape`` (b, ci, h, w).
 
     It is transpose_conv2d's forward (image synthesis and both hyper
-    decoders) and conv2d's input gradient (training). Like every column
-    matrix here its columns are tap-major, ``km.T @ gy`` shaped (b, ci, kh,
-    kw, oh, ow), so each of the kh*kw strided adds reads one contiguous
-    plane; position-major columns (``gy^T @ km``) made every add gather its
-    plane at a stride of ci*kh*kw. Each column entry is the same sum of
-    ``co`` products in either layout and, in float32, the same bits;
-    tests/test_tensor.py pins that against the position-major helper at one
-    and at two BLAS threads. The taps are added in the same order.
+    decoders) and conv2d's input gradient (training). The padded input is
+    kept as s*s row-contiguous phase planes of wq = ow + ceil(kw/s) - 1
+    columns, one per (row, column) offset modulo the stride s. Tap (i, j) =
+    (s*a + py, s*b + px) lands on plane (py, px) shifted by (a, b), so with
+    ``gy``'s rows zero-padded to wq columns its tap-major columns
+    ``km.T @ gy`` (b, ci, kh, kw, oh*wq) are added as one contiguous run per
+    tap at offset a*wq + b; one interleaving copy and the crop finish it.
+    Every element gets the same tap products in the same (i, j) order from
+    a +0 start as with one strided add per tap over an (oh, ow) plane, and
+    the padded columns add only +-0, so the bits are the same;
+    tests/test_tensor.py pins them against the position-major helper at one
+    and at two BLAS threads.
     """
     b, ci, h, w = x_shape
     co, _, kh, kw = kernel.shape
@@ -234,12 +238,34 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     if gy.shape != (b, co, oh, ow):
         raise ShapeError(f"conv adjoint expects gradient shape {(b, co, oh, ow)}, got {gy.shape}")
     km = kernel.reshape(co, ci * kh * kw)
-    gcols = (km.T @ gy.reshape(b, co, oh * ow)).reshape(b, ci, kh, kw, oh, ow)
-    gxp = np.zeros((b, ci, h + ph_lo + ph_hi, w + pw_lo + pw_hi), dtype=gy.dtype)
+    if kh == kw == stride == 1:  # the product is the result; + 0 turns -0 into +0, as a +0 start does
+        gx = (km.T @ gy.reshape(b, co, oh * ow)).astype(gy.dtype, copy=False)
+        gx += 0
+        return gx.reshape(x_shape)
+    s = stride
+    rq, wq = oh - 1 - (-kh // s), ow - 1 - (-kw // s)
+    if wq > ow and oh > 1:  # one row needs no padding: a 1x1 gy stays a matrix-vector product
+        gyq = np.zeros((b, co, oh, wq), dtype=gy.dtype)
+        gyq[..., :ow] = gy
+        gy = gyq
+    gcols = (km.T @ gy.reshape(b, co, -1)).reshape(b, ci, kh, kw, -1)
+    n = (oh - 1) * wq + ow  # the last row's padded columns add nothing
+    planes = np.zeros((b, ci, s, s, rq * wq), dtype=gy.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gcols[:, :, i, j]
-    return gxp[:, :, ph_lo : ph_lo + h, pw_lo : pw_lo + w]
+            at = i // s * wq + j // s
+            planes[:, :, i % s, j % s, at : at + n] += gcols[:, :, i, j, :n]
+    planes = planes.reshape(b, ci, s, s, rq, wq)
+    if s == 1:
+        return planes[:, :, 0, 0, ph_lo : ph_lo + h, pw_lo : pw_lo + w]
+    gx = np.empty(x_shape, dtype=planes.dtype)
+    for y in range(s):  # output row y + s*t is padded row y + ph_lo + s*t
+        py, r0 = (y + ph_lo) % s, (y + ph_lo) // s
+        for x in range(s):
+            px, c0 = (x + pw_lo) % s, (x + pw_lo) // s
+            phase = gx[:, :, y::s, x::s]
+            phase[...] = planes[:, :, py, px, r0 : r0 + phase.shape[2], c0 : c0 + phase.shape[3]]
+    return gx
 
 
 @dataclass

@@ -28,6 +28,7 @@ from mfvc.coder import (
     encode_plane,
     encode_symbol,
     encode_symbols,
+    grid_buckets,
     grid_index,
     laplace_interval_probs,
     plane_cross_entropy,
@@ -149,10 +150,6 @@ def row_of(freq) -> list[int]:
     the overflow frequency."""
     assert len(freq) == DEFAULT_SUPPORT_MAX - DEFAULT_SUPPORT_MIN + 2
     return pmfs_from_rows(np.asarray(freq, dtype=np.int64)[None])[0].tolist()
-
-
-def grid_row(mu: float, ls: float) -> list[int]:
-    return table_grid()[int(grid_index(mu, ls)[0])]
 
 
 def reference_grid_index(mu: float, ls: float) -> tuple[int, int]:
@@ -294,8 +291,7 @@ class TestRoundtrip:
     def test_adaptive_tables_see_prefix(self):
         # The table for each symbol depends on the previous symbol; the
         # decoder rebuilds the same choice from what it has decoded.
-        sharp = grid_row(0.0, -2.0)
-        wide = grid_row(0.0, 2.0)
+        sharp, wide = (int(grid_index(0.0, ls)[0]) for ls in (-2.0, 2.0))
 
         def table(prev):
             return wide if prev is None or prev % 2 else sharp
@@ -305,11 +301,12 @@ class TestRoundtrip:
         enc = RansEncoder()
         # The encoder knows every symbol, so it can push them last to first.
         for v, prev in reversed(list(zip(plane, [None, *plane[:-1]]))):
-            encode_symbol(enc, v, table(prev))
+            encode_symbol(enc, v, table_grid()[table(prev)])
         dec = RansDecoder(enc.finish())
         out, prev = [], None
         for _ in plane:
-            prev = decode_symbol(dec, table(prev))
+            i = table(prev)
+            prev = decode_symbol(dec, table_grid()[i], grid_buckets()[i])
             out.append(prev)
         assert out == plane
 
@@ -396,7 +393,8 @@ class TestReferenceCoder:
         assert [reference_decode_symbol(ref_dec, grid[i]) for i in rows] == values
         assert ref_dec.done()
         dec = RansDecoder(data)
-        assert [decode_symbol(dec, grid[i]) for i in rows] == values
+        buckets = grid_buckets()
+        assert [decode_symbol(dec, grid[i], buckets[i]) for i in rows] == values
         dec.finish()
 
 
@@ -662,6 +660,47 @@ class TestTableGrid:
             encode_plane(np.zeros(3, dtype=np.int64), len(table_grid()), 0)
         with pytest.raises(ValueError, match="row indices"):
             decode_plane(CodedStream(bytes(8)), (3,), -1, 0)
+
+
+class TestBucketTable:
+    def test_entries_are_the_slot_holding_each_bucket_start(self):
+        buckets = grid_buckets()
+        assert buckets is grid_buckets()
+        grid = np.asarray(table_grid())
+        n, slots = len(grid), coder._OVERFLOW_SLOT + 1
+        starts = np.arange(64) * (TOTAL_FREQ // 64)
+        # One searchsorted over every row's 257 slot starts, each row lifted
+        # above the last, gives searchsorted(row[:257], start, "right") - 1.
+        lift = np.arange(n)[:, None] * 2 * TOTAL_FREQ
+        found = np.searchsorted((grid[:, :slots] + lift).ravel(), (starts + lift).ravel(), "right")
+        want = found.reshape(n, 64) - 1 - np.arange(n)[:, None] * slots
+        assert np.asarray(buckets).shape == (n, 64)
+        np.testing.assert_array_equal(np.asarray(buckets), want)
+
+    def test_pops_on_bucket_and_symbol_starts_match_the_reference(self):
+        # Every row, with the state's slot on each bucket start, on each
+        # symbol's first and last slot, and in the overflow slot, which is
+        # followed by random escape bits; the state's upper 16 bits are random.
+        grid, buckets = table_grid(), grid_buckets()
+        rng = np.random.default_rng(23)
+        cases = []
+        for i, row in enumerate(grid):
+            edges = {*range(0, TOTAL_FREQ, TOTAL_FREQ // 64), *row[:-1], *(lo - 1 for lo in row[1:])}
+            cases += [(i, slot) for slot in sorted(edges)]
+        data = rng.integers(0, 256, 4 + 8 * len(cases), dtype=np.uint8).tobytes()
+        dec, ref = RansDecoder(data), ReferenceDecoder(data)
+        hits = {"bucket": 0, "bisect": 0, "escape": 0}
+        for (i, slot), high in zip(cases, rng.integers(1, 1 << 16, len(cases)).tolist()):
+            dec._state = ref.state = high << 16 | slot
+            value = decode_symbol(dec, grid[i], buckets[i])
+            assert value == reference_decode_symbol(ref, grid[i]), (i, slot)
+            assert dec._state == ref.state and 4 + 2 * dec._pos == ref.pos, (i, slot)
+            k = value - DEFAULT_SUPPORT_MIN
+            if not 0 <= k < coder._OVERFLOW_SLOT:
+                hits["escape"] += 1
+            else:
+                hits["bucket" if k == buckets[i][slot >> 10] else "bisect"] += 1
+        assert min(hits.values()) > 1000, hits
 
 
 class TestCapacity:

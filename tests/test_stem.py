@@ -373,8 +373,8 @@ class TestRowAgreement:
                 coded["encode"].append((row_ids[id(row)], value))
             return real["encode_symbol"](enc, value, row)
 
-        def decode_symbol(dec, row):
-            value = real["decode_symbol"](dec, row)
+        def decode_symbol(dec, row, buckets):
+            value = real["decode_symbol"](dec, row, buckets)
             if not in_hyper:
                 coded["decode"].append((row_ids[id(row)], value))
             return value

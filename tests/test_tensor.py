@@ -198,9 +198,14 @@ def _bits(a):
 
 
 # Batch 1 and 2, one to 16 input channels, one to 32 output channels, kernel
-# extents 1, 3 and 5 at strides 1 and 2, a 1x1 plane up to 16x16; plus the
-# bench model's largest training layers, its two synthesis layers and its
-# 13-channel hyper decoder layer at the sizes a 256x256 decode runs them,
+# extents 1, 3 and 5 at strides 1 and 2, a 1x1 plane up to 16x16, one-row
+# and one-column planes and odd 13x17 extents; plus the bench model's
+# largest training layers, its two synthesis layers (16 -> 16 channels at
+# 64x64 -> 128x128, 16 -> 3 at 128x128 -> 256x256) and its 13-channel hyper
+# decoder layer at the sizes a 256x256 decode runs them, a 1x1 stride-1 and
+# a 3x3 stride-2 layer at 64x64, even and stride-3 kernels at odd extents,
+# 1x1 planes summing 4 channels, where a matrix-vector product and a
+# matrix product of the same sums differ in bits on the installed OpenBLAS,
 # and the widest adjoint sum: a 1x1 layer with 1,600 output channels, the
 # full-size entropy model's first layer.
 _GRID = [
@@ -210,10 +215,13 @@ _GRID = [
     for co in (1, 5, 32)
     for k in (1, 3, 5)
     for s in (1, 2)
-    for hw in ((1, 1), (3, 5), (8, 8), (16, 16))
+    for hw in ((1, 1), (1, 7), (7, 1), (3, 5), (8, 8), (13, 17), (16, 16))
 ] + [
     (4, 96, 80, 1, 1, (8, 8)), (4, 27, 32, 5, 1, (8, 8)), (4, 3, 16, 5, 2, (32, 32)), (4, 16, 16, 5, 2, (16, 16)),
     (1, 3, 16, 5, 2, (128, 128)), (1, 16, 16, 5, 2, (64, 64)), (1, 13, 13, 5, 2, (16, 16)), (1, 1920, 1600, 1, 1, (4, 4)),
+    (1, 16, 16, 1, 1, (64, 64)), (1, 16, 16, 3, 2, (64, 64)),
+    (2, 5, 7, 2, 2, (13, 17)), (2, 5, 7, 4, 2, (13, 17)), (2, 4, 6, 5, 3, (13, 17)), (1, 4, 6, 3, 3, (1, 7)),
+    (1, 3, 4, 3, 1, (1, 1)), (1, 16, 4, 5, 2, (1, 1)), (2, 3, 4, 3, 2, (1, 1)),
 ]
 
 

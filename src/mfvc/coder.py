@@ -19,7 +19,11 @@ the default support, built once per process: ``GRID_SCALES`` log-scale
 levels times ``GRID_MEANS`` bins of the mean's fractional part.
 :func:`grid_index` maps a predicted (mean, log-scale) pair to a grid row
 and an integer offset (the rounded mean); the symbol minus its offset is
-coded against that row. The grid constants are part of the bitstream
+coded against that row. It clamps means and log-scales together in one
+float64 buffer, maps both as (x - shift) / unit with per-row constants,
+floors the means and rounds the log-scales to the nearest level, then
+splits offsets and rows in int64: a fixed number of NumPy calls however
+many pairs a call maps. The grid constants are part of the bitstream
 format.
 
 Every symbol goes through one call of the module-global
@@ -43,7 +47,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -55,6 +59,7 @@ LOG_SCALE_MAX = 6.0
 GRID_SCALES = 64
 GRID_MEANS = 16
 
+_MEAN_BOUND = 1e6  # predicted means are clamped to [-1e6, 1e6]
 _INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
 
@@ -166,19 +171,21 @@ class DiscretePmf:
             raise ValueError("frequencies must sum to 2^16")
 
 
-def _clamped(x, lo: float, hi: float) -> np.ndarray:
-    """A new float64 array: ``x`` clamped to [lo, hi], with NaN as 0."""
-    out = np.asarray(np.maximum(x, lo, dtype=np.float64))
+def _clamped(x, lo, hi, out=None) -> np.ndarray:
+    """``x`` clamped to [lo, hi] (which broadcast against it), with NaN as
+    0, in a new C-ordered float64 array or in the float64 array ``out``."""
+    out = np.asarray(np.maximum(x, lo, out=out, dtype=np.float64, order="C"))
     np.minimum(out, hi, out=out)
     np.copyto(out, 0.0, where=np.isnan(out))
     return out
 
 
 def _sanitize(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
-    """The one input policy of the table build and :func:`grid_index`: new
-    float64 arrays with NaN as 0, means clamped to [-1e6, 1e6] (infinities
-    included) and log-scales to [LOG_SCALE_MIN, LOG_SCALE_MAX]."""
-    return _clamped(mu, -1e6, 1e6), _clamped(log_scale, LOG_SCALE_MIN, LOG_SCALE_MAX)
+    """The input policy of the table build, which :func:`grid_index` shares
+    through :func:`_clamped` with the same bounds: new float64 arrays with
+    NaN as 0, means clamped to [-1e6, 1e6] (infinities included) and
+    log-scales to [LOG_SCALE_MIN, LOG_SCALE_MAX]."""
+    return _clamped(mu, -_MEAN_BOUND, _MEAN_BOUND), _clamped(log_scale, LOG_SCALE_MIN, LOG_SCALE_MAX)
 
 
 def laplace_interval_probs(mu, log_scale, support_min: int, support_max: int):
@@ -334,31 +341,76 @@ def _grid_array() -> np.ndarray:
     return cums
 
 
-def grid_index(mu, log_scale) -> tuple[np.ndarray, np.ndarray]:
+# The grid map's constants, for means (row 0) and log-scales (row 1): the
+# clamp bounds, then the shift and the unit of the rounding grid.
+_GRID_CONSTANTS = np.array([
+    [-_MEAN_BOUND, LOG_SCALE_MIN],
+    [_MEAN_BOUND, LOG_SCALE_MAX],
+    [-0.5 / GRID_MEANS, LOG_SCALE_MIN],
+    [1.0 / GRID_MEANS, _GRID_STEP],
+])[:, :, None, None]
+_GRID_CONSTANTS.flags.writeable = False
+_MEAN_BITS = GRID_MEANS.bit_length() - 1
+_SMALL_GRID_MAP = 4096  # pairs per call below which the constants are materialized
+
+
+@lru_cache(maxsize=8)
+def _small_grid_constants(m: int, c: int) -> tuple[np.ndarray, ...]:
+    """The four rows of :data:`_GRID_CONSTANTS`, each spread over ``(2, m,
+    c)``: a NumPy call on a few dozen values costs about half as much with
+    operands of one shape as with broadcast ones, and the serial decoder
+    makes a grid map per position."""
+    rows = tuple(np.ascontiguousarray(np.broadcast_to(row, (2, m, c))) for row in _GRID_CONSTANTS)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def grid_index(mu, log_scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Grid row and integer offset per (mean, log-scale) pair.
+
+    Given two arguments, the pairs broadcast: the row index has the
+    broadcast shape of the inputs, the offset the shape of the mean. Given
+    one, ``mu`` is a ``(..., 2C)`` stack of C means then C log-scales per
+    leading index, the STEM fusion's layout, and both outputs are ``(...,
+    C)``. Both outputs are int64. The map is elementwise, so one call over
+    a whole plane gives the rows of one call per position.
 
     The mean is rounded to the nearest multiple of 1/GRID_MEANS (halves
     round up) and split into an integer offset and a fractional bin in
     [-1/2, 1/2); the log-scale goes to the nearest grid level (halves to
     even). Inputs are sanitized as for the table build, so NaN and
-    infinities give valid rows and finite offsets. Both outputs are int64:
-    the row index has the broadcast shape of the inputs, the offset the
-    shape of the mean. The map is elementwise, so one call over a whole
-    plane gives the rows of one call per position.
+    infinities give valid rows and finite offsets.
     """
-    mu, ls = _sanitize(mu, log_scale)
-    # Integer arithmetic in float64 is exact here: |fine| stays below 2^25
-    # and GRID_MEANS is a power of two.
-    fine = np.multiply(mu, GRID_MEANS, out=mu)
-    np.add(fine, 0.5, out=fine)
+    if log_scale is None:
+        params = np.asarray(mu)
+        c = params.shape[-1] // 2
+        pairs = params.reshape(-1, 2, c).transpose(1, 0, 2)  # (2, m, C): means, then log-scales
+    else:
+        mu, log_scale = np.asarray(mu), np.asarray(log_scale)
+        pairs = np.zeros((2, 1, max(mu.size, log_scale.size)))  # the shorter row padded with zeros
+        pairs[0, 0, : mu.size] = mu.reshape(-1)
+        pairs[1, 0, : log_scale.size] = log_scale.reshape(-1)
+    m, c = pairs.shape[1:]
+    lo, hi, shift, unit = _small_grid_constants(m, c) if m * c < _SMALL_GRID_MAP else _GRID_CONSTANTS
+    # One pass over both rows in float64, as (x - shift) / unit. For the
+    # means that is 16 * rnd(mu + 1/32) = rnd(16 * mu + 1/2), exactly:
+    # GRID_MEANS is a power of two and |mu| <= 1e6. Only the rounding
+    # differs: means take the floor, log-scales the nearest level.
+    grid = _clamped(pairs, lo, hi, out=None if log_scale is None else pairs)  # the pairs' own copy in place
+    np.subtract(grid, shift, out=grid)
+    np.divide(grid, unit, out=grid)
+    fine, level = grid
     np.floor(fine, out=fine)
-    np.add(fine, GRID_MEANS // 2, out=fine)  # + 1/2 in mean units, so the offset is a floor
-    offset = np.floor(np.multiply(fine, 1.0 / GRID_MEANS))
-    level = np.subtract(ls, LOG_SCALE_MIN, out=ls)
-    np.divide(level, _GRID_STEP, out=level)
     np.rint(level, out=level)
-    index = (level - offset) * GRID_MEANS + fine
-    return index.astype(np.int64), offset.astype(np.int64)
+    fine, level = grid.astype(np.int64)
+    np.add(fine, GRID_MEANS // 2, out=fine)  # + 1/2 in mean units, so the offset is a floor
+    if log_scale is not None:  # back to the inputs' own shapes, which broadcast
+        fine, level = fine[0, : mu.size].reshape(mu.shape), level[0, : log_scale.size].reshape(log_scale.shape)
+    elif params.ndim != 2:  # a (K, 2C) stack's rows are (K, C) already
+        fine, level = fine.reshape(params.shape[:-1] + (c,)), level.reshape(params.shape[:-1] + (c,))
+    # GRID_MEANS is a power of two: the offset is a shift, the bin a mask.
+    return (level << _MEAN_BITS) + (fine & (GRID_MEANS - 1)), fine >> _MEAN_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +551,6 @@ def to_int32(values, error: type[ValueError] = CorruptStreamError) -> np.ndarray
     if values.size and (values.min() < _INT32_MIN or values.max() > _INT32_MAX):
         raise error("symbol outside int32")
     return values.astype(np.int32)
-
-
-def check_int32(values: list[int]) -> list[int]:
-    """A non-empty list of decoded values, unchanged; one outside int32
-    raises :class:`CorruptStreamError`. The list form of :func:`to_int32`,
-    cheaper for the few values of one position."""
-    if min(values) < _INT32_MIN or max(values) > _INT32_MAX:
-        raise CorruptStreamError("symbol outside int32")
-    return values
 
 
 def _broadcast(shape, index, offset) -> tuple[np.ndarray, np.ndarray]:

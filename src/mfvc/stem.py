@@ -47,6 +47,7 @@ _TPM_WIDTHS = (426, 533)
 _EPM_WIDTHS = (1600, 1280)
 _SPM_KERNEL = 5
 _PAD = _SPM_KERNEL // 2  # zero border of the context the causal mask reads
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -341,10 +342,13 @@ class _PositionParams:
         """The parameters of positions ``(rs, cs)`` of every frame, indexed
         as ``plane[rs, cs]`` would be: ``(K, 2C)`` for one position given by
         ints, ``(K, h, w, 2C)`` for the whole plane given by slices, ``(K,
-        n, 2C)`` for n positions given by index arrays. A position gets the
-        same bits whichever set it is fused in. Every product is a stack of
-        matrix-vector products, ``mat @ x[:, :, None]``, never ``x @ mat.T``;
-        the SPM patches take a transient ``K * n * C * 25`` float32 array."""
+        n, 2C)`` for n positions given by index arrays. The last axis is C
+        means then C log-scales, the layout :func:`coder.grid_index` maps
+        in one call, so both coders hand it the result as it is. A position
+        gets the same bits whichever set it is fused in. Every product is a
+        stack of matrix-vector products, ``mat @ x[:, :, None]``, never ``x
+        @ mat.T``; the SPM patches take a transient ``K * n * C * 25``
+        float32 array."""
         x = self.fused[:, rs, cs]
         lead = x.shape[:-1]
         x = x.reshape(-1, x.shape[-1])
@@ -385,7 +389,8 @@ def encode_pframe(latents: np.ndarray, prev_latents: np.ndarray, flags: StemFlag
     knows every symbol, so a pass makes one :func:`hyper_encode`, one
     :func:`_frame_features`, one :meth:`_PositionParams.at` over the whole
     plane (bit for bit the decoder's per-position calls) and one
-    :func:`coder.grid_index` call for all K frames, then codes each frame's
+    :func:`coder.grid_index` of its ``(K, h, w, 2C)`` result for all K
+    frames, then codes each frame's
     hyper latent and plane on its own. Every convolution keeps one GEMM per
     frame and the fusion one gemv per position, so no frame's bits depend on
     K. A pass holds about ``31 * K * h * w * C`` float32 values at once:
@@ -399,10 +404,9 @@ def encode_pframe(latents: np.ndarray, prev_latents: np.ndarray, flags: StemFlag
     planes = residual_latent(latents, prevs) if flags.use_residual else latents
     phd, tpm = _frame_features(z_hats, prevs, flags, weights)
 
-    c = planes.shape[1]
     padded = np.pad(planes, ((0, 0), (0, 0), (_PAD, _PAD), (_PAD, _PAD)))
     params = _PositionParams(weights, flags, phd, tpm, padded).at(slice(None), slice(None))
-    index, offset = coder.grid_index(params[..., :c], params[..., c:])
+    index, offset = coder.grid_index(params)
     chunks = []
     for z_hat, plane, i, o in zip(z_hats, planes, index, offset):
         y_stream = coder.encode_plane(plane.transpose(1, 2, 0), i, o)  # position-major, as the decoder reads
@@ -430,19 +434,26 @@ def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags:
     giving the ``(K, C, h, w)`` latents. The K frames' streams are
     independent, so they are walked in lockstep: at each position one
     :meth:`_PositionParams.at` and one :func:`coder.grid_index` over the
-    ``(K, 2C)`` parameters serve all K frames, then each frame pops its C
-    symbols from its own decoder. The result equals K calls of one frame
-    each, bit for bit.
+    ``(K, 2C)`` parameters serve all K frames, each frame pops its C
+    symbols from its own decoder through :func:`coder.decode_symbol`, and
+    one int32-checked write adds the offsets and puts all K * C values
+    into the contexts. The result equals K calls of one frame each, bit
+    for bit.
 
     The module's one serial loop: positions are decoded in raster order
     into zero-bordered int32 contexts, so each position's fusion reads
     only the symbols already decoded; the encoder pushed them last to
     first, so they pop in this order. A frame whose y stream cannot hold its
     plane (checked before its z stream is decoded), whose streams fail to
-    decode or leave bytes after the last symbol, or whose coder state does
-    not end at 2^16 raises :class:`CorruptFrameError` naming its place in
-    the call; previous latents outside int32 raise ``ValueError``. A wrong
-    previous latent goes undetected: garbage from the first diverging position on.
+    decode, give a value outside int32 or leave bytes after the last
+    symbol, or whose coder state does not end at 2^16 raises
+    :class:`CorruptFrameError` naming its place in the call, with the error
+    it raises alone. Of several bad frames the first error found names its
+    frame; at a position every frame pops before the values are checked,
+    so there a later frame's stream error comes before an earlier frame's
+    int32 one. Previous latents outside int32 raise ``ValueError``. A wrong
+    previous latent goes undetected: garbage from the first diverging
+    position on.
     """
     chunks = list(chunks)
     prevs = coder.to_int32(prev_latents, ValueError)
@@ -460,16 +471,19 @@ def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags:
         padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
         planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
         at = _PositionParams(weights, flags, phd, tpm, padded).at
-        grid_index, decode_symbols, check_int32 = coder.grid_index, coder.decode_symbols, coder.check_int32
+        grid, buckets = coder.table_grid(), coder.grid_buckets()
         for r in range(h):
             for col in range(w):
-                x = at(r, col)
-                index, offset = grid_index(x[:, :c].ravel(), x[:, c:].ravel())
-                index, offset = index.tolist(), offset.tolist()
-                for j, dec in enumerate(decs):
-                    lo, hi = j * c, j * c + c
-                    symbols = decode_symbols(dec, index[lo:hi])
-                    planes[j, :, r, col] = check_int32([s + o for s, o in zip(symbols, offset[lo:hi])])
+                index, offset = coder.grid_index(at(r, col))
+                symbols = []
+                for j, (dec, rows) in enumerate(zip(decs, index.tolist())):
+                    symbols.append([coder.decode_symbol(dec, grid[i], buckets[i]) for i in rows])
+                values = offset + symbols  # (K, C) int64
+                if values.min() < _INT32_MIN or values.max() > _INT32_MAX:
+                    outside = (values < _INT32_MIN) | (values > _INT32_MAX)
+                    j = int(outside.any(axis=1).argmax())  # the first frame with such a value
+                    raise coder.CorruptStreamError("symbol outside int32")
+                planes[:, :, r, col] = values
         for j, dec in enumerate(decs):
             dec.finish()
     except coder.CorruptStreamError as exc:

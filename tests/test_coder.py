@@ -619,6 +619,35 @@ class TestTableGrid:
         expected = [reference_grid_index(float(m), float(v)) for m, v in zip(mu.reshape(-1), ls.reshape(-1))]
         assert list(zip(index.reshape(-1).tolist(), offset.reshape(-1).tolist())) == expected
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_index_of_stacked_parameters(self, k):
+        # The serial P-frame decoder maps its (K, 2C) float32 fusion output,
+        # C means then C log-scales per frame, in one call; the encoder maps
+        # (K, h, w, 2C). Every pair must get the scalar rule's row and offset.
+        # -4, 0 and 4 are the float32 values halfway between two levels; the
+        # others are the nearest float32 values to the float64 midpoints.
+        step = (LOG_SCALE_MAX - LOG_SCALE_MIN) / (GRID_SCALES - 1)
+        level_ties = [-4.0, 0.0, 4.0] + [LOG_SCALE_MIN + (j + 0.5) * step for j in range(GRID_SCALES - 1)]
+        mean_ties = [j / (2 * GRID_MEANS) for j in range(-41, 42)]  # odd j: halfway between bins
+        edges = [np.nan, np.inf, -np.inf, 1e6 + 0.5, -1e6 - 0.5, 3e6, -3e6,
+                 LOG_SCALE_MIN - 0.5, LOG_SCALE_MAX + 0.5, -40.0, 40.0, 0.0, -0.0]
+        rng = np.random.default_rng(41)
+        c = 48
+        mu = np.concatenate([edges, mean_ties, rng.uniform(-300, 300, k * c)])[: k * c]
+        ls = np.concatenate([edges, level_ties, rng.uniform(-8, 8, k * c)])[: k * c]
+        mu = rng.permutation(mu).astype(np.float32).reshape(k, c)
+        ls = rng.permutation(ls).astype(np.float32).reshape(k, c)
+        params = np.concatenate([mu, ls], axis=1)
+
+        index, offset = grid_index(params)
+        assert index.shape == offset.shape == (k, c)
+        assert index.dtype == offset.dtype == np.int64
+        expected = [reference_grid_index(float(m), float(v)) for m, v in zip(mu.reshape(-1), ls.reshape(-1))]
+        assert list(zip(index.reshape(-1).tolist(), offset.reshape(-1).tolist())) == expected
+        plane_index, plane_offset = grid_index(np.broadcast_to(params, (2, 3, k, 2 * c)))
+        np.testing.assert_array_equal(plane_index, np.broadcast_to(index, (2, 3, k, c)))
+        np.testing.assert_array_equal(plane_offset, np.broadcast_to(offset, (2, 3, k, c)))
+
     def test_offset_has_the_mean_shape(self):
         index, offset = grid_index(np.full((3, 1, 1), 2.2), np.zeros((3, 4, 5)))
         assert index.shape == (3, 4, 5) and offset.shape == (3, 1, 1)

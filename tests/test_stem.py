@@ -523,6 +523,46 @@ class TestLockstepDecode:
         assert info.value.index == place
         assert str(info.value) == str(alone.value)
 
+    @staticmethod
+    def zero_fusion_chunks(k):
+        """A zero-weight fusion, which predicts (0, 0) everywhere, K chunks of
+        an all-zero 2 x 3 x 3 plane, and a y stream for that grid row whose
+        first popped value is 2^40."""
+        w = init_stem(latent_channels=2, seed=3)
+        for layer in w.epm:
+            layer.kernel.data[...] = 0.0
+            layer.bias.data[...] = 0.0
+        zeros = np.zeros((k, 2, 3, 3), np.int32)
+        chunks = encode_pframe(zeros, zeros, StemFlags(), w)
+        index, _ = coder.grid_index(0.0, 0.0)
+        enc = coder.RansEncoder()
+        for v in [0] * (zeros[0].size - 1) + [2**40]:  # pushed last to first
+            coder.encode_symbol(enc, v, coder.table_grid()[int(index)])
+        return w, zeros, chunks, coder.CodedStream(enc.finish())
+
+    @pytest.mark.parametrize("place", [1, 2])
+    def test_value_outside_int32_named_by_its_place(self, place):
+        # One int32 check covers all K frames at a position; it must still
+        # name the frame whose value left int32, with that frame's own error.
+        w, zeros, chunks, outside = self.zero_fusion_chunks(3)
+        chunks[place].y_stream = outside
+        with pytest.raises(coder.CorruptStreamError, match="int32") as alone:
+            decode_pframe([chunks[place]], zeros[place][None], StemFlags(), w)
+        with pytest.raises(CorruptFrameError) as info:
+            decode_pframe(chunks, zeros, StemFlags(), w)
+        assert info.value.index == place
+        assert str(info.value) == str(alone.value)
+
+    def test_stream_error_at_a_position_named_before_int32(self):
+        # Every frame pops its symbols at a position before the values are
+        # checked, so a later frame's stream error there is found first.
+        w, zeros, chunks, outside = self.zero_fusion_chunks(3)
+        chunks[1].y_stream = outside
+        chunks[2].y_stream = coder.CodedStream((1 << 16).to_bytes(4, "big"))  # no words: the first pop runs out
+        with pytest.raises(CorruptFrameError, match="stream exhausted") as info:
+            decode_pframe(chunks, zeros, StemFlags(), w)
+        assert info.value.index == 2
+
     def test_chunk_count_must_match_latents(self, weights):
         prevs, curs = self.frames(2, 4)
         chunks = encode_pframe(curs, prevs, StemFlags(), weights)

@@ -47,7 +47,6 @@ _TPM_WIDTHS = (426, 533)
 _EPM_WIDTHS = (1600, 1280)
 _SPM_KERNEL = 5
 _PAD = _SPM_KERNEL // 2  # zero border of the context the causal mask reads
-_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,8 @@ def _check_planes(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def residual_latent(latent: np.ndarray, prev_latent: np.ndarray) -> np.ndarray:
-    """Exact integer difference between consecutive latent planes; values outside int32 raise ValueError."""
+    """Difference of consecutive latent planes in int32, so modulo 2^32
+    (2^31 - 1 minus -5 wraps to -2^31 + 4); values outside int32 raise ValueError."""
     latent = coder.to_int32(latent, ValueError)
     prev_latent = coder.to_int32(prev_latent, ValueError)
     _check_planes(latent, prev_latent)
@@ -161,7 +161,8 @@ def residual_latent(latent: np.ndarray, prev_latent: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_latent(residual: np.ndarray, prev_latent: np.ndarray) -> np.ndarray:
-    """Exact integer inverse of :func:`residual_latent`; values outside int32 raise ValueError."""
+    """Inverse of :func:`residual_latent`, also modulo 2^32, so every int32
+    pair round-trips; values outside int32 raise ValueError."""
     residual = coder.to_int32(residual, ValueError)
     prev_latent = coder.to_int32(prev_latent, ValueError)
     _check_planes(residual, prev_latent)
@@ -297,7 +298,7 @@ class _PositionParams:
     over a stack of K frames: ``phd_feat`` and ``tpm_feat`` are
     ``(K, 2C, h, w)``, and the fusion input ``[phd; spm; tpm]`` is laid out
     once as ``(K, h, w, 6C)`` with zeros in the SPM slot. The SPM reads the
-    ``(K, C, h + 4, w + 4)`` zero-bordered int32 planes ``padded_planes``
+    ``(K, C, h + 4, w + 4)`` zero-bordered integer planes ``padded_planes``
     through a position-major window view, so symbols the decoder writes
     into them join the context.
 
@@ -313,7 +314,7 @@ class _PositionParams:
     When the SPM is on, :meth:`at` fills the SPM slot of the positions it
     fuses in place, so each call rewrites the slot it reads.
     ``spm_mat`` is ``kernel * mask``, so every tap at or after the position
-    multiplies a finite int32-valued float32 by +-0 and adds an exact zero:
+    multiplies a finite integer-valued float32 by +-0 and adds an exact zero:
     the encoder's full plane and the decoder's partly decoded one give
     parameters that differ at most in the sign of a zero, which
     :func:`coder.grid_index` maps to the same row. The parameters are C
@@ -414,46 +415,32 @@ def encode_pframe(latents: np.ndarray, prev_latents: np.ndarray, flags: StemFlag
     return chunks
 
 
-class CorruptFrameError(coder.CorruptStreamError):
-    """A corrupt stream of one frame of a :func:`decode_pframe` call:
-    ``index`` is the frame's place in the call and the message is that
-    frame's own error."""
-
-    def __init__(self, index: int, cause: coder.CorruptStreamError):
-        super().__init__(str(cause))
-        self.index = index
-
-
 def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags: StemFlags,
-                  weights: StemWeights) -> np.ndarray:
+                  weights: StemWeights) -> list:
     """Exact inverse of :func:`encode_pframe` for the same weights, flags
     and previous latents.
 
     ``chunks`` is a sequence of K chunks, each from its own group of
-    pictures, with their previous latents stacked as ``(K, C, h, w)``,
-    giving the ``(K, C, h, w)`` latents. The K frames' streams are
-    independent, so they are walked in lockstep: at each position one
-    :meth:`_PositionParams.at` and one :func:`coder.grid_index` over the
-    ``(K, 2C)`` parameters serve all K frames, each frame pops its C
-    symbols from its own decoder through :func:`coder.decode_symbol`, and
-    one int32-checked write adds the offsets and puts all K * C values
-    into the contexts. The result equals K calls of one frame each, bit
-    for bit.
+    pictures, with their previous latents stacked as ``(K, C, h, w)``. The
+    list returned holds each frame's ``(C, h, w)`` int32 latent or its
+    :class:`coder.CorruptStreamError`, as a call with only that frame gives
+    it, bit for bit and message for message. A frame whose y stream cannot
+    hold its plane (checked before its z stream is decoded), whose streams
+    fail to decode or leave bytes after the last symbol, whose coder state
+    does not end at 2^16 or whose plane leaves int32 gets its error and
+    leaves the walk; the others walk on. Previous latents outside int32
+    raise ``ValueError``. A wrong previous latent goes undetected: garbage
+    from the first diverging position on.
 
-    The module's one serial loop: positions are decoded in raster order
-    into zero-bordered int32 contexts, so each position's fusion reads
-    only the symbols already decoded; the encoder pushed them last to
-    first, so they pop in this order. A frame whose y stream cannot hold its
-    plane (checked before its z stream is decoded), whose streams fail to
-    decode, give a value outside int32 or leave bytes after the last
-    symbol, or whose coder state does not end at 2^16 raises
-    :class:`CorruptFrameError` naming its place in the call, with the error
-    it raises alone. Of several bad frames the first error found names its
-    frame; at a position every frame pops before the values are checked,
-    so there a later frame's stream error comes before an earlier frame's
-    int32 one. Previous latents outside int32 raise ``ValueError``. A wrong
-    previous latent goes undetected: garbage from the first diverging
-    position on.
+    The module's one serial loop walks the K frames in lockstep: positions
+    in raster order into zero-bordered int64 contexts, so each position's
+    fusion reads only the symbols already decoded, which the encoder pushed
+    last to first. At each position one :meth:`_PositionParams.at` and one
+    :func:`coder.grid_index` over the ``(K, 2C)`` parameters serve all K
+    frames, each frame pops its C symbols through :func:`coder.decode_symbol`
+    on its own decoder, and one write puts all K * C values plus offsets into
+    the contexts. Each plane is checked against int32 once, after its stream
+    is finished: an integer's float32 is the same read from int32 or int64.
     """
     chunks = list(chunks)
     prevs = coder.to_int32(prev_latents, ValueError)
@@ -461,31 +448,43 @@ def decode_pframe(chunks: Sequence[FrameChunk], prev_latents: np.ndarray, flags:
         raise ShapeError(f"{len(chunks)} chunks need ({len(chunks)}, C, h, w) previous latents, got {prevs.shape}")
     k, c, h, w = prevs.shape
 
-    z_hats, decs = [], []
-    try:  # j is the frame being decoded whenever a stream error is raised
-        for j, ch in enumerate(chunks):
+    out: list = [None] * k  # each frame's latent or error
+    walked = []  # (place in the call, hyper latent, decoder) of each frame that starts the walk
+    for j, ch in enumerate(chunks):
+        try:  # nothing is sized from the geometry before a frame's capacity check passes
             coder.check_capacity(ch.y_stream, (c, h, w))
-            z_hats.append(weights.decode_z(ch.z_stream, h, w))
-            decs.append(coder.RansDecoder(ch.y_stream.data))
-        phd, tpm = _frame_features(np.stack(z_hats), prevs, flags, weights)
-        padded = np.zeros((k, c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int32)
-        planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
-        at = _PositionParams(weights, flags, phd, tpm, padded).at
-        grid, buckets = coder.table_grid(), coder.grid_buckets()
-        for r in range(h):
-            for col in range(w):
-                index, offset = coder.grid_index(at(r, col))
-                symbols = []
-                for j, (dec, rows) in enumerate(zip(decs, index.tolist())):
-                    symbols.append([coder.decode_symbol(dec, grid[i], buckets[i]) for i in rows])
-                values = offset + symbols  # (K, C) int64
-                if values.min() < _INT32_MIN or values.max() > _INT32_MAX:
-                    outside = (values < _INT32_MIN) | (values > _INT32_MAX)
-                    j = int(outside.any(axis=1).argmax())  # the first frame with such a value
-                    raise coder.CorruptStreamError("symbol outside int32")
-                planes[:, :, r, col] = values
-        for j, dec in enumerate(decs):
-            dec.finish()
-    except coder.CorruptStreamError as exc:
-        raise CorruptFrameError(j, exc) from exc
-    return reconstruct_latent(planes, prevs) if flags.use_residual else planes.copy()
+            walked.append((j, weights.decode_z(ch.z_stream, h, w), coder.RansDecoder(ch.y_stream.data)))
+        except coder.CorruptStreamError as exc:
+            out[j] = exc
+    if not walked:
+        return out
+    live, z_hats, decs = map(list, zip(*walked))
+
+    phd, tpm = _frame_features(np.stack(z_hats), prevs[live], flags, weights)
+    padded = np.zeros((len(live), c, h + 2 * _PAD, w + 2 * _PAD), dtype=np.int64)
+    planes = padded[:, :, _PAD : _PAD + h, _PAD : _PAD + w]  # a view: decoded symbols join the contexts
+    at = _PositionParams(weights, flags, phd, tpm, padded).at
+    grid, buckets = coder.table_grid(), coder.grid_buckets()
+    idle = [0] * c  # the symbols written for a frame that has left the walk
+    for r in range(h):
+        for col in range(w):
+            index, offset = coder.grid_index(at(r, col))
+            symbols = []
+            for i, (dec, rows) in enumerate(zip(decs, index.tolist())):
+                try:
+                    symbols.append([coder.decode_symbol(dec, grid[n], buckets[n]) for n in rows] if dec else idle)
+                except coder.CorruptStreamError as exc:
+                    out[live[i]], decs[i] = exc, None
+                    symbols.append(idle)
+            planes[:, :, r, col] = offset + symbols
+
+    for j, dec, plane in zip(live, decs, planes):
+        if dec:
+            try:
+                dec.finish()
+                plane = coder.to_int32(plane)
+            except coder.CorruptStreamError as exc:
+                out[j] = exc
+            else:
+                out[j] = reconstruct_latent(plane, prevs[j]) if flags.use_residual else plane
+    return out

@@ -32,12 +32,12 @@ from .container import (
 )
 from .image import AutoencoderWeights, RateIndex, analyze, compress_iframe, decompress_iframe, synthesize
 from .serialize import weights_digest
-from .stem import CorruptFrameError, StemFlags, StemWeights, decode_pframe, encode_pframe
+from .stem import StemFlags, StemWeights, decode_pframe, encode_pframe
 from .tensor import ConfigError, ShapeError, Tensor, quantize_round
 
 # GOPs decoded in lockstep by iter_decompress_video. Each GOP in flight
 # holds its P-frame's 6C*h*w float32 fusion inputs and its (C, h + 4, w + 4)
-# int32 context plane for a (C, h, w) latent, 2.0 MB for a 64x64 latent of
+# int64 context plane for a (C, h, w) latent, 2.2 MB for a 64x64 latent of
 # 16 channels. Every GOP of a window but the first also holds its decoded
 # latents and its I-frame's 3*H*W float32 picture until they are yielded.
 # On a shared 2-vCPU machine at one BLAS thread, a P-frame with a 16x16
@@ -220,13 +220,15 @@ def iter_decompress_video(
     latents and their I-frames' pictures, with P-frames synthesized as
     they are yielded. So a one-GOP stream, or one of I-frames only, holds
     one frame at a time. Each GOP in flight also costs its P-frame's
-    6C*h*w float32 fusion inputs plus its int32 context plane.
+    6C*h*w float32 fusion inputs plus its int64 context plane.
 
     Raises :class:`DigestMismatchError` before yielding anything if the
     weights do not match the stream; a corrupted chunk, one too short for
     the symbols the header's geometry promises (the frame decoders check
     before they size anything), or a leading P-frame only stops the
-    iteration at its own frame index, after every frame before it.
+    iteration at its own frame index, after every frame before it. A
+    corrupt P-frame stops only its own GOP: the other GOPs of its lockstep
+    call decode on, so each step is walked once.
     """
     header = stream.header
     if header.model_digest != _stream_digest(weights, stem_weights):
@@ -287,18 +289,15 @@ def iter_decompress_video(
                     held[gops[g][s]] = picture, prev[g]
                 except ValueError as exc:
                     failed[g] = exc
-            while pending:
-                try:
-                    latents = decode_pframe(
-                        [chunks[gops[g][s]] for g in pending], np.stack([prev[g] for g in pending]), flags, stem_weights
-                    )
-                except CorruptFrameError as exc:  # drop that GOP and decode the others again
-                    failed[pending.pop(exc.index)] = exc
-                else:
-                    for g, latent in zip(pending, latents):
-                        prev[g] = latent
-                        held[gops[g][s]] = None, latent
-                    break
+            if pending:
+                latents = decode_pframe(
+                    [chunks[gops[g][s]] for g in pending], np.stack([prev[g] for g in pending]), flags, stem_weights
+                )
+                for g, latent in zip(pending, latents):
+                    if isinstance(latent, ValueError):
+                        failed[g] = latent
+                    else:
+                        prev[g], held[gops[g][s]] = latent, (None, latent)
             first = gops[window[0]]
             if s < len(first):  # the window's first GOP comes first in display order: yield it as it decodes
                 yield emit(window[0], first[s])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from mfvc import coder
 from mfvc.stem import (
-    CorruptFrameError,
     StemFlags,
     StemWeights,
     _frame_features,
@@ -34,6 +35,19 @@ def random_latents(rng, c=4, h=8, w=8, span=8):
     a = rng.integers(-span, span + 1, size=(c, h, w)).astype(np.int32)
     b = rng.integers(-span, span + 1, size=(c, h, w)).astype(np.int32)
     return a, b
+
+
+def assert_each_frame_as_alone(out, chunks, prevs, flags, weights):
+    """Each item of a lockstep decode is what a call with only its frame
+    gives: the same int32 latent, or an error of the same type and message."""
+    assert isinstance(out, list) and len(out) == len(chunks)
+    for got, chunk, prev in zip(out, chunks, prevs):
+        (alone,) = decode_pframe([chunk], prev[None], flags, weights)
+        if isinstance(alone, coder.CorruptStreamError):
+            assert type(got) is type(alone) and str(got) == str(alone)
+        else:
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, alone)
 
 
 def flip_middle_byte(data: bytes) -> bytes:
@@ -239,6 +253,23 @@ class TestPFrameRoundtrip:
         chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
         np.testing.assert_array_equal(decode_pframe(chunk, b[None], StemFlags(), weights)[0], a)
 
+    def test_int32_wraparound_roundtrips(self, weights):
+        # The residual is int32 arithmetic modulo 2^32: 2^31 - 1 against -5
+        # wraps to -2^31 + 4, and -2^31 against 7 to 2^31 - 7. The wrapped
+        # residuals are valid int32 symbols, so the decoder must give the
+        # latents back, alone and in lockstep, rather than reconstruct in
+        # int64 and reject the sum.
+        prevs, curs = TestLockstepDecode.frames(3, 4)
+        curs[1, 0, 0, 0], prevs[1, 0, 0, 0] = 2**31 - 1, -5
+        curs[1, 3, 4, 5], prevs[1, 3, 4, 5] = -(2**31), 7
+        residual = residual_latent(curs[1], prevs[1])
+        assert residual[0, 0, 0] == -(2**31) + 4 and residual[3, 4, 5] == 2**31 - 7
+        chunks = encode_pframe(curs, prevs, StemFlags(), weights)
+        (alone,) = decode_pframe(chunks[1:2], prevs[1:2], StemFlags(), weights)
+        np.testing.assert_array_equal(alone, curs[1])
+        out = decode_pframe(chunks, prevs, StemFlags(), weights)
+        np.testing.assert_array_equal(np.stack(out), curs)
+
     def test_latent_outside_int32_rejected(self, weights):
         a = np.zeros((4, 2, 2), dtype=np.int64)
         a[0, 0, 0] = 2**40 + 5
@@ -275,43 +306,48 @@ class TestPFrameRoundtrip:
 
     def test_decoded_value_outside_int32_raises(self):
         # A fusion with zero weights predicts (0, 0) everywhere, so a stream
-        # for it can be written symbol by symbol on that grid row.
+        # for it can be written symbol by symbol on that grid row. The
+        # second frame of each call is written so; the first stays clean.
         w = init_stem(latent_channels=2, seed=3)
         for layer in w.epm:
             layer.kernel.data[...] = 0.0
             layer.bias.data[...] = 0.0
-        zeros = np.zeros((2, 3, 3), np.int32)
-        (chunk,) = encode_pframe(zeros[None], zeros[None], StemFlags(), w)
+        zeros = np.zeros((2, 2, 3, 3), np.int32)
+        clean, chunk = encode_pframe(zeros, zeros, StemFlags(), w)
         index, offset = coder.grid_index(0.0, 0.0)
         row = coder.table_grid()[int(index)]
         for first, expect_ok in ((5, True), (2**40, False)):
             enc = coder.RansEncoder()
-            for v in [0] * (zeros.size - 1) + [first]:  # pushed last to first
+            for v in [0] * (zeros[0].size - 1) + [first]:  # pushed last to first
                 coder.encode_symbol(enc, v, row)
             chunk.y_stream = coder.CodedStream(enc.finish())
+            out = decode_pframe([clean, chunk], zeros, StemFlags(), w)
+            assert_each_frame_as_alone(out, [clean, chunk], zeros, StemFlags(), w)
+            np.testing.assert_array_equal(out[0], zeros[0])
             if expect_ok:
-                expected = zeros.copy()
+                expected = zeros[1].copy()
                 expected[0, 0, 0] = 5
-                np.testing.assert_array_equal(decode_pframe([chunk], zeros[None], StemFlags(), w)[0], expected)
+                np.testing.assert_array_equal(out[1], expected)
             else:
-                with pytest.raises(coder.CorruptStreamError, match="int32"):
-                    decode_pframe([chunk], zeros[None], StemFlags(), w)
+                assert isinstance(out[1], coder.CorruptStreamError) and str(out[1]) == "symbol outside int32"
 
     @given(z=st.one_of(st.none(), st.binary(max_size=64)), y=st.binary(max_size=400))
     @settings(max_examples=100, deadline=None)
     def test_random_streams_decode_or_raise(self, weights, z, y):
         # Any bytes (with the encoder's z stream, or random ones) must
-        # decode to a latent or raise CorruptStreamError.
+        # decode to a latent or give CorruptStreamError, as in a call of
+        # their own, while the clean frame beside them decodes unchanged.
         a, b = random_latents(np.random.default_rng(19))
-        (chunk,) = encode_pframe(a[None], b[None], StemFlags(), weights)
+        (clean,) = encode_pframe(a[None], b[None], StemFlags(), weights)
+        chunk = dataclasses.replace(clean, y_stream=coder.CodedStream(y))
         if z is not None:
             chunk.z_stream = coder.CodedStream(z)
-        chunk.y_stream = coder.CodedStream(y)
-        try:
-            out = decode_pframe([chunk], b[None], StemFlags(), weights)[0]
-        except coder.CorruptStreamError:
-            return
-        assert out.shape == a.shape and out.dtype == np.int32
+        prevs = np.stack([b, b])
+        out = decode_pframe([clean, chunk], prevs, StemFlags(), weights)
+        assert_each_frame_as_alone(out, [clean, chunk], prevs, StemFlags(), weights)
+        np.testing.assert_array_equal(out[0], a)
+        if not isinstance(out[1], coder.CorruptStreamError):
+            assert out[1].shape == a.shape and out[1].dtype == np.int32
 
     def test_encoding_deterministic(self, weights):
         rng = np.random.default_rng(15)
@@ -324,12 +360,9 @@ class TestPFrameRoundtrip:
         rng = np.random.default_rng(16)
         a, b = random_latents(rng)
         chunk = encode_pframe(a[None], b[None], StemFlags(), weights)
-        # Decoding under a different PMF schedule yields garbage or dies.
-        try:
-            wrong_flags = decode_pframe(chunk, b[None], StemFlags(use_spm=False), weights)[0]
-        except coder.CorruptStreamError:
-            return
-        assert not np.array_equal(wrong_flags, a)
+        # Decoding under a different PMF schedule yields garbage or an error.
+        (wrong_flags,) = decode_pframe(chunk, b[None], StemFlags(use_spm=False), weights)
+        assert isinstance(wrong_flags, coder.CorruptStreamError) or not np.array_equal(wrong_flags, a)
 
     def test_identical_latents_cheap_with_residual(self, weights):
         rng = np.random.default_rng(17)
@@ -475,11 +508,9 @@ class TestLockstepDecode:
         weights = init_stem(latent_channels=c, seed=3)
         prevs, curs = self.frames(k, c)
         chunks = [encode_pframe(a[None], b[None], flags, weights)[0] for a, b in zip(curs, prevs)]
-        singles = np.stack([decode_pframe([ch], b[None], flags, weights)[0] for ch, b in zip(chunks, prevs)])
         out = decode_pframe(chunks, prevs, flags, weights)
-        assert out.shape == curs.shape and out.dtype == np.int32
-        np.testing.assert_array_equal(out, singles)
-        np.testing.assert_array_equal(out, curs)
+        assert_each_frame_as_alone(out, chunks, prevs, flags, weights)
+        np.testing.assert_array_equal(np.stack(out), curs)
 
         z_hats = np.concatenate([hyper_encode(a[None], b[None], weights)[0] for a, b in zip(curs, prevs)])
         features = [_frame_features(z[None], b[None], flags, weights) for z, b in zip(z_hats, prevs)]
@@ -510,18 +541,21 @@ class TestLockstepDecode:
     )
     @pytest.mark.parametrize("place", [0, 1, 2])
     def test_corrupt_frame_named_by_its_place(self, weights, place, stage, damage, match):
-        # One error path for every stage: the frame's own error, with its
-        # place in the call, whichever frame and stage it comes from.
+        # One error path for every stage: the frame's own error, in its
+        # place in the call, whichever frame and stage it comes from, and
+        # the other frames decode as if it were not there.
         prevs, curs = self.frames(3, 4)
         chunks = [encode_pframe(a[None], b[None], StemFlags(), weights)[0] for a, b in zip(curs, prevs)]
         name = f"{stage}_stream"
         setattr(chunks[place], name, coder.CodedStream(damage(getattr(chunks[place], name).data)))
-        with pytest.raises(coder.CorruptStreamError, match=match) as alone:
-            decode_pframe([chunks[place]], prevs[place][None], StemFlags(), weights)
-        with pytest.raises(CorruptFrameError) as info:
-            decode_pframe(chunks, prevs, StemFlags(), weights)
-        assert info.value.index == place
-        assert str(info.value) == str(alone.value)
+        (alone,) = decode_pframe([chunks[place]], prevs[place][None], StemFlags(), weights)
+        assert isinstance(alone, coder.CorruptStreamError)
+        assert match is None or match in str(alone)
+        out = decode_pframe(chunks, prevs, StemFlags(), weights)
+        assert_each_frame_as_alone(out, chunks, prevs, StemFlags(), weights)
+        for j in range(3):
+            if j != place:
+                np.testing.assert_array_equal(out[j], curs[j])
 
     @staticmethod
     def zero_fusion_chunks(k):
@@ -542,26 +576,29 @@ class TestLockstepDecode:
 
     @pytest.mark.parametrize("place", [1, 2])
     def test_value_outside_int32_named_by_its_place(self, place):
-        # One int32 check covers all K frames at a position; it must still
-        # name the frame whose value left int32, with that frame's own error.
+        # Each frame's plane is checked against int32 once, after its walk;
+        # the frame whose value left int32 gets its own error in its place.
         w, zeros, chunks, outside = self.zero_fusion_chunks(3)
         chunks[place].y_stream = outside
-        with pytest.raises(coder.CorruptStreamError, match="int32") as alone:
-            decode_pframe([chunks[place]], zeros[place][None], StemFlags(), w)
-        with pytest.raises(CorruptFrameError) as info:
-            decode_pframe(chunks, zeros, StemFlags(), w)
-        assert info.value.index == place
-        assert str(info.value) == str(alone.value)
+        out = decode_pframe(chunks, zeros, StemFlags(), w)
+        assert_each_frame_as_alone(out, chunks, zeros, StemFlags(), w)
+        assert isinstance(out[place], coder.CorruptStreamError) and str(out[place]) == "symbol outside int32"
+        for j in range(3):
+            if j != place:
+                np.testing.assert_array_equal(out[j], zeros[j])
 
-    def test_stream_error_at_a_position_named_before_int32(self):
-        # Every frame pops its symbols at a position before the values are
-        # checked, so a later frame's stream error there is found first.
+    def test_two_bad_frames_each_get_their_own_error(self):
+        # A value outside int32 at the first position of one frame and a
+        # stream that runs out there in the next: each frame gets the error
+        # of a call of its own, and the clean frame decodes.
         w, zeros, chunks, outside = self.zero_fusion_chunks(3)
         chunks[1].y_stream = outside
         chunks[2].y_stream = coder.CodedStream((1 << 16).to_bytes(4, "big"))  # no words: the first pop runs out
-        with pytest.raises(CorruptFrameError, match="stream exhausted") as info:
-            decode_pframe(chunks, zeros, StemFlags(), w)
-        assert info.value.index == 2
+        out = decode_pframe(chunks, zeros, StemFlags(), w)
+        assert_each_frame_as_alone(out, chunks, zeros, StemFlags(), w)
+        np.testing.assert_array_equal(out[0], zeros[0])
+        assert str(out[1]) == "symbol outside int32"
+        assert str(out[2]) == "stream exhausted before all symbols were decoded"
 
     def test_chunk_count_must_match_latents(self, weights):
         prevs, curs = self.frames(2, 4)

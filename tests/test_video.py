@@ -374,16 +374,40 @@ class TestGopWindows:
             data[len(data) // 2] ^= 0xFF
             chunk.y_stream.data = bytes(data)
         t = 3 * bad_gops[0] + 2
-        with pytest.raises(CorruptStreamError) as alone:
-            decode_pframe([stream.chunks[t]], latents[t - 1][None], StemFlags(), stem)
+        (alone,) = decode_pframe([stream.chunks[t]], latents[t - 1][None], StemFlags(), stem)
+        assert isinstance(alone, CorruptStreamError)
 
         got = []
         with pytest.raises(ContainerError) as info:
             for frame, _ in iter_decompress_video(stream, ae, stem):
                 got.append(frame)
-        assert str(info.value) == f"frame {t}: {alone.value}"
+        assert str(info.value) == f"frame {t}: {alone}"
         assert len(got) == t
         np.testing.assert_array_equal(np.stack(got), clean[:t])
+
+    def test_each_step_walked_once(self, models, monkeypatch):
+        # Two corrupt P-frames in one lockstep step leave the step's call
+        # once, each with its own error: the healthy GOP is not decoded
+        # again, and the iteration still stops at the first bad frame.
+        ae, stem = models
+        stream = compress_video(small_video(9), ae, stem, GopConfig(gop_size=3, rate=ae.rate(0)))
+        _, latents = decompress_video(stream, ae, stem, return_latents=True)
+        for t in (5, 8):
+            chunk = stream.chunks[t]
+            data = bytearray(chunk.y_stream.data)
+            data[len(data) // 2] ^= 0xFF
+            chunk.y_stream.data = bytes(data)
+        (alone,) = decode_pframe([stream.chunks[5]], latents[4][None], StemFlags(), stem)
+        assert isinstance(alone, CorruptStreamError)
+
+        calls = []
+        real = video.decode_pframe
+        monkeypatch.setattr(video, "decode_pframe", lambda chunks, *args: calls.append(len(chunks)) or real(chunks, *args))
+        with pytest.raises(ContainerError) as info:
+            for _ in iter_decompress_video(stream, ae, stem):
+                pass
+        assert calls == [3, 3]
+        assert str(info.value) == f"frame 5: {alone}"
 
     @pytest.mark.parametrize("frames, gop_size", [(10, 4), (20, 2)], ids=["uneven", "ten-gops"])
     def test_latents_equal_serial_decoder(self, models, frames, gop_size):

@@ -25,16 +25,14 @@ from .tensor import (
     _make_node,
     add_row_noise,
     clamp,
+    conditional_affine,
     conv2d,
     crop_hw,
     expand_param,
-    expand_params,
     laplace_nll_bits,
     leaky_relu,
-    mul,
     quantize_round,
     round_half_away,
-    softplus,
     sum_all,
     transpose_conv2d,
 )
@@ -376,16 +374,22 @@ def load_autoencoder(path) -> AutoencoderWeights:
 def conditional_scale(features: Tensor, rates: Sequence[RateIndex], layer_id: str,
                       weights: AutoencoderWeights) -> Tensor:
     """Per-channel softplus(scale) * features + bias, batch item k taking the
-    pair of ``rates[k]``; a rate no item takes stays out of the graph."""
+    pair of ``rates[k]``, as one graph node; a rate no item takes stays out
+    of the graph."""
+    return _conditioned(features, rates, layer_id, weights, None)
+
+
+def _conditioned(x: Tensor, rates: Sequence[RateIndex], layer_id: str, weights: AutoencoderWeights,
+                 slope: Optional[float]) -> Tensor:
+    """conditional_scale of leaky_relu(x, slope), or of x when ``slope`` is None."""
     if layer_id not in weights.lambda_table:
         raise ConfigError(f"no conditional table for layer '{layer_id}'")
-    if len(rates) != features.shape[0]:
-        raise ShapeError(f"{len(rates)} rates for a batch of {features.shape[0]}")
+    if len(rates) != x.shape[0]:
+        raise ShapeError(f"{len(rates)} rates for a batch of {x.shape[0]}")
     present = sorted({r.index for r in rates})
-    rows = [present.index(r.index) for r in rates]
     pairs = [weights.lambda_table[layer_id][j] for j in present]
-    gain = expand_params([softplus(scale) for scale, _ in pairs], rows, features)
-    return mul(gain, features) + expand_params([bias for _, bias in pairs], rows, features)
+    return conditional_affine(x, [scale for scale, _ in pairs], [bias for _, bias in pairs],
+                              [present.index(r.index) for r in rates], slope)
 
 
 def _run_chain(x: Tensor, layers: list[ConvLayer]) -> Tensor:
@@ -408,8 +412,7 @@ def analyze(frame: Tensor, rates: Sequence[RateIndex], weights: AutoencoderWeigh
     x = frame
     for i, layer in enumerate(weights.analysis):
         x = conv2d(x, layer)
-        x = leaky_relu(x, LEAKY_SLOPE)
-        x = conditional_scale(x, rates, f"analysis.{i}", weights)
+        x = _conditioned(x, rates, f"analysis.{i}", weights, LEAKY_SLOPE)
     return x
 
 
@@ -418,8 +421,7 @@ def synthesis_transform(latent: Tensor, rates: Sequence[RateIndex], weights: Aut
     x = latent
     for i, layer in enumerate(weights.synthesis):
         x = transpose_conv2d(x, layer)
-        x = leaky_relu(x, LEAKY_SLOPE)
-        x = conditional_scale(x, rates, f"synthesis.{i}", weights)
+        x = _conditioned(x, rates, f"synthesis.{i}", weights, LEAKY_SLOPE)
     return clamp(x, 0.0, 1.0)
 
 

@@ -42,7 +42,6 @@ from .tensor import (
 
 # Channel widths of the full-size model; desk models scale them by C/320.
 _PHE_WIDTH = 256
-_PHD_WIDTH = 256
 _TPM_WIDTHS = (426, 533)
 _EPM_WIDTHS = (1600, 1280)
 _SPM_KERNEL = 5

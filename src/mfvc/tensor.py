@@ -2,9 +2,9 @@
 
 Everything the codec networks need lives here: strided (transpose)
 convolutions with zero "same" padding, causal masked convolution, leaky
-ReLU, channel concatenation, quantization, the uniform-noise training
-surrogate, and a handful of elementwise/reduction helpers used by the
-loss functions.
+ReLU, the rate-conditioned scale and shift, channel concatenation,
+quantization, the uniform-noise training surrogate, and a handful of
+elementwise/reduction helpers used by the loss functions.
 
 Tensors are immutable once produced by an operation, except for gradient
 accumulation into ``grad``. Forward evaluation of independent tensors may
@@ -74,14 +74,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {self.shape}")
-        if self.grad is None:
-            self.grad = g.astype(self.dtype, copy=True)
-        else:
-            self.grad = self.grad + g.astype(self.dtype, copy=False)
-
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
@@ -124,11 +116,14 @@ def _result_dtype(*tensors: Tensor):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every participating tensor with d(loss)/d(tensor).
+    """Populate ``grad`` on every leaf that requires it with d(loss)/d(leaf).
 
     ``loss`` must be a single-element tensor produced by recorded
     operations. Gradients accumulate additively across uses of a tensor
     and across repeated backward calls (the optimizer zeroes them).
+    Intermediate tensors keep ``grad`` at None: their gradients flow to
+    their parents and are dropped, each checked against its tensor's shape
+    on the way.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -154,9 +149,13 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node._accumulate(g)
+        if g.shape != node.data.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {node.shape}")
         if node._backward_fn is None:
+            if node.requires_grad and node.grad is None:
+                node.grad = g.astype(node.dtype, copy=True)
+            elif node.requires_grad:
+                node.grad = node.grad + g.astype(node.dtype, copy=False)
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
@@ -223,13 +222,14 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     columns, one per (row, column) offset modulo the stride s. Tap (i, j) =
     (s*a + py, s*b + px) lands on plane (py, px) shifted by (a, b), so with
     ``gy``'s rows zero-padded to wq columns its tap-major columns
-    ``km.T @ gy`` (b, ci, kh, kw, oh*wq) are added as one contiguous run per
-    tap at offset a*wq + b; one interleaving copy and the crop finish it.
-    Every element gets the same tap products in the same (i, j) order from
-    a +0 start as with one strided add per tap over an (oh, ow) plane, and
-    the padded columns add only +-0, so the bits are the same;
-    tests/test_tensor.py pins them against the position-major helper at one
-    and at two BLAS threads.
+    ``km.T @ gy`` (b, ci, kh, kw, oh*wq) are added as one block per offset
+    (a, b): its up to s*s taps, one per plane, each a contiguous run at
+    a*wq + b (9 adds for a 5x5 stride-2 kernel, not 25). One interleaving
+    copy and the crop finish it. Every element gets the same tap products
+    in the same (i, j) order from a +0 start as with one strided add per tap
+    over an (oh, ow) plane, and the padded columns add only +-0, so the bits
+    are the same; tests/test_tensor.py pins them against the position-major
+    helper at one and at two BLAS threads.
     """
     b, ci, h, w = x_shape
     co, _, kh, kw = kernel.shape
@@ -251,10 +251,11 @@ def _conv_grad_input(gy: np.ndarray, kernel: np.ndarray, stride: int, x_shape) -
     gcols = (km.T @ gy.reshape(b, co, -1)).reshape(b, ci, kh, kw, -1)
     n = (oh - 1) * wq + ow  # the last row's padded columns add nothing
     planes = np.zeros((b, ci, s, s, rq * wq), dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            at = i // s * wq + j // s
-            planes[:, :, i % s, j % s, at : at + n] += gcols[:, :, i, j, :n]
+    for a in range(-(-kh // s)):
+        for c in range(-(-kw // s)):
+            at = a * wq + c
+            block = gcols[:, :, s * a : s * a + s, s * c : s * c + s, :n]
+            planes[:, :, : block.shape[2], : block.shape[3], at : at + n] += block
     planes = planes.reshape(b, ci, s, s, rq, wq)
     if s == 1:
         return planes[:, :, 0, 0, ph_lo : ph_lo + h, pw_lo : pw_lo + w]
@@ -400,15 +401,34 @@ def transpose_conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """x where x >= 0, slope*x otherwise; slope must lie in (0, 1)."""
+def _leaky(xd: np.ndarray, slope: float) -> np.ndarray:
+    """x where x >= 0, slope*x otherwise, for 0 < slope < 1. The rounded
+    slope*x lies between 0 and x, so the larger of the two is the selected
+    float for every non-NaN x, without a per-element select."""
     if not 0.0 < slope < 1.0:
         raise ConfigError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    neg = x.data < 0
-    y = np.where(neg, x.data * x.dtype.type(slope), x.data)
+    return np.maximum(xd, xd * xd.dtype.type(slope))
+
+
+def _leaky_slopes(xd: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky ReLU's derivative at ``xd``: slope where x < 0, 1 elsewhere,
+    as floats of xd's dtype picked by bit pattern. A gradient times it is,
+    bit for bit, the gradient times slope where x < 0 and the gradient
+    elsewhere; NumPy's select is several times slower than the integer ops."""
+    ints = np.dtype(f"u{xd.itemsize}")
+    one, low = (np.array(v, dtype=xd.dtype).view(ints) for v in (1.0, slope))
+    bits = (xd < 0).astype(ints)
+    bits *= one ^ low
+    bits ^= one
+    return bits.view(xd.dtype)
+
+
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    """x where x >= 0, slope*x otherwise; slope must lie in (0, 1)."""
+    y = _leaky(x.data, slope)
 
     def bwd(gy):
-        return (np.where(neg, gy * slope, gy),)
+        return (gy * _leaky_slopes(x.data, slope),)
 
     return _make_node(y, (x,), bwd)
 
@@ -477,16 +497,22 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     return _make_node(x.data * dt(scale) + dt(shift), (x,), bwd)
 
 
+def _softplus(xd: np.ndarray) -> np.ndarray:
+    return (np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))).astype(xd.dtype, copy=False)
+
+
+def _sigmoid(xd: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-xd))
+
+
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed stably."""
     xd = x.data
-    y = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
 
     def bwd(gy):
-        sig = 1.0 / (1.0 + np.exp(-xd))
-        return (gy * sig,)
+        return (gy * _sigmoid(xd),)
 
-    return _make_node(y.astype(x.dtype, copy=False), (x,), bwd)
+    return _make_node(_softplus(xd), (x,), bwd)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -510,38 +536,74 @@ def powp(x: Tensor, p: float) -> Tensor:
     return _make_node(y.astype(x.dtype, copy=False), (x,), bwd)
 
 
+def _check_param(p: Tensor, channels: int) -> None:
+    if p.shape[0] != 1 or p.shape[2] != 1 or p.shape[3] != 1:
+        raise ShapeError(f"per-channel parameters are (1, C, 1, 1), got {p.shape}")
+    if p.shape[1] != channels:
+        raise ShapeError(f"channel extent {p.shape[1]} does not match target {channels}")
+
+
+def _row_sum(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """float64 (1, C, 1, 1) sum of ``g`` over its batch items ``rows`` (a mask)
+    and its spatial extents."""
+    return (g if rows.all() else g[rows]).sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
+
+
 def expand_param(p: Tensor, like: Tensor) -> Tensor:
     """Broadcast a (1, C, 1, 1) parameter to the shape of ``like``."""
-    return expand_params([p], [0] * like.shape[0], like)
+    _check_param(p, like.shape[1])
+    y = np.empty(like.shape, dtype=p.dtype)
+    y[...] = p.data
+
+    def bwd(gy):
+        return (gy.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64),)
+
+    return _make_node(y, (p,), bwd)
 
 
-def expand_params(params: Sequence[Tensor], index: Sequence[int], like: Tensor) -> Tensor:
-    """Broadcast (1, C, 1, 1) parameters to the shape of ``like``, batch item
-    k taking ``params[index[k]]``. Each parameter's gradient sums its own
-    items only; a parameter no item takes gets none."""
-    for p in params:
-        if p.shape[0] != 1 or p.shape[2] != 1 or p.shape[3] != 1:
-            raise ShapeError(f"expand_params needs (1, C, 1, 1) parameters, got {p.shape}")
-        if p.shape[1] != like.shape[1]:
-            raise ShapeError(f"channel extent {p.shape[1]} does not match target {like.shape[1]}")
-    if len(index) != like.shape[0]:
-        raise ShapeError(f"{len(index)} parameter indices for a batch of {like.shape[0]}")
-    y = np.empty(like.shape, dtype=_result_dtype(*params))
-    y[...] = np.concatenate([params[j].data for j in index])
+def conditional_affine(x: Tensor, scales: Sequence[Tensor], biases: Sequence[Tensor], index: Sequence[int],
+                       slope: Optional[float] = None) -> Tensor:
+    """softplus(scales[j]) * f(x) + biases[j] on batch item k, j = index[k],
+    as one graph node; f is leaky_relu(., slope), or the identity when
+    ``slope`` is None. Scales and biases are (1, C, 1, 1), and each item's
+    pair is broadcast, not expanded.
+
+    The floats are those of the chain leaky_relu, softplus, an expanded
+    gain times f(x), plus an expanded bias, in its order: each parameter's
+    gradient sums its own items' products in float64, the scale's is cast
+    to the scale's dtype before the softplus derivative scales it, and a
+    pair no item takes gets no gradient.
+    """
+    if len(scales) != len(biases):
+        raise ShapeError(f"{len(scales)} scales for {len(biases)} biases")
+    for p in (*scales, *biases):
+        _check_param(p, x.shape[1])
+    if len(index) != x.shape[0]:
+        raise ShapeError(f"{len(index)} parameter indices for a batch of {x.shape[0]}")
+    feat = x.data if slope is None else _leaky(x.data, slope)
+    gains = [_softplus(s.data) for s in scales]
+    gain = np.concatenate([gains[j] for j in index])
+    y = feat * gain
+    y += np.concatenate([biases[j].data for j in index])
     index = np.asarray(index)
 
     def bwd(gy):
-        grads = []
-        for j in range(len(params)):
+        gx = None
+        if x.requires_grad:
+            gx = (gy * gain).astype(feat.dtype, copy=False)
+            if slope is not None:
+                gx *= _leaky_slopes(x.data, slope)
+        gs, gb = [None] * len(scales), [None] * len(biases)
+        gf = gy * feat if any(s.requires_grad for s in scales) else None
+        for j in np.unique(index):
             rows = index == j
-            if not rows.any():
-                grads.append(None)
-                continue
-            g = gy if rows.all() else gy[rows]
-            grads.append(g.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64))
-        return grads
+            if scales[j].requires_grad:
+                gs[j] = _row_sum(gf, rows).astype(scales[j].dtype) * _sigmoid(scales[j].data)
+            if biases[j].requires_grad:
+                gb[j] = _row_sum(gy, rows)
+        return (gx, *gs, *gb)
 
-    return _make_node(y, tuple(params), bwd)
+    return _make_node(y, (x, *scales, *biases), bwd)
 
 
 def crop_hw(x: Tensor, h: int, w: int) -> Tensor:

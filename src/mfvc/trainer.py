@@ -116,7 +116,9 @@ def init_optimizer(params: Sequence[Tensor]) -> OptimizerState:
 def adam_step(params: Sequence[Tensor], grads: Sequence[Optional[np.ndarray]],
               state: OptimizerState, lr: float) -> int:
     """Bias-corrected Adam update in place; returns how many tensors were
-    skipped this step because their gradient was absent or non-finite."""
+    skipped this step because their gradient was absent or non-finite.
+    The moment arrays of ``state`` change in place; each parameter gets a
+    new ``data`` array."""
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
@@ -129,10 +131,13 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Optional[np.ndarray]],
             skipped += 1
             continue
         g = g.astype(np.float32, copy=False)
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
+        m, v = state.m[i], state.v[i]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
         p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
     state.skipped += skipped
     return skipped

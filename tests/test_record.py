@@ -1,5 +1,6 @@
 """The benchmark recorder's aggregation, on canned run output; no benchmark runs."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -68,3 +69,25 @@ def test_missing_metric_is_refused():
     runs["gop64", 1] = runs["gop64", 1].replace('"bpp"', '"bits"')
     with pytest.raises(record.RecordError, match="gop64: no bpp"):
         record.aggregate(SPEC, runs)
+
+
+DIFF = "diff --git a/src/mfvc/tensor.py b/src/mfvc/tensor.py\n-old\n+new\n"
+
+
+@pytest.mark.parametrize("status", ["", " M src/mfvc/tensor.py\n"], ids=["clean", "dirty"])
+def test_tree_state_hashes_the_diff_of_a_dirty_tree(monkeypatch, status):
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return {"rev-parse": "0123abc\n", "status": status, "diff": DIFF}[args[0]]
+
+    monkeypatch.setattr(record, "_git", git)
+    state = record.tree_state()
+    assert state["commit"] == "0123abc" and state["dirty"] == bool(status)
+    if status:
+        assert state["diff_sha256"] == hashlib.sha256(DIFF.encode()).hexdigest()
+        assert ("diff", "HEAD", "--", "src", "bench") in calls
+    else:
+        assert "diff_sha256" not in state
+        assert all(args[0] != "diff" for args in calls)

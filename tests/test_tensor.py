@@ -13,18 +13,20 @@ from mfvc.tensor import (
     ConvLayer,
     ShapeError,
     Tensor,
+    _make_node,
     add_row_noise,
     add_uniform_noise,
+    affine,
     avg_pool2,
     backward,
     causal_mask,
     clamp,
     concat_channels,
+    conditional_affine,
     conv2d,
     crop_hw,
     div,
     expand_param,
-    expand_params,
     finite_diff_check,
     laplace_nll_bits,
     leaky_relu,
@@ -208,7 +210,12 @@ def _bits(a):
 # 1x1 planes summing 4 channels, where a matrix-vector product and a
 # matrix product of the same sums differ in bits on the installed OpenBLAS,
 # and the widest adjoint sum: a 1x1 layer with 1,600 output channels, the
-# full-size entropy model's first layer.
+# full-size entropy model's first layer. The adjoint adds the taps of one
+# (row, column) offset block at once, so the grid also holds the shapes
+# where blocks are ragged or stacked: the 13-channel 5x5 stride-2 hyper
+# decoder layers at 2x2 and 4x4 inputs in batches of 3 (a three-GOP
+# lockstep step) and 4 (a training batch), the 3x3 output layer after them
+# at batch 3, a 7x7 stride-3 and a 4x4 stride-2 kernel at 13x17.
 _GRID = [
     (b, ci, co, k, s, hw)
     for b in (1, 2)
@@ -223,11 +230,13 @@ _GRID = [
     (1, 16, 16, 1, 1, (64, 64)), (1, 16, 16, 3, 2, (64, 64)),
     (2, 5, 7, 2, 2, (13, 17)), (2, 5, 7, 4, 2, (13, 17)), (2, 4, 6, 5, 3, (13, 17)), (1, 4, 6, 3, 3, (1, 7)),
     (1, 3, 4, 3, 1, (1, 1)), (1, 16, 4, 5, 2, (1, 1)), (2, 3, 4, 3, 2, (1, 1)),
+    (3, 13, 13, 5, 2, (2, 2)), (3, 13, 13, 5, 2, (4, 4)), (4, 13, 13, 5, 2, (2, 2)), (4, 13, 13, 5, 2, (4, 4)),
+    (3, 13, 32, 3, 1, (8, 8)), (2, 4, 6, 7, 3, (13, 17)), (1, 6, 4, 4, 2, (13, 17)),
 ]
 
 
 class TestConvBitsMatchReference:
-    @pytest.mark.parametrize("batch", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["conv", "masked", "tconv"])
     def test_forward_and_gradients_bit_identical(self, kind, batch):
         rng = np.random.default_rng(batch)
@@ -295,7 +304,7 @@ class TestConvBitsAtOtherThreadCount:
                f"{Path(__file__).resolve()}::TestConvBitsMatchReference"]
         proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-        assert "9 passed" in proc.stdout, proc.stdout[-2000:]
+        assert "12 passed" in proc.stdout, proc.stdout[-2000:]
 
 
 class TestTransposeConv2d:
@@ -508,6 +517,33 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(x + x)
 
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(10)
+        layer = make_layer(rng.normal(size=(2, 1, 3, 3)), bias=rng.normal(size=2), stride=2, grad=True)
+        pair = [Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True) for _ in range(2)]
+        x = Tensor(rng.normal(size=(2, 1, 6, 6)), requires_grad=True)
+        y = conditional_affine(conv2d(x, layer), pair[:1], pair[1:], [0, 0], 0.2)
+        loss = sum_all(mul(y, softplus(y)))
+        backward(loss)
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node._parents)
+        leaves = [t for t in nodes if not t._parents]
+        assert {id(t) for t in leaves} == {id(t) for t in (x, layer.kernel, layer.bias, *pair)}
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+        assert len(nodes) > len(leaves) and all(t.grad is None for t in nodes if t._parents)
+
+    @pytest.mark.parametrize("parent", ["leaf", "intermediate"])
+    def test_a_wrong_shaped_gradient_raises(self, parent):
+        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        below = x if parent == "leaf" else affine(x, 2.0, 0.0)
+        bad = _make_node(below.data * 3.0, (below,), lambda gy: (np.ones((1, 1, 3, 3), dtype=gy.dtype),))
+        with pytest.raises(ShapeError, match=r"gradient shape \(1, 1, 3, 3\) does not match tensor shape \(1, 1, 2, 2\)"):
+            backward(sum_all(bad))
+        assert x.grad is None
+
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
@@ -695,30 +731,143 @@ class TestLaplaceNll:
             assert np.isfinite(out) and out > 0
 
 
-class TestRowOps:
-    def test_expand_params_gradients_follow_the_items(self):
+def _ref_leaky_relu(x, slope):
+    """The select-based leaky ReLU, kept verbatim as the reference for the
+    package's max-and-multiplier one."""
+    neg = x.data < 0
+    y = np.where(neg, x.data * x.dtype.type(slope), x.data)
+
+    def bwd(gy):
+        return (np.where(neg, gy * slope, gy),)
+
+    return _make_node(y, (x,), bwd)
+
+
+def _ref_expand_params(params, index, like):
+    """The broadcast the rate-conditioned layers chained with leaky_relu,
+    softplus, mul and add before conditional_affine fused them, kept verbatim
+    as its reference: batch item k takes ``params[index[k]]``."""
+    y = np.empty(like.shape, dtype=np.result_type(*(p.dtype for p in params)))
+    y[...] = np.concatenate([params[j].data for j in index])
+    index = np.asarray(index)
+
+    def bwd(gy):
+        grads = []
+        for j in range(len(params)):
+            rows = index == j
+            if not rows.any():
+                grads.append(None)
+                continue
+            g = gy if rows.all() else gy[rows]
+            grads.append(g.sum(axis=(0, 2, 3), keepdims=True, dtype=np.float64))
+        return grads
+
+    return _make_node(y, tuple(params), bwd)
+
+
+class TestConditionalAffine:
+    @pytest.mark.parametrize("slope", [0.2, None], ids=["leaky", "identity"])
+    @pytest.mark.parametrize("index", [[2, 0, 2, 2, 0], [1, 1, 1]], ids=["pair-1-absent", "one-pair"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_the_chain(self, dtype, index, slope):
+        rng = np.random.default_rng(len(index) + (slope is None))
+        shape = (len(index), 6, 5, 7)
+        x0 = rng.normal(size=shape).astype(dtype)
+        gy = Tensor(rng.normal(size=shape), dtype=dtype)
+        p0 = [rng.normal(size=(1, 6, 1, 1)).astype(dtype) for _ in range(6)]
+
+        def run(fused):
+            x = Tensor(x0, requires_grad=True, dtype=dtype)
+            params = [Tensor(p, requires_grad=True, dtype=dtype) for p in p0]
+            scales, biases = params[:3], params[3:]
+            if fused:
+                y = conditional_affine(x, scales, biases, index, slope)
+            else:
+                f = x if slope is None else _ref_leaky_relu(x, slope)
+                gain = _ref_expand_params([softplus(s) for s in scales], index, f)
+                y = mul(gain, f) + _ref_expand_params(biases, index, f)
+            backward(sum_all(mul(y, gy)))
+            return [y.data, x.grad] + [p.grad for p in params]
+
+        names = ["output", "input gradient"] + [f"{part} {j} gradient" for part in ("scale", "bias") for j in range(3)]
+        got, want = run(True), run(False)
+        assert sum(g is None for g in want) == 2 * (3 - len(set(index)))
+        for name, g, r in zip(names, got, want):
+            if r is None:
+                assert g is None, name
+                continue
+            assert g.dtype == r.dtype == dtype and g.shape == r.shape, name
+            assert g.tobytes() == r.tobytes(), name
+
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bits_match_the_select(self, dtype, slope):
+        info = np.finfo(dtype)
+        edges = [0.0, -0.0, info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+                 3 * info.smallest_subnormal, -3 * info.smallest_subnormal, info.max, -info.max, np.inf, -np.inf]
+        rng = np.random.default_rng(7)
+        values = np.concatenate([np.array(edges, dtype=dtype), rng.normal(size=52).astype(dtype),
+                                 (rng.normal(size=64) * 10.0 ** rng.integers(-40, 30, 64)).astype(dtype)])
+        x0 = values.reshape(2, 2, 4, 8)
+        gy = Tensor(rng.normal(size=x0.shape), dtype=dtype)
+        got, want = [], []
+        for op, out in ((leaky_relu, got), (_ref_leaky_relu, want)):
+            x = Tensor(x0, requires_grad=True, dtype=dtype)
+            y = op(x, slope)
+            with np.errstate(over="ignore", invalid="ignore"):  # the loss of an infinite input
+                backward(sum_all(mul(y, gy)))
+            out.extend([y.data, x.grad])
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype == dtype and g.tobytes() == r.tobytes()
+
+    def test_gradients_follow_the_items(self):
         rng = np.random.default_rng(71)
-        like = Tensor(rng.normal(size=(4, 2, 3, 3)), dtype=np.float64)
-        params = [Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=np.float64) for _ in range(3)]
+        x = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+        scales = [Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=np.float64) for _ in range(3)]
+        biases = [Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=np.float64) for _ in range(3)]
         index = np.array([2, 0, 2, 2])
-        y = expand_params(params, index, like)
-        np.testing.assert_array_equal(y.data[1], np.broadcast_to(params[0].data[0], (2, 3, 3)))
-        backward(sum_all(mul(y, like)))
-        assert params[1].grad is None
+        y = conditional_affine(x, scales, biases, index)
+        gain0 = np.log1p(np.exp(scales[0].data[0]))
+        np.testing.assert_allclose(y.data[1], gain0 * x.data[1] + biases[0].data[0], rtol=1e-12)
+        backward(sum_all(y))
+        assert scales[1].grad is None and biases[1].grad is None
         for j in (0, 2):
-            own = like.data[index == j].sum(axis=(0, 2, 3), keepdims=True)
-            np.testing.assert_allclose(params[j].grad, own, rtol=1e-12)
+            own = index == j
+            np.testing.assert_array_equal(biases[j].grad, np.full((1, 2, 1, 1), own.sum() * 9.0))
+            sig = 1.0 / (1.0 + np.exp(-scales[j].data))
+            want = x.data[own].sum(axis=(0, 2, 3), keepdims=True) * sig
+            np.testing.assert_allclose(scales[j].grad, want, rtol=1e-12)
 
         def f(t):
-            return sum_all(mul(y := expand_params([params[0], params[1], t], index, like), y))
+            return sum_all(mul(y := conditional_affine(x, [scales[0], scales[1], t], biases, index, 0.2), y))
 
-        assert finite_diff_check(f, params[2], h=1e-4) <= 1e-6
+        def g(t):
+            return sum_all(mul(y := conditional_affine(x, scales, [biases[0], biases[1], t], index, 0.2), y))
 
-    def test_expand_params_checks_the_index(self):
+        def h(t):
+            return sum_all(mul(y := conditional_affine(t, scales, biases, index, 0.2), y))
+
+        assert finite_diff_check(f, scales[2], h=1e-4) <= 1e-6
+        assert finite_diff_check(g, biases[2], h=1e-4) <= 1e-6
+        offset = Tensor(x.data + np.where(np.abs(x.data) < 0.02, 0.05, 0.0), dtype=np.float64)  # away from the kink
+        assert finite_diff_check(h, offset, h=1e-4) <= 1e-6
+
+    def test_checks_the_index_and_the_parameters(self):
         p = Tensor(np.zeros((1, 2, 1, 1)))
+        x = Tensor(np.zeros((2, 2, 1, 1)))
         with pytest.raises(ShapeError, match="3 parameter indices for a batch of 2"):
-            expand_params([p], np.zeros(3, dtype=int), Tensor(np.zeros((2, 2, 1, 1))))
+            conditional_affine(x, [p], [p], np.zeros(3, dtype=int))
+        with pytest.raises(ShapeError, match="1 scales for 2 biases"):
+            conditional_affine(x, [p], [p, p], [0, 0])
+        with pytest.raises(ShapeError, match=r"per-channel parameters are \(1, C, 1, 1\)"):
+            conditional_affine(x, [p], [Tensor(np.zeros((1, 2, 2, 1)))], [0, 0])
+        with pytest.raises(ShapeError, match="channel extent 3 does not match target 2"):
+            conditional_affine(x, [Tensor(np.zeros((1, 3, 1, 1)))], [p], [0, 0])
+        with pytest.raises(ConfigError, match="slope"):
+            conditional_affine(x, [p], [p], [0, 0], 1.5)
 
+
+class TestRowOps:
     def test_take_rows(self):
         x = Tensor(np.random.default_rng(72).normal(size=(4, 2, 3, 3)), dtype=np.float64)
         np.testing.assert_array_equal(take_rows(x, [3, 1]).data, x.data[[3, 1]])

@@ -142,6 +142,48 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_in_place_moments_match_the_formula(self):
+        # A verbatim copy of the step that made new moment arrays each call.
+        def reference_step(params, grads, m, v, t, lr):
+            c1, c2 = 1.0 - trainer.ADAM_BETA1**t, 1.0 - trainer.ADAM_BETA2**t
+            skipped = 0
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if g is None:
+                    continue
+                if not np.isfinite(g).all():
+                    skipped += 1
+                    continue
+                g = g.astype(np.float32, copy=False)
+                m[i] = trainer.ADAM_BETA1 * m[i] + (1.0 - trainer.ADAM_BETA1) * g
+                v[i] = trainer.ADAM_BETA2 * v[i] + (1.0 - trainer.ADAM_BETA2) * (g * g)
+                m_hat = m[i] / c1
+                v_hat = v[i] / c2
+                p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)).astype(p.dtype)
+            return skipped
+
+        rng = np.random.default_rng(5)
+        shapes = [(1, 3, 1, 1), (2, 3, 5, 5), (1, 1, 1, 4)]
+        start = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        ref = [Tensor(a.copy(), requires_grad=True) for a in start]
+        state = init_optimizer(params)
+        m, v = [np.zeros(shape, dtype=np.float32) for shape in shapes], [np.zeros(shape, dtype=np.float32) for shape in shapes]
+        steps = [
+            [rng.normal(size=shape).astype(np.float32) for shape in shapes],
+            [rng.normal(size=shapes[0]).astype(np.float32), None, rng.normal(size=shapes[2]).astype(np.float32)],
+            [np.full(shapes[0], np.inf, dtype=np.float32)] + [rng.normal(size=s).astype(np.float32) for s in shapes[1:]],
+        ]
+        total = 0
+        for t, (grads, lr) in enumerate(zip(steps, (3e-3, 1e-2, 5e-4)), start=1):
+            skipped = adam_step(params, grads, state, lr)
+            want = reference_step(ref, grads, m, v, t, lr)
+            total += want
+            assert skipped == want and state.skipped == total and state.step == t
+            for i in range(len(shapes)):
+                assert params[i].data.tobytes() == ref[i].data.tobytes(), (t, i)
+                assert state.m[i].tobytes() == m[i].tobytes() and state.v[i].tobytes() == v[i].tobytes(), (t, i)
+        assert total == 1
+
 
 @pytest.fixture(scope="module")
 def setup():

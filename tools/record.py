@@ -6,9 +6,10 @@ For each workload named in ``BENCHMARK.json``, runs this tree's
 ``bench/run.py --trace 0`` on seeds 1, 2 and 3 for the file's
 ``run_seconds``, one run at a time, and reads each run's last line, its
 JSON result. Writes ``BENCH_<n>.json`` at the repository root: the commit
-(and whether ``src/`` or ``bench/`` differ from it), the seeds, the run
-length, the BLAS thread count, the ``src/`` line count and, per workload,
-the median, unit and per-seed values of each end-to-end metric. Exits with
+(whether ``src/`` or ``bench/`` differ from it and, when they do, the
+SHA-256 of ``git diff HEAD -- src bench``), the seeds, the run length, the
+BLAS thread count, the ``src/`` line count and, per workload, the median,
+unit and per-seed values of each end-to-end metric. Exits with
 status 1, writing nothing, if any run exits non-zero, is incorrect, fails
 an operation or reports no BLAS thread count, or if the runs' thread
 counts differ.
@@ -16,6 +17,7 @@ counts differ.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import statistics
@@ -77,7 +79,19 @@ def aggregate(spec: dict, outputs: dict[tuple[str, int], str]) -> dict:
 
 
 def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout.decode()
+
+
+def tree_state() -> dict:
+    """The record's ``commit`` and ``dirty`` fields, plus ``diff_sha256``
+    when ``src/`` or ``bench/`` differ from the commit: the SHA-256 of the
+    bytes ``git diff HEAD -- src bench`` prints. Untracked files make the
+    tree dirty but are not in that diff."""
+    state = {"commit": _git("rev-parse", "HEAD").strip(),
+             "dirty": bool(_git("status", "--porcelain", "--", "src", "bench").strip())}
+    if state["dirty"]:
+        state["diff_sha256"] = hashlib.sha256(_git("diff", "HEAD", "--", "src", "bench").encode()).hexdigest()
+    return state
 
 
 def src_lines() -> int:
@@ -108,8 +122,7 @@ def main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--", "src", "bench")),
+        **tree_state(),
         "seeds": list(SEEDS),
         "run_seconds": seconds,
         "blas_threads": summary["blas_threads"],
